@@ -9,8 +9,10 @@ grammar, so outputs are re-ingestible; with ``--check`` the appended
 report lines are ``%``-prefixed to keep the output a valid matrix file.
 
 Exit codes: 0 success, 1 usage or parse error, 2 computation refusal
-(size guard, mode/shape/precondition violations, singular input), and
-3 verification failure (a defining equation fails or routes disagree).
+(size guard, mode/shape/precondition violations, singular input, a float
+computation that broke down numerically), and 3 verification failure (a
+defining equation fails, routes disagree, or an exact-mode internal
+invariant fails).
 """
 
 import argparse
@@ -21,7 +23,9 @@ import sys
 from . import geninv, ncdet, verify
 from .errors import (
     EnumerationGuardError,
+    InternalInvariantError,
     ModeError,
+    NumericalBreakdownError,
     ParseError,
     PreconditionError,
     QdetError,
@@ -410,11 +414,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"qdet: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RouteDisagreementError as exc:
+    except (RouteDisagreementError, InternalInvariantError) as exc:
         print(f"qdet: verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (
         EnumerationGuardError,
+        NumericalBreakdownError,
         PreconditionError,
         ModeError,
         ShapeError,

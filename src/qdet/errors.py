@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: malformed input is a usage problem,
-guard/precondition violations are computation refusals, and disagreement
-between independently computed results is a verification failure.
+guard/precondition violations and float breakdowns are computation
+refusals, and disagreement between independently computed results, or a
+broken invariant in exact arithmetic, is a verification failure.
 """
 
 
@@ -36,6 +37,23 @@ class EnumerationGuardError(QdetError):
 
 class RouteDisagreementError(QdetError):
     """Independent computation routes produced different results."""
+
+
+class NumericalBreakdownError(QdetError):
+    """A float-mode computation lost an invariant to rounding (a minor sum
+    that must be positive came out nonpositive, a self-check failed)."""
+
+
+class InternalInvariantError(QdetError):
+    """An invariant that exact arithmetic guarantees failed: a defect in
+    the package, never an input problem."""
+
+
+def invariant_error(mode: str, message: str) -> QdetError:
+    """The error for a broken invariant: a numerical breakdown in float
+    mode, an internal defect in exact mode."""
+    cls = NumericalBreakdownError if mode == "float" else InternalInvariantError
+    return cls(message)
 
 
 class ParseError(QdetError):

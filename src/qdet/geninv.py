@@ -52,6 +52,7 @@ from .errors import (
     RouteDisagreementError,
     ShapeError,
     SingularError,
+    invariant_error,
 )
 from .matrix import (
     QMatrix,
@@ -110,9 +111,9 @@ def _bordered_rdet_sum(h: QMatrix, j: int, row, r: int) -> Quaternion:
     return total
 
 
-def _positive_denominator(value, what):
+def _positive_denominator(value, what, mode):
     if value <= 0:
-        raise RuntimeError(f"{what} denominator is not positive: {value}")
+        raise invariant_error(mode, f"{what} denominator is not positive: {value}")
     return value
 
 
@@ -153,14 +154,14 @@ def mp_inverse(a: QMatrix, route: str = "cdet") -> QMatrix:
     astar = a.H
     if route == "cdet":
         g = astar @ a
-        den = _positive_denominator(principal_minor_sum(g, r), "A*A minor")
+        den = _positive_denominator(principal_minor_sum(g, r), "A*A minor", a.mode)
         out = [
             [_bordered_cdet_sum(g, i, astar.col(j), r) / den for j in range(a.rows)]
             for i in range(a.cols)
         ]
         return QMatrix(out)
     h = a @ astar
-    den = _positive_denominator(principal_minor_sum(h, r), "AA* minor")
+    den = _positive_denominator(principal_minor_sum(h, r), "AA* minor", a.mode)
     out = [
         [_bordered_rdet_sum(h, j, astar.row(i), r) / den for j in range(a.rows)]
         for i in range(a.cols)
@@ -214,7 +215,7 @@ def drazin(a: QMatrix, route: str = "cdet") -> QMatrix:
         p = mat_pow(a, 2 * k + 1)
         g = p.H @ p
         ahat = p.H @ ak
-        den = _positive_denominator(principal_minor_sum(g, r), "Drazin cdet")
+        den = _positive_denominator(principal_minor_sum(g, r), "Drazin cdet", a.mode)
         s = QMatrix(
             [
                 [_bordered_cdet_sum(g, t, ahat.col(j), r) for j in range(n)]
@@ -227,7 +228,7 @@ def drazin(a: QMatrix, route: str = "cdet") -> QMatrix:
         p = mat_pow(a, 2 * k + 1)
         h = p @ p.H
         acheck = ak @ p.H
-        den = _positive_denominator(principal_minor_sum(h, r), "Drazin rdet")
+        den = _positive_denominator(principal_minor_sum(h, r), "Drazin rdet", a.mode)
         t = QMatrix(
             [
                 [_bordered_rdet_sum(h, s, acheck.row(i), r) for s in range(n)]
@@ -239,7 +240,7 @@ def drazin(a: QMatrix, route: str = "cdet") -> QMatrix:
     m = mat_pow(a, k + 1)
     den = principal_minor_sum(m, r)
     if den == 0:
-        raise RuntimeError("Hermitian Drazin denominator vanished")
+        raise invariant_error(a.mode, "Hermitian Drazin denominator vanished")
     if route == "hermitian_cdet":
         out = [
             [_bordered_cdet_sum(m, i, ak.col(j), r) / den for j in range(n)]
@@ -327,8 +328,8 @@ def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U") -> QMatrix:
         what = w.H @ mat_pow(u, k)
         gw = w.H @ w
         den = _positive_denominator(
-            principal_minor_sum(gw, r1), "W*W minor"
-        ) * _positive_denominator(principal_minor_sum(gu, r), "U-side minor")
+            principal_minor_sum(gw, r1), "W*W minor", a.mode
+        ) * _positive_denominator(principal_minor_sum(gu, r), "U-side minor", a.mode)
         left = QMatrix(
             [
                 [_bordered_cdet_sum(gw, i, what.col(t), r1) for t in range(n)]
@@ -358,8 +359,8 @@ def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U") -> QMatrix:
         wcheck = mat_pow(v, k) @ w.H
         hw = w @ w.H
         den = _positive_denominator(
-            principal_minor_sum(hv, r), "V-side minor"
-        ) * _positive_denominator(principal_minor_sum(hw, r1), "WW* minor")
+            principal_minor_sum(hv, r), "V-side minor", a.mode
+        ) * _positive_denominator(principal_minor_sum(hw, r1), "WW* minor", a.mode)
         left = QMatrix(
             [
                 [_bordered_rdet_sum(hv, t, vcheck.row(i), r) for t in range(m)]
@@ -384,7 +385,7 @@ def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U") -> QMatrix:
         vbar = mat_pow(v, k) @ a
         den = principal_minor_sum(mm, r)
         if den == 0:
-            raise RuntimeError("Hermitian V-route denominator vanished")
+            raise invariant_error(a.mode, "Hermitian V-route denominator vanished")
         out = [
             [_bordered_cdet_sum(mm, i, vbar.col(j), r) / den for j in range(n)]
             for i in range(m)
@@ -400,7 +401,7 @@ def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U") -> QMatrix:
     ubar = a @ mat_pow(u, k)
     den = principal_minor_sum(mm, r)
     if den == 0:
-        raise RuntimeError("Hermitian U-route denominator vanished")
+        raise invariant_error(a.mode, "Hermitian U-route denominator vanished")
     out = [
         [_bordered_rdet_sum(mm, j, ubar.row(i), r) / den for j in range(n)]
         for i in range(m)

@@ -17,10 +17,13 @@ matrices; it is used only as an independent numeric oracle, and this
 block convention is fixed project-wide because the oracle depends on it.
 """
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from .errors import ModeError, ShapeError, SingularError
+from .errors import ModeError, ShapeError, SingularError, invariant_error
 from .scalar import EXACT, FLOAT, Quaternion, parse_quaternion
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class QMatrix:
@@ -314,7 +317,7 @@ def index_of(a: QMatrix) -> int:
         prev = cur
         k += 1
         if k > n:  # rank strictly drops at most n times
-            raise RuntimeError("index computation failed to stabilize")
+            raise invariant_error(a.mode, "index computation failed to stabilize")
 
 
 def inverse_square(a: QMatrix) -> QMatrix:
@@ -421,12 +424,14 @@ def max_abs_diff(a: QMatrix, b: QMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 
-def embed_complex(a: QMatrix) -> np.ndarray:
+def embed_complex(a: QMatrix) -> "np.ndarray":
     """Complex adjoint embedding as a 2m x 2n numpy array.
 
     Multiplicative and star-preserving; rank doubles, so
     rank(A) == matrix_rank(embed_complex(A)) / 2.
     """
+    import numpy as np  # only the oracles need numpy; keep it off import
+
     out = np.zeros((2 * a.rows, 2 * a.cols), dtype=complex)
     for i in range(a.rows):
         for j in range(a.cols):
@@ -438,7 +443,7 @@ def embed_complex(a: QMatrix) -> np.ndarray:
     return out
 
 
-def unembed_complex(m: np.ndarray) -> QMatrix:
+def unembed_complex(m: "np.ndarray") -> QMatrix:
     """Inverse of `embed_complex` (float mode), averaging the redundant block
     entries so numeric noise off the embedded subspace is symmetrized away."""
     rows2, cols2 = m.shape

@@ -4,8 +4,11 @@ A quaternion is q = a0 + a1*i + a2*j + a3*k with real components and the
 defining relations i**2 = j**2 = k**2 = -1, ij = k, jk = i, ki = j (so the
 product is noncommutative).  Two component representations are supported:
 
-* ``exact`` -- components are `fractions.Fraction`; every identity in the
-  package can then be asserted as bit-exact equality.
+* ``exact`` -- components are `int` or `fractions.Fraction` (a `Fraction`
+  only where a denominator appears); every identity in the package can
+  then be asserted as bit-exact equality.  The mode, not the component
+  type, is the contract: ``Fraction(3) == 3`` and the two hash alike, so
+  equal quaternions compare, hash and format the same either way.
 * ``float`` -- components are doubles; used only by the numeric oracles
   and limit-based estimates.
 
@@ -35,12 +38,17 @@ def _coerce(value, mode):
     """Coerce a real number into the component type of `mode`.
 
     Integers are mode-neutral.  Fractions are exact-only, floats are
-    float-only; anything else is rejected.
+    float-only; anything else is rejected.  Exact mode keeps integers as
+    `int` (an integral `Fraction` becomes its numerator), because integer
+    arithmetic is far cheaper than `Fraction` arithmetic.
     """
     if mode == EXACT:
         if isinstance(value, float):
             raise ModeError(f"float component {value!r} not allowed in exact mode")
-        return Fraction(value)
+        if isinstance(value, int):
+            return int(value)
+        value = Fraction(value)
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, Fraction):
         raise ModeError(f"Fraction component {value!r} not allowed in float mode")
     return float(value)
@@ -56,8 +64,9 @@ def _coerce_real_operand(value, mode):
 class Quaternion:
     """An immutable quaternion with a scalar-mode tag.
 
-    In exact mode components are canonical reduced fractions (guaranteed
-    by `fractions.Fraction`); comparisons are structural equality.
+    In exact mode components are `int` or canonical reduced `Fraction`
+    values; comparisons are structural equality, under which an integral
+    `Fraction` equals the `int` of the same value.
     """
 
     __slots__ = ("a0", "a1", "a2", "a3", "mode")
@@ -111,9 +120,9 @@ class Quaternion:
             r = _coerce_real_operand(other, self.mode)
             if r is None:
                 return NotImplemented
-            return Quaternion(self.a0 + r, self.a1, self.a2, self.a3, self.mode)
+            return _of(self.a0 + r, self.a1, self.a2, self.a3, self.mode)
         self._check_mode(other)
-        return Quaternion(
+        return _of(
             self.a0 + other.a0,
             self.a1 + other.a1,
             self.a2 + other.a2,
@@ -124,26 +133,24 @@ class Quaternion:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Quaternion):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Quaternion(-self.a0, -self.a1, -self.a2, -self.a3, self.mode)
+        return _of(-self.a0, -self.a1, -self.a2, -self.a3, self.mode)
 
     def __mul__(self, other):
         if not isinstance(other, Quaternion):
             r = _coerce_real_operand(other, self.mode)
             if r is None:
                 return NotImplemented
-            return Quaternion(self.a0 * r, self.a1 * r, self.a2 * r, self.a3 * r, self.mode)
+            return _of(self.a0 * r, self.a1 * r, self.a2 * r, self.a3 * r, self.mode)
         self._check_mode(other)
         a0, a1, a2, a3 = self.a0, self.a1, self.a2, self.a3
         b0, b1, b2, b3 = other.a0, other.a1, other.a2, other.a3
-        return Quaternion(
+        return _of(
             a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
             a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
             a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
@@ -172,7 +179,7 @@ class Quaternion:
 
     def conj(self):
         """Quaternion conjugate: negates the i, j, k components."""
-        return Quaternion(self.a0, -self.a1, -self.a2, -self.a3, self.mode)
+        return _of(self.a0, -self.a1, -self.a2, -self.a3, self.mode)
 
     def norm_sq(self):
         """Squared norm a0^2 + a1^2 + a2^2 + a3^2; real, exact in exact mode."""
@@ -205,6 +212,21 @@ class Quaternion:
 
     def __str__(self):
         return format_quaternion(self)
+
+
+_new = object.__new__
+
+
+def _of(a0, a1, a2, a3, mode):
+    """Build a quaternion from components that already have the type of
+    `mode` (results of arithmetic on coerced components): no `_coerce`."""
+    q = _new(Quaternion)
+    q.a0 = a0
+    q.a1 = a1
+    q.a2 = a2
+    q.a3 = a3
+    q.mode = mode
+    return q
 
 
 def qmul(a: Quaternion, b: Quaternion) -> Quaternion:

@@ -15,8 +15,6 @@ inverse here.
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ModeError, ShapeError
 from .matrix import (
     QMatrix,
@@ -196,5 +194,7 @@ def mp_oracle_embedding(a: QMatrix) -> QMatrix:
     """
     if a.mode != FLOAT:
         raise ModeError("the embedding oracle is float-mode only; convert first")
+    import numpy as np  # only the oracles need numpy; keep it off import
+
     pinv = np.linalg.pinv(embed_complex(a))
     return unembed_complex(pinv)

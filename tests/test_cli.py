@@ -1,9 +1,13 @@
+import subprocess
+import sys
+
 import pytest
 
 import golden
-from qdet import QMatrix
+from conftest import random_rank_deficient
+from qdet import QMatrix, Quaternion, geninv
 from qdet.cli import format_qmat, main, parse_qmat
-from qdet.errors import ParseError
+from qdet.errors import InternalInvariantError, ParseError
 
 
 def write(tmp_path, name, matrix):
@@ -225,3 +229,48 @@ def test_mode_flag(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "3.0"
     fpath = write(tmp_path, "hf.qmat", HERMITIAN.to_float())
     assert main(["det", "-i", fpath, "--mode", "exact"]) == 1
+
+
+# -- failure contract ----------------------------------------------------------
+
+
+def near_singular(rng, n, noise):
+    """A rank n-1 integer product in float mode, plus uniform noise."""
+    base = random_rank_deficient(rng, n, n, n - 1).to_float()
+    return QMatrix(
+        [
+            [
+                Quaternion(*(c + rng.uniform(-1.0, 1.0) * noise for c in q.components()), mode="float")
+                for q in row
+            ]
+            for row in base.entries()
+        ]
+    )
+
+
+def test_near_singular_float_input_ends_with_an_exit_code(tmp_path, capsys, rng):
+    # The rank decisions on these inputs sit inside the float pivot
+    # tolerance, so minor sums that must be positive can come out
+    # nonpositive; that is a typed refusal, never an escaping exception.
+    codes = []
+    for t in range(30):
+        path = write(tmp_path, f"p{t}.qmat", near_singular(rng, 3 + t % 2, 1e-10))
+        for cmd in ("mp", "drazin"):
+            codes.append(main([cmd, "-i", path, "--route", "all", "--check"]))
+    assert set(codes) <= {0, 1, 2, 3}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_internal_invariant_exits_as_verification_failure(tmp_path, capsys, monkeypatch):
+    def broken(a, route="cdet"):
+        raise InternalInvariantError("A*A minor denominator is not positive: 0")
+
+    monkeypatch.setattr(geninv, "mp_inverse", broken)
+    assert main(["mp", "-i", write(tmp_path, "h.qmat", HERMITIAN)]) == 3
+    assert "verification failure" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = "import sys, qdet.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

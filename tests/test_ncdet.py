@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 from conftest import random_hermitian, random_qmatrix, random_quaternion
@@ -264,13 +266,59 @@ def test_hermitian_inverse_rejects_singular_and_non_hermitian():
 # -- reference-vs-canonical gate and the size guard --------------------------
 
 
+def random_fraction_qmatrix(rng, n):
+    return QMatrix(
+        [
+            [Quaternion(*(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(4))) for _ in range(n)]
+            for _ in range(n)
+        ]
+    )
+
+
 def test_reference_and_canonical_enumerators_agree(rng):
-    for _ in range(120):
-        n = rng.randint(1, 4)
-        a = random_qmatrix(rng, n, n)
-        for anchor in range(1, n + 1):
-            assert rdet(anchor, a) == rdet_reference(anchor, a)
-            assert cdet(anchor, a) == cdet_reference(anchor, a)
+    # Bit-exact at every anchor, on integer and on non-integral Fraction
+    # entries, up to n = 6.
+    for n in range(1, 7):
+        cases = [random_qmatrix(rng, n, n), random_fraction_qmatrix(rng, n)]
+        assert any(c.denominator > 1 for q in cases[1].row(0) for c in q.components())
+        if n <= 4:
+            cases += [random_qmatrix(rng, n, n, sparsity=0.3) for _ in range(20)]
+        for a in cases:
+            for anchor in range(1, n + 1):
+                assert rdet(anchor, a) == rdet_reference(anchor, a)
+                assert cdet(anchor, a) == cdet_reference(anchor, a)
+
+
+square_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            st.builds(Quaternion, *[st.fractions(min_value=-3, max_value=3, max_denominator=3)] * 4),
+            min_size=n,
+            max_size=n,
+        ),
+        min_size=n,
+        max_size=n,
+    ).map(QMatrix)
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(square_matrices, st.data())
+def test_canonical_evaluator_matches_reference_property(a, data):
+    anchor = data.draw(st.integers(1, a.rows))
+    assert rdet(anchor, a) == rdet_reference(anchor, a)
+    assert cdet(anchor, a) == cdet_reference(anchor, a)
+
+
+def test_float_evaluator_matches_reference_at_n6(rng):
+    a = QMatrix(
+        [[Quaternion(*(rng.uniform(-1.0, 1.0) for _ in range(4)), mode="float") for _ in range(6)] for _ in range(6)]
+    )
+    for anchor in range(1, 7):
+        for fast, slow in ((rdet, rdet_reference), (cdet, cdet_reference)):
+            got, want = fast(anchor, a), slow(anchor, a)
+            scale = 1.0 + math.sqrt(want.norm_sq())
+            assert max(abs(x - y) for x, y in zip(got.components(), want.components())) <= 1e-9 * scale
 
 
 def test_guard_refuses_oversized_input():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qdet import EXACT, FLOAT, Quaternion, format_quaternion, parse_quaternion, qconj, qinv, qmul
+from qdet import EXACT, FLOAT, QMatrix, Quaternion, ddet, format_quaternion, parse_quaternion, qconj, qinv, qmul
 from qdet.errors import ModeError, ParseError
 from qdet.scalar import literal_mode
 
@@ -59,6 +59,28 @@ def test_mode_mixing_rejected():
         Quaternion(0.5)
     with pytest.raises(ModeError):
         Quaternion(Fraction(1, 2), mode=FLOAT)
+
+
+def test_mode_not_component_type_is_the_contract():
+    a, b = Quaternion(Fraction(6, 2)), Quaternion(3)
+    assert a == b and hash(a) == hash(b)
+    assert format_quaternion(a) == format_quaternion(b) == "3"
+    assert Quaternion(Fraction(1, 2)) * 2 == ONE and hash(Quaternion(Fraction(1, 2)) * 2) == hash(ONE)
+    with pytest.raises(ModeError):
+        Quaternion(3.0)
+    with pytest.raises(ModeError):
+        Quaternion(Fraction(6, 2), mode=FLOAT)
+    with pytest.raises(ModeError):
+        b + Quaternion(3, mode=FLOAT)
+    with pytest.raises(ModeError):
+        b * 0.5
+    for h in (
+        QMatrix.from_literals([["2", "i"], ["-i", "2"]]),
+        QMatrix.from_literals([["1/2", "i"], ["-i", "3"]]),
+    ):
+        value = ddet(h)
+        assert isinstance(value, (int, Fraction))
+        assert isinstance(ddet(h.to_float()), float)
 
 
 @given(quaternions, quaternions, quaternions)
