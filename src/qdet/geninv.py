@@ -38,11 +38,21 @@ of rank 3 already exhibits the U-side failure), so both routes check
 their rank precondition at runtime and refuse, exactly like the
 Hermitian routes refuse non-Hermitian products.
 
+Every determinantal route is a ratio of bordered sums: entry (i, j) sums,
+over the size-r principal index sets containing i, the column (row)
+determinant anchored at i of a Hermitian G's principal submatrix with
+column (row) i replaced by column j of a right-hand matrix B.  A column
+determinant anchored at i is linear in that column, so
+`ncdet._bordered_cofactors` makes one cofactor pass per anchor and the
+sums become the matrix product Y @ B (B @ Y for rows), divided last by
+the sum of the r x r principal minors that the same pass reads off.  The
+enumeration guard bounds the minor order r: a route is refused when the
+rank it expands exceeds the guard, whatever the size of the input.
+
 In exact mode agreement and all defining equations hold as equalities;
 float mode exists for the numeric oracles and the limit-based estimate.
 """
 
-import itertools
 from typing import NamedTuple
 
 from .errors import (
@@ -54,19 +64,14 @@ from .errors import (
     SingularError,
     invariant_error,
 )
-from .matrix import (
-    QMatrix,
-    index_of,
-    inverse_square,
-    mat_pow,
-    max_abs_diff,
-    rank,
-    replace_col,
-    replace_row,
-    submatrix,
-)
-from .ncdet import cdet, principal_minor_sum, rdet
-from .scalar import EXACT, FLOAT, Quaternion
+from .matrix import QMatrix, index_of, inverse_square, mat_pow, max_abs_diff, rank
+from .ncdet import _bordered_cofactors
+
+# cdet and rdet stay bound here, uncalled: benchmarks/layers.py rebinds
+# the determinants in every qdet module that holds them, and its
+# self-test reads them from this one.
+from .ncdet import cdet, rdet  # noqa: F401
+from .scalar import EXACT, FLOAT
 
 MP_ROUTES = ("cdet", "rdet")
 DRAZIN_ROUTES = ("cdet", "rdet", "mp_composition", "hermitian_cdet", "hermitian_rdet")
@@ -80,35 +85,6 @@ WDRAZIN_ROUTES = (
 )
 
 FLOAT_AGREEMENT_TOL = 1e-9
-
-
-def _subsets_containing(n, r, pivot):
-    """Size-r subsets of range(n) containing `pivot`, each sorted."""
-    others = [x for x in range(n) if x != pivot]
-    for rest in itertools.combinations(others, r - 1):
-        yield tuple(sorted((pivot, *rest)))
-
-
-def _bordered_cdet_sum(g: QMatrix, i: int, column, r: int) -> Quaternion:
-    """Sum over size-r principal index sets containing i (0-based) of the
-    column determinant, anchored at i, of the principal submatrix of g
-    with column i replaced by `column`."""
-    modified = replace_col(g, i, column)
-    total = Quaternion.zero(g.mode)
-    for beta in _subsets_containing(g.rows, r, i):
-        sub = submatrix(modified, beta, beta)
-        total = total + cdet(beta.index(i) + 1, sub)
-    return total
-
-
-def _bordered_rdet_sum(h: QMatrix, j: int, row, r: int) -> Quaternion:
-    """Mirror of `_bordered_cdet_sum`: row j replaced, row determinants."""
-    modified = replace_row(h, j, row)
-    total = Quaternion.zero(h.mode)
-    for alpha in _subsets_containing(h.rows, r, j):
-        sub = submatrix(modified, alpha, alpha)
-        total = total + rdet(alpha.index(j) + 1, sub)
-    return total
 
 
 def _positive_denominator(value, what, mode):
@@ -153,20 +129,10 @@ def mp_inverse(a: QMatrix, route: str = "cdet") -> QMatrix:
     r = rank(a)
     astar = a.H
     if route == "cdet":
-        g = astar @ a
-        den = _positive_denominator(principal_minor_sum(g, r), "A*A minor", a.mode)
-        out = [
-            [_bordered_cdet_sum(g, i, astar.col(j), r) / den for j in range(a.rows)]
-            for i in range(a.cols)
-        ]
-        return QMatrix(out)
-    h = a @ astar
-    den = _positive_denominator(principal_minor_sum(h, r), "AA* minor", a.mode)
-    out = [
-        [_bordered_rdet_sum(h, j, astar.row(i), r) / den for j in range(a.rows)]
-        for i in range(a.cols)
-    ]
-    return QMatrix(out)
+        cof, den = _bordered_cofactors(astar @ a, r, row=False)
+        return (cof @ astar) / _positive_denominator(den, "A*A minor", a.mode)
+    cof, den = _bordered_cofactors(a @ astar, r, row=True)
+    return (astar @ cof) / _positive_denominator(den, "AA* minor", a.mode)
 
 
 def mp_all_routes(a: QMatrix) -> dict:
@@ -213,45 +179,22 @@ def drazin(a: QMatrix, route: str = "cdet") -> QMatrix:
 
     if route == "cdet":
         p = mat_pow(a, 2 * k + 1)
-        g = p.H @ p
-        ahat = p.H @ ak
-        den = _positive_denominator(principal_minor_sum(g, r), "Drazin cdet", a.mode)
-        s = QMatrix(
-            [
-                [_bordered_cdet_sum(g, t, ahat.col(j), r) for j in range(n)]
-                for t in range(n)
-            ]
-        )
-        return (ak @ s) / den
+        cof, den = _bordered_cofactors(p.H @ p, r, row=False)
+        den = _positive_denominator(den, "Drazin cdet", a.mode)
+        return (ak @ (cof @ (p.H @ ak))) / den
 
     if route == "rdet":
         p = mat_pow(a, 2 * k + 1)
-        h = p @ p.H
-        acheck = ak @ p.H
-        den = _positive_denominator(principal_minor_sum(h, r), "Drazin rdet", a.mode)
-        t = QMatrix(
-            [
-                [_bordered_rdet_sum(h, s, acheck.row(i), r) for s in range(n)]
-                for i in range(n)
-            ]
-        )
-        return (t @ ak) / den
+        cof, den = _bordered_cofactors(p @ p.H, r, row=True)
+        den = _positive_denominator(den, "Drazin rdet", a.mode)
+        return (((ak @ p.H) @ cof) @ ak) / den
 
-    m = mat_pow(a, k + 1)
-    den = principal_minor_sum(m, r)
+    cof, den = _bordered_cofactors(mat_pow(a, k + 1), r, row=route == "hermitian_rdet")
     if den == 0:
         raise invariant_error(a.mode, "Hermitian Drazin denominator vanished")
     if route == "hermitian_cdet":
-        out = [
-            [_bordered_cdet_sum(m, i, ak.col(j), r) / den for j in range(n)]
-            for i in range(n)
-        ]
-    else:
-        out = [
-            [_bordered_rdet_sum(m, j, ak.row(i), r) / den for j in range(n)]
-            for i in range(n)
-        ]
-    return QMatrix(out)
+        return (cof @ ak) / den
+    return (ak @ cof) / den
 
 
 def drazin_all_routes(a: QMatrix) -> dict:
@@ -323,26 +266,13 @@ def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U") -> QMatrix:
         if r == 0:
             return QMatrix.zeros(m, n, a.mode)
         p = mat_pow(u, 2 * k + 1)
-        gu = p.H @ p
-        uhat = p.H @ mat_pow(u, k)
-        what = w.H @ mat_pow(u, k)
-        gw = w.H @ w
-        den = _positive_denominator(
-            principal_minor_sum(gw, r1), "W*W minor", a.mode
-        ) * _positive_denominator(principal_minor_sum(gu, r), "U-side minor", a.mode)
-        left = QMatrix(
-            [
-                [_bordered_cdet_sum(gw, i, what.col(t), r1) for t in range(n)]
-                for i in range(m)
-            ]
+        uk = mat_pow(u, k)
+        cof_w, den_w = _bordered_cofactors(w.H @ w, r1, row=False)
+        cof_u, den_u = _bordered_cofactors(p.H @ p, r, row=False)
+        den = _positive_denominator(den_w, "W*W minor", a.mode) * _positive_denominator(
+            den_u, "U-side minor", a.mode
         )
-        right = QMatrix(
-            [
-                [_bordered_cdet_sum(gu, t, uhat.col(j), r) for j in range(n)]
-                for t in range(n)
-            ]
-        )
-        return (left @ right) / den
+        return ((cof_w @ (w.H @ uk)) @ (cof_u @ (p.H @ uk))) / den
 
     if route == "mp_route_V":
         r1 = rank(w)
@@ -354,26 +284,13 @@ def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U") -> QMatrix:
         if r == 0:
             return QMatrix.zeros(m, n, a.mode)
         p = mat_pow(v, 2 * k + 1)
-        hv = p @ p.H
-        vcheck = mat_pow(v, k) @ p.H
-        wcheck = mat_pow(v, k) @ w.H
-        hw = w @ w.H
-        den = _positive_denominator(
-            principal_minor_sum(hv, r), "V-side minor", a.mode
-        ) * _positive_denominator(principal_minor_sum(hw, r1), "WW* minor", a.mode)
-        left = QMatrix(
-            [
-                [_bordered_rdet_sum(hv, t, vcheck.row(i), r) for t in range(m)]
-                for i in range(m)
-            ]
+        vk = mat_pow(v, k)
+        cof_v, den_v = _bordered_cofactors(p @ p.H, r, row=True)
+        cof_w, den_w = _bordered_cofactors(w @ w.H, r1, row=True)
+        den = _positive_denominator(den_v, "V-side minor", a.mode) * _positive_denominator(
+            den_w, "WW* minor", a.mode
         )
-        right = QMatrix(
-            [
-                [_bordered_rdet_sum(hw, j, wcheck.row(t), r1) for j in range(n)]
-                for t in range(m)
-            ]
-        )
-        return (left @ right) / den
+        return (((vk @ p.H) @ cof_v) @ ((vk @ w.H) @ cof_w)) / den
 
     if route == "hermitian_V":
         if not v.is_hermitian():
@@ -381,32 +298,20 @@ def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U") -> QMatrix:
         r = rank(mat_pow(v, k))
         if r == 0:
             return QMatrix.zeros(m, n, a.mode)
-        mm = mat_pow(v, k + 2)
-        vbar = mat_pow(v, k) @ a
-        den = principal_minor_sum(mm, r)
+        cof, den = _bordered_cofactors(mat_pow(v, k + 2), r, row=False)
         if den == 0:
             raise invariant_error(a.mode, "Hermitian V-route denominator vanished")
-        out = [
-            [_bordered_cdet_sum(mm, i, vbar.col(j), r) / den for j in range(n)]
-            for i in range(m)
-        ]
-        return QMatrix(out)
+        return (cof @ (mat_pow(v, k) @ a)) / den
 
     if not u.is_hermitian():
         raise NotHermitianError("route 'hermitian_U' requires W @ A to be Hermitian")
     r = rank(mat_pow(u, k))
     if r == 0:
         return QMatrix.zeros(m, n, a.mode)
-    mm = mat_pow(u, k + 2)
-    ubar = a @ mat_pow(u, k)
-    den = principal_minor_sum(mm, r)
+    cof, den = _bordered_cofactors(mat_pow(u, k + 2), r, row=True)
     if den == 0:
         raise invariant_error(a.mode, "Hermitian U-route denominator vanished")
-    out = [
-        [_bordered_rdet_sum(mm, j, ubar.row(i), r) / den for j in range(n)]
-        for i in range(m)
-    ]
-    return QMatrix(out)
+    return ((a @ mat_pow(u, k)) @ cof) / den
 
 
 def wdrazin_all_routes(a: QMatrix, w: QMatrix) -> dict:

@@ -33,9 +33,21 @@ bit-exact agreement on random matrices is a test gate, as is the
 collapse to the classical determinant on commuting entries.
 `cycle_forms` lists the canonical cycle forms themselves.
 
+The same recursion serves the Hermitian offspring.  Its tail table holds,
+for every subset X, the determinant of the principal submatrix on X
+anchored at its first index, which on a Hermitian matrix is the principal
+minor of X: `principal_minor_sum` and `char_poly` read every minor from
+one table.  The bordered minor sums behind the generalized inverses (a
+principal submatrix with its anchor column, or row, replaced by a vector)
+are linear in that vector, so `_bordered_cofactors` makes one cofactor
+pass per anchor and returns a matrix Y with which every such sum is a
+product; `hermitian_inverse` is its full-order case.
+
 Every evaluator refuses matrices above a size guard (default n = 8)
 rather than silently running for hours: the reference evaluators and the
-bordered minor sums built on these determinants are exponential in n.
+bordered minor sums stay exponential in the order of their minors.  For
+the minor sums, cofactors and inverses the guard bounds that order (the
+rank r a route expands), not the size of the matrix.
 """
 
 import itertools
@@ -50,7 +62,7 @@ from .errors import (
     ShapeError,
     SingularError,
 )
-from .matrix import QMatrix, delete_row_col, max_abs_diff, replace_col, replace_row
+from .matrix import QMatrix, max_abs_diff
 from .scalar import EXACT, Quaternion
 
 DEFAULT_ENUMERATION_GUARD = 8
@@ -71,16 +83,20 @@ def set_enumeration_guard(n: int) -> int:
     return old
 
 
+def _refuse_above_guard(n: int, max_n, what: str) -> None:
+    limit = _guard if max_n is None else max_n
+    if n > limit:
+        raise EnumerationGuardError(
+            f"{what} {n} exceeds the enumeration guard {limit} ({n}! terms per determinant); "
+            "raise the guard explicitly to proceed"
+        )
+
+
 def _check(a: QMatrix, anchor: int, max_n):
     if not a.is_square():
         raise ShapeError("row/column determinants require a square matrix")
     n = a.rows
-    limit = _guard if max_n is None else max_n
-    if n > limit:
-        raise EnumerationGuardError(
-            f"n = {n} exceeds the enumeration guard {limit} ({n}! terms per determinant); "
-            "raise the guard explicitly to proceed"
-        )
+    _refuse_above_guard(n, max_n, "n =")
     if not 1 <= anchor <= n:
         raise ValueError(f"anchor {anchor} out of range 1..{n}")
     return n
@@ -166,43 +182,100 @@ def cycle_forms(n: int, anchor: int) -> tuple:
     return tuple(forms)
 
 
-def _signed_cycle_sums(e, root, members):
+def _mask(indices) -> int:
+    mask = 0
+    for x in indices:
+        mask |= 1 << x
+    return mask
+
+
+def _open_paths(e, root, members, max_size, forward):
+    """Sums of the open chains through `root` over subsets of `members`.
+
+    Maps the bitmask of each subset Y of `members` (0-based indices, at
+    most `max_size` of them) to a dict from each end of Y to the sum, over
+    every ordering y1..yp of Y with that end, of
+
+        e[root][y1] * e[y1][y2] * ... * e[y(p-1)][yp]     (forward, end = yp)
+        e[y1][y2] * ... * e[y(p-1)][yp] * e[yp][root]     (backward, end = y1)
+
+    Held-Karp style: each end extends the chains of Y - {end} by one step,
+    so a subset costs |Y|**2 products instead of |Y|! chains.
+    """
+    paths = {}
+    for size in range(1, max_size + 1):
+        for subset in itertools.combinations(members, size):
+            mask = _mask(subset)
+            ends = paths[mask] = {}
+            for end in subset:
+                if size == 1:
+                    ends[end] = e[root][end] if forward else e[end][root]
+                    continue
+                path = None
+                for other, prev in paths[mask ^ (1 << end)].items():
+                    step = prev * e[other][end] if forward else e[end][other] * prev
+                    path = step if path is None else path + step
+                ends[end] = path
+    return paths
+
+
+def _signed_cycle_sums(e, root, members, max_size):
     """Signed sums of the cycles through `root` over subsets of `members`.
 
     Returns a dict mapping the bitmask of each subset Y of `members`
-    (0-based indices) to (-1)**|Y| * H(Y), where H(Y) is the sum, over
-    every ordering y1..yp of Y, of the chain
+    (0-based indices) with at most `max_size` elements to
+    (-1)**|Y| * H(Y), where H(Y) is the sum, over every ordering y1..yp of
+    Y, of the chain
 
         e[root][y1] * e[y1][y2] * ... * e[yp][root],
 
-    and H of the empty set is e[root][root].  The orderings are summed
-    Held-Karp style: `paths[mask, last]` holds the sum of the chains from
-    root through exactly the elements of mask, ending at last, so each
-    subset costs |Y|**2 products instead of |Y|! chains.
+    and H of the empty set is e[root][root]: the forward open paths of
+    `_open_paths`, each closed by its last factor.
     """
     sums = {0: e[root][root]}
-    paths = {}
-    for size in range(1, len(members) + 1):
-        for subset in itertools.combinations(members, size):
-            mask = 0
-            for y in subset:
-                mask |= 1 << y
-            closed = None
-            for last in subset:
-                if size == 1:
-                    path = e[root][last]
-                else:
-                    rest = mask ^ (1 << last)
-                    path = None
-                    for prev in subset:
-                        if prev != last:
-                            step = paths[rest, prev] * e[prev][last]
-                            path = step if path is None else path + step
-                paths[mask, last] = path
-                cycle = path * e[last][root]
-                closed = cycle if closed is None else closed + cycle
-            sums[mask] = -closed if size % 2 else closed
+    for mask, ends in _open_paths(e, root, members, max_size, True).items():
+        closed = None
+        for last, path in ends.items():
+            cycle = path * e[last][root]
+            closed = cycle if closed is None else closed + cycle
+        sums[mask] = -closed if mask.bit_count() % 2 else closed
     return sums
+
+
+def _combine(cycle_sums, tails, rest, row):
+    """Sum over the subsets Y of `rest` of S(Y) and the tail of rest - Y,
+    multiplied in the determinant's order (S first for rows, last for
+    columns).  The first term, Y = rest, has the empty tail 1."""
+    total = cycle_sums[rest]
+    y = rest
+    while y:
+        y = (y - 1) & rest
+        s, t = cycle_sums[y], tails[rest ^ y]
+        total = total + (s * t if row else t * s)
+    return total
+
+
+def _tails(e, mode, universe, max_size, row):
+    """The tail table of the cycle-sum recursion, by bitmask: R(X)
+    (row=True) or C(X) for every subset X of `universe` with at most
+    `max_size` elements.
+
+    R(X) is the row determinant of the principal submatrix on X anchored
+    at its first row, C(X) the column determinant anchored at its first
+    column; on a Hermitian matrix both are the principal minor of X.
+    """
+    sums_at = {
+        m: _signed_cycle_sums(e, m, [x for x in universe if x > m], max_size - 1)
+        for m in universe
+    }
+    tails = {0: Quaternion.one(mode)}
+    # By increasing size: every subset a tail needs is smaller, so ready.
+    for size in range(1, max_size + 1):
+        for subset in itertools.combinations(universe, size):
+            mask = _mask(subset)
+            low = subset[0]
+            tails[mask] = _combine(sums_at[low], tails, mask ^ (1 << low), row)
+    return tails
 
 
 def _cycle_sum_det(a: QMatrix, anchor: int, row: bool) -> Quaternion:
@@ -224,33 +297,82 @@ def _cycle_sum_det(a: QMatrix, anchor: int, row: bool) -> Quaternion:
     e = a.entries()
     root = anchor - 1
     others = [x for x in range(a.rows) if x != root]
-    sums_at = {m: _signed_cycle_sums(e, m, [x for x in others if x > m]) for m in others}
-    tails = {0: Quaternion.one(a.mode)}
-    full = 0
-    for x in others:
-        full |= 1 << x
+    tails = _tails(e, a.mode, others, len(others), row)
+    cycle_sums = _signed_cycle_sums(e, root, others, len(others))
+    return _combine(cycle_sums, tails, _mask(others), row)
 
-    def combine(cycle_sums, rest):
-        # Sum over the subsets Y of `rest` of S(Y) and the tail of rest - Y,
-        # multiplied in the determinant's order.
-        total = None
-        y = rest
-        while True:
-            s, t = cycle_sums[y], tails[rest ^ y]
-            term = s * t if row else t * s
-            total = term if total is None else total + term
-            if y == 0:
-                return total
-            y = (y - 1) & rest
 
-    # Subsets of `full` in increasing numeric order: every proper subset of
-    # a mask is smaller than the mask, so each tail it needs is ready.
-    mask = full & -full
-    while mask:
-        low = mask & -mask
-        tails[mask] = combine(sums_at[low.bit_length() - 1], mask ^ low)
-        mask = (mask - full) & full
-    return combine(_signed_cycle_sums(e, root, others), full)
+def _minor_sum(tails, n, s, mode):
+    """Sum of the s x s principal minors of a Hermitian n x n matrix, read
+    from its tail table (`_tails` over range(n), sizes up to s)."""
+    total = None
+    for idx in itertools.combinations(range(n), s):
+        minor = tails[_mask(idx)]
+        if mode == EXACT and not minor.is_real():
+            raise InternalInvariantError("Hermitian determinant produced a non-real value")
+        total = minor.a0 if total is None else total + minor.a0
+    return total
+
+
+def _bordered_cofactors(g: QMatrix, r: int, row: bool, max_n: int | None = None):
+    """One cofactor pass per anchor for the order-r bordered minor sums of
+    a square g.  Returns (Y, d) with Y an n x n matrix such that
+
+        column family (row=False), any column b:
+            (Y @ b)[i] = sum over size-r sets beta containing i of
+                         cdet_i(g_beta with column i replaced by b_beta);
+        row family (row=True), any row b:
+            (b @ Y)[j] = sum over size-r sets alpha containing j of
+                         rdet_j(g_alpha with row j replaced by b_alpha),
+
+    and d the sum of the r x r principal minors of a Hermitian g: the real
+    parts of the size-r tails.  An exact g that is not Hermitian has no
+    real minors and gets None; in float mode d is given for any g, as
+    rounding can leave a product such as A*A a hair off Hermitian.
+
+    cdet_i reaches column i only through the last factor of its anchor
+    cycle, i -> Y -> i: the term C(beta - i - Y) * S_i(Y) ends in
+    e[last][i].  So the sum is linear in b with coefficient, at b[last],
+    the signed open path i -> Y -> last times the tails of every leftover
+    set Z of the r - 1 - |Y| elements beta holds besides i and Y.  The row
+    family mirrors this: rdet_j starts with e[j][first], the path runs
+    backwards from first to j and the tails multiply on its right.  One
+    tail table over the subsets of at most r elements serves every anchor
+    and, at size r, the denominator.  The guard bounds the minor order r.
+    """
+    _refuse_above_guard(r, max_n, "minor order")
+    n = g.rows
+    e = g.entries()
+    tails = _tails(e, g.mode, range(n), r, row)
+    cof = [[Quaternion.zero(g.mode)] * n for _ in range(n)]
+    for i in range(n):
+        others = [x for x in range(n) if x != i]
+        paths = _open_paths(e, i, others, r - 1, not row)
+        for size in range(r):
+            for subset in itertools.combinations(others, size):
+                # t sums the tails of the leftover sets; None stands for the
+                # empty tail 1, when the path fills the whole set.
+                t = None
+                if size < r - 1:
+                    rest = [x for x in others if x not in subset]
+                    for z in itertools.combinations(rest, r - 1 - size):
+                        tail = tails[_mask(z)]
+                        t = tail if t is None else t + tail
+                if size == 0:
+                    cof[i][i] = cof[i][i] + (Quaternion.one(g.mode) if t is None else t)
+                    continue
+                for end, path in paths[_mask(subset)].items():
+                    if t is not None:
+                        path = path * t if row else t * path
+                    if size % 2:
+                        path = -path
+                    if row:
+                        cof[end][i] = cof[end][i] + path
+                    else:
+                        cof[i][end] = cof[i][end] + path
+    if g.mode == EXACT and not g.is_hermitian():
+        return QMatrix(cof), None
+    return QMatrix(cof), _minor_sum(tails, n, r, g.mode)
 
 
 def rdet(i: int, a: QMatrix, max_n: int | None = None) -> Quaternion:
@@ -362,12 +484,8 @@ def principal_minor_sum(a: QMatrix, s: int, max_n: int | None = None):
         raise NotHermitianError("principal minors require a Hermitian matrix")
     if not 1 <= s <= a.rows:
         raise ValueError(f"minor order {s} out of range 1..{a.rows}")
-    total = None
-    for idx in itertools.combinations(range(a.rows), s):
-        sub = QMatrix([[a[p, q] for q in idx] for p in idx])
-        minor = ddet(sub, max_n)
-        total = minor if total is None else total + minor
-    return total
+    _refuse_above_guard(s, max_n, "minor order")
+    return _minor_sum(_tails(a.entries(), a.mode, range(a.rows), s, True), a.rows, s, a.mode)
 
 
 def char_poly(a: QMatrix, max_n: int | None = None) -> tuple:
@@ -376,10 +494,14 @@ def char_poly(a: QMatrix, max_n: int | None = None) -> tuple:
 
         p(t) = t^n - d1 t^(n-1) + d2 t^(n-2) - ... + (-1)^n dn,
 
-    where ds is the sum of the s x s principal minors and dn = ddet(a)."""
+    where ds is the sum of the s x s principal minors and dn = ddet(a).
+    All of them are read from one tail table over the subsets of a."""
     if not a.is_hermitian():
         raise NotHermitianError("characteristic polynomial requires a Hermitian matrix")
-    return tuple(principal_minor_sum(a, s, max_n) for s in range(1, a.rows + 1))
+    n = a.rows
+    _refuse_above_guard(n, max_n, "minor order")
+    tails = _tails(a.entries(), a.mode, range(n), n, True)
+    return tuple(_minor_sum(tails, n, s, a.mode) for s in range(1, n + 1))
 
 
 def eval_char_poly(coeffs, t):
@@ -393,47 +515,30 @@ def eval_char_poly(coeffs, t):
     return value
 
 
-def _right_cofactor(a: QMatrix, i: int, j: int, max_n) -> Quaternion:
-    # 0-based i, j; row-determinant cofactor of the Hermitian inverse.
-    if i == j:
-        return rdet(1, delete_row_col(a, i, i), max_n)
-    modified = delete_row_col(replace_col(a, j, a.col(i)), i, i)
-    pos = j if j < i else j - 1
-    return -rdet(pos + 1, modified, max_n)
-
-
-def _left_cofactor(a: QMatrix, i: int, j: int, max_n) -> Quaternion:
-    if i == j:
-        return cdet(1, delete_row_col(a, j, j), max_n)
-    modified = delete_row_col(replace_row(a, i, a.row(j)), j, j)
-    pos = i if i < j else i - 1
-    return -cdet(pos + 1, modified, max_n)
-
-
 def hermitian_inverse(a: QMatrix, max_n: int | None = None) -> QMatrix:
     """Inverse of a nonsingular Hermitian matrix assembled from cofactors.
 
-    Both the right-cofactor and the left-cofactor assemblies are computed
-    and must agree; the result is verified to be a two-sided inverse.
+    The Hermitian Cramer rule at full order: the column-family cofactors
+    of `_bordered_cofactors` with r = n give ddet(a) * a^-1, and so do the
+    row-family ones.  Both assemblies are computed and must agree; in
+    exact mode the undivided cofactors Y must also satisfy
+    a Y = Y a = ddet(a) I before the one division.
     """
-    det = ddet(a, max_n)
+    if not a.is_hermitian():
+        raise NotHermitianError("hermitian_inverse requires a Hermitian matrix")
+    n = a.rows
+    right, det = _bordered_cofactors(a, n, True, max_n)
     if det == 0:
         raise SingularError("Hermitian matrix has zero determinant")
-    n = a.rows
-    if n == 1:
-        return QMatrix([[a[0, 0].inv()]])
-    right = QMatrix(
-        [[_right_cofactor(a, j, i, max_n) / det for j in range(n)] for i in range(n)]
-    )
-    left = QMatrix(
-        [[_left_cofactor(a, j, i, max_n) / det for j in range(n)] for i in range(n)]
-    )
+    left, _ = _bordered_cofactors(a, n, False, max_n)
     if a.mode == EXACT:
         if right != left:
             raise InternalInvariantError("cofactor assemblies disagree on a Hermitian matrix")
-        ident = QMatrix.identity(n, a.mode)
-        if not (a @ right == ident and right @ a == ident):
+        scaled = QMatrix.identity(n, a.mode) * det
+        if not (a @ right == scaled and right @ a == scaled):
             raise InternalInvariantError("cofactor inverse failed the product check")
-    elif max_abs_diff(right, left) > 1e-9 * (1.0 + abs(det)):
+        return right / det
+    right, left = right / det, left / det
+    if max_abs_diff(right, left) > 1e-9 * (1.0 + abs(det)):
         raise NumericalBreakdownError("cofactor assemblies disagree beyond float tolerance")
     return right

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -6,7 +7,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from qdet import QMatrix, Quaternion
+from qdet import QMatrix, Quaternion, cdet, rdet
+from qdet.matrix import replace_col, replace_row, submatrix
 
 
 def random_quaternion(rng: random.Random, span: int = 2, sparsity: float = 0.0) -> Quaternion:
@@ -27,6 +29,20 @@ def random_hermitian(rng: random.Random, n: int) -> QMatrix:
 def random_rank_deficient(rng: random.Random, m: int, n: int, r: int) -> QMatrix:
     # A product of thin factors has rank at most r.
     return random_qmatrix(rng, m, r, span=1) @ random_qmatrix(rng, r, n, span=1)
+
+
+def bordered_sum(g: QMatrix, anchor: int, vector, r: int, row: bool) -> Quaternion:
+    """The bordered principal-minor sum, literally: over the size-r index
+    sets containing `anchor` (0-based), the row (row=True) or column
+    determinant anchored there of the principal submatrix of g whose row
+    or column `anchor` is replaced by `vector`; one determinant per set."""
+    modified = replace_row(g, anchor, vector) if row else replace_col(g, anchor, vector)
+    det = rdet if row else cdet
+    total = Quaternion.zero(g.mode)
+    for beta in itertools.combinations(range(g.rows), r):
+        if anchor in beta:
+            total = total + det(beta.index(anchor) + 1, submatrix(modified, beta, beta))
+    return total
 
 
 @pytest.fixture

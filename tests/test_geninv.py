@@ -1,9 +1,11 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 import golden
-from conftest import random_qmatrix, random_rank_deficient
+from conftest import bordered_sum, random_qmatrix, random_rank_deficient
 from qdet import (
     QMatrix,
     Quaternion,
@@ -21,9 +23,16 @@ from qdet import (
     wdrazin_all_routes,
     wdrazin_limit_estimate,
 )
-from qdet.errors import ModeError, NotHermitianError, PreconditionError, ShapeError
-from qdet.geninv import _bordered_cdet_sum, wdrazin_applicable_routes
+from qdet.errors import (
+    EnumerationGuardError,
+    ModeError,
+    NotHermitianError,
+    PreconditionError,
+    ShapeError,
+)
+from qdet.geninv import wdrazin_applicable_routes
 from qdet.matrix import max_abs_diff, replace_col, replace_row
+from qdet.ncdet import set_enumeration_guard
 
 
 # -- Moore-Penrose -----------------------------------------------------------
@@ -69,16 +78,44 @@ def test_mp_worked_example_numerator_pieces():
     # full-column-rank composition route, checked against hand expansion.
     gw = golden.W_STAR_W
     what = golden.W_STAR @ golden.U2
-    sums = [_bordered_cdet_sum(gw, 0, what.col(t), 3) for t in range(3)]
+    sums = [bordered_sum(gw, 0, what.col(t), 3, row=False) for t in range(3)]
     assert sums[0] == Quaternion.zero()
     assert sums[1] == Quaternion(0, 0, -2, 0)
     assert sums[2] == Quaternion.zero()
     gu = golden.U5_STAR_U5
     uhat = golden.U5_STAR @ golden.U2
-    col_sums = [_bordered_cdet_sum(gu, t, uhat.col(0), 2) for t in range(3)]
+    col_sums = [bordered_sum(gu, t, uhat.col(0), 2, row=False) for t in range(3)]
     assert col_sums[0] == Quaternion(0, 1, 0, 0)
     assert col_sums[1] == Quaternion.zero()
     assert col_sums[2] == Quaternion.zero()
+
+
+def test_mp_refuses_a_rank_above_the_guard():
+    # The guard bounds the order r of the minors a route expands.
+    with pytest.raises(EnumerationGuardError):
+        mp_inverse(QMatrix.identity(9))
+    a = random_rank_deficient(random.Random(7), 5, 4, 3)
+    assert rank(a) == 3
+    old = set_enumeration_guard(2)
+    try:
+        for route in ("cdet", "rdet"):
+            with pytest.raises(EnumerationGuardError):
+                mp_inverse(a, route)
+        set_enumeration_guard(3)
+        assert check_penrose(a, mp_inverse(a, "all")).ok
+    finally:
+        set_enumeration_guard(old)
+
+
+def test_mp_of_large_low_rank_input_stays_within_the_guard():
+    # 12 x 12 is beyond the default guard, but every minor is 2 x 2.
+    a = random_rank_deficient(random.Random(12), 12, 12, 2)
+    assert rank(a) == 2
+    start = time.perf_counter()
+    x = mp_inverse(a)
+    elapsed = time.perf_counter() - start
+    assert check_penrose(a, x).ok
+    assert elapsed < 5.0
 
 
 # -- Drazin ------------------------------------------------------------------
@@ -278,7 +315,7 @@ def test_shifted_cdet_coefficient_expansion(rng):
         vbar = mat_pow(v, k) @ a
         i = rng.randrange(m)
         j = rng.randrange(n)
-        coeffs = [_bordered_cdet_sum(vk2, i, vbar.col(j), s) for s in range(1, m + 1)]
+        coeffs = [bordered_sum(vk2, i, vbar.col(j), s, row=False) for s in range(1, m + 1)]
         full = cdet(i + 1, replace_col(vk2, i, vbar.col(j)))
         assert coeffs[-1] == full
         for t in range(m + 1):

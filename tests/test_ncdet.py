@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from conftest import random_hermitian, random_qmatrix, random_quaternion
+from conftest import bordered_sum, random_hermitian, random_qmatrix, random_quaternion
 from qdet import (
     QMatrix,
     Quaternion,
@@ -25,8 +25,8 @@ from qdet import (
     rdet_reference,
 )
 from qdet.errors import EnumerationGuardError, NotHermitianError, ShapeError, SingularError
-from qdet.matrix import replace_col, replace_row
-from qdet.ncdet import CycleForm, eval_char_poly, set_enumeration_guard
+from qdet.matrix import delete_row_col, replace_col, replace_row, submatrix
+from qdet.ncdet import CycleForm, _bordered_cofactors, eval_char_poly, set_enumeration_guard
 
 
 # -- cycle forms ------------------------------------------------------------
@@ -227,7 +227,138 @@ def test_char_poly_matches_shifted_determinants(rng):
             assert ddet(shifted) == eval_char_poly(coeffs, Fraction(t))
 
 
+def literal_minor_sum(h, s):
+    return sum(ddet(submatrix(h, idx, idx)) for idx in itertools.combinations(range(h.rows), s))
+
+
+def test_minor_sums_match_literal_minors(rng):
+    for n in range(1, 6):
+        h = random_hermitian(rng, n)
+        literal = [literal_minor_sum(h, s) for s in range(1, n + 1)]
+        assert [principal_minor_sum(h, s) for s in range(1, n + 1)] == literal
+        assert list(char_poly(h)) == literal
+
+
+# -- bordered cofactors ------------------------------------------------------
+
+
+def random_fraction_qmatrix(rng, n):
+    return QMatrix(
+        [
+            [Quaternion(*(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(4))) for _ in range(n)]
+            for _ in range(n)
+        ]
+    )
+
+
+# Integer and non-integral Fraction components.
+components = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+def cofactor_sums(cof, vector, row):
+    """What the literal bordered sums anchored at each index should equal:
+    (Y @ b)[i] for the column family, (b @ Y)[j] for the row family."""
+    n = cof.rows
+    out = []
+    for i in range(n):
+        total = Quaternion.zero(cof.mode)
+        for t in range(n):
+            total = total + (vector[t] * cof[t, i] if row else cof[i, t] * vector[t])
+        out.append(total)
+    return out
+
+
+def assert_cofactors_match_literal_sums(g, vector, r):
+    for row in (False, True):
+        cof, _ = _bordered_cofactors(g, r, row)
+        literal = [bordered_sum(g, i, vector, r, row) for i in range(g.rows)]
+        assert cofactor_sums(cof, vector, row) == literal, (r, row)
+
+
+def test_bordered_cofactors_match_literal_sums(rng):
+    # Every order r and both families, bit-exact, on integer and on
+    # non-integral Fraction entries, up to n = 5.
+    for n in range(1, 6):
+        cases = [random_qmatrix(rng, n, n), random_fraction_qmatrix(rng, n)]
+        for g in cases:
+            vector = [random_quaternion(rng) for _ in range(n)]
+            for r in range(1, n + 1):
+                assert_cofactors_match_literal_sums(g, vector, r)
+
+
+def test_bordered_cofactor_denominator_is_the_minor_sum(rng):
+    for n in range(1, 6):
+        h = random_hermitian(rng, n)
+        for r in range(1, n + 1):
+            for row in (False, True):
+                assert _bordered_cofactors(h, r, row)[1] == literal_minor_sum(h, r)
+        g = random_qmatrix(rng, n, n)
+        if not g.is_hermitian():
+            assert _bordered_cofactors(g, n, False)[1] is None
+
+
+def test_bordered_cofactors_respect_the_guard():
+    with pytest.raises(EnumerationGuardError):
+        _bordered_cofactors(QMatrix.identity(4), 3, False, max_n=2)
+    cof, d = _bordered_cofactors(QMatrix.identity(4), 2, True, max_n=2)
+    assert d == 6
+
+
+bordered_cases = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.lists(st.builds(Quaternion, *[components] * 4), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        ).map(QMatrix),
+        st.lists(st.builds(Quaternion, *[components] * 4), min_size=n, max_size=n),
+        st.integers(1, n),
+    )
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(bordered_cases)
+def test_bordered_cofactors_match_literal_sums_property(case):
+    g, vector, r = case
+    assert_cofactors_match_literal_sums(g, vector, r)
+
+
 # -- Hermitian inverse -------------------------------------------------------
+
+
+def cofactor_assembly(a):
+    """The Hermitian inverse entry by entry: each entry one row (right) or
+    column (left) determinant of a bordered (n-1) x (n-1) matrix."""
+    n, det = a.rows, ddet(a)
+
+    def right(i, j):
+        if i == j:
+            return rdet(1, delete_row_col(a, i, i))
+        pos = j if j < i else j - 1
+        return -rdet(pos + 1, delete_row_col(replace_col(a, j, a.col(i)), i, i))
+
+    def left(i, j):
+        if i == j:
+            return cdet(1, delete_row_col(a, j, j))
+        pos = i if i < j else i - 1
+        return -cdet(pos + 1, delete_row_col(replace_row(a, i, a.row(j)), j, j))
+
+    return tuple(
+        QMatrix([[cof(j, i) / det for j in range(n)] for i in range(n)]) for cof in (right, left)
+    )
+
+
+def test_hermitian_inverse_matches_cofactor_assembly(rng):
+    produced = 0
+    while produced < 20:
+        n = rng.randint(2, 5)
+        h = random_hermitian(rng, n)
+        if ddet(h) == 0:
+            continue
+        right, left = cofactor_assembly(h)
+        assert hermitian_inverse(h) == right == left
+        produced += 1
 
 
 def test_hermitian_inverse_examples():
@@ -264,15 +395,6 @@ def test_hermitian_inverse_rejects_singular_and_non_hermitian():
 
 
 # -- reference-vs-canonical gate and the size guard --------------------------
-
-
-def random_fraction_qmatrix(rng, n):
-    return QMatrix(
-        [
-            [Quaternion(*(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(4))) for _ in range(n)]
-            for _ in range(n)
-        ]
-    )
 
 
 def test_reference_and_canonical_enumerators_agree(rng):
