@@ -21,12 +21,10 @@ from .geninv import (
 )
 from .matrix import (
     QMatrix,
-    conj_transpose,
     embed_complex,
     index_of,
     inverse_square,
     mat_pow,
-    matmul,
     max_abs_diff,
     rank,
     unembed_complex,
@@ -51,9 +49,6 @@ from .scalar import (
     Quaternion,
     format_quaternion,
     parse_quaternion,
-    qconj,
-    qinv,
-    qmul,
 )
 from .verify import (
     VerifyReport,
@@ -75,13 +70,8 @@ __all__ = [
     "MP_ROUTES",
     "DRAZIN_ROUTES",
     "WDRAZIN_ROUTES",
-    "qmul",
-    "qconj",
-    "qinv",
     "parse_quaternion",
     "format_quaternion",
-    "matmul",
-    "conj_transpose",
     "mat_pow",
     "rank",
     "index_of",

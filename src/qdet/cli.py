@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mp = subs.add_parser("mp", help="Moore-Penrose inverse")
     _add_common(mp)
-    mp.add_argument("--route", default="cdet", help="cdet | rdet | all")
+    mp.add_argument("--route", default="cdet", help="|".join(geninv.MP_ROUTES) + " | all")
     mp.add_argument("--check", action="store_true", help="verify the defining equations")
 
     dr = subs.add_parser("drazin", help="Drazin inverse")
@@ -285,8 +285,8 @@ def _run_routed(args, all_routes, one_route, checker):
         report = checker(x, provenance)
         _emit_report(report, args)
         if not report.ok:
-            return EXIT_VERIFY
-    return EXIT_OK
+            return EXIT_VERIFY, x
+    return EXIT_OK, x
 
 
 def _cmd_mp(args):
@@ -296,7 +296,7 @@ def _cmd_mp(args):
         lambda: geninv.mp_all_routes(a),
         lambda route: geninv.mp_inverse(a, route),
         lambda x, prov: verify.check_penrose(a, x, provenance=prov),
-    )
+    )[0]
 
 
 def _cmd_drazin(args):
@@ -306,13 +306,13 @@ def _cmd_drazin(args):
         lambda: geninv.drazin_all_routes(a),
         lambda route: geninv.drazin(a, route),
         lambda x, prov: verify.check_drazin(a, x, provenance=prov),
-    )
+    )[0]
 
 
 def _cmd_wdrazin(args):
     a = _load(args.input, args.mode)
     w = _load(args.weight, args.mode)
-    code = _run_routed(
+    code, x = _run_routed(
         args,
         lambda: geninv.wdrazin_all_routes(a, w),
         lambda route: geninv.wdrazin(a, w, route),
@@ -321,8 +321,7 @@ def _cmd_wdrazin(args):
     if args.lam is not None:
         af, wf = a.to_float(), w.to_float()
         est = geninv.wdrazin_limit_estimate(af, wf, args.lam)
-        route = args.route if args.route != "all" else "via_drazin_U"
-        exact = geninv.wdrazin(a, w, route).to_float()
+        exact = x.to_float()
         for name, mat in (("limit.via_aw", est.via_aw), ("limit.via_wa", est.via_wa)):
             dev = max_abs_diff(mat, exact)
             if args.emit == "kv":
@@ -374,16 +373,11 @@ def _cmd_info(args):
     lines = _describe("A", a)
     if args.weight:
         w = _load(args.weight, args.mode)
-        if w.rows != a.cols or w.cols != a.rows:
-            raise ShapeError(
-                f"weight must be {a.cols}x{a.rows} for a {a.rows}x{a.cols} input"
-            )
+        problem = geninv._WeightedProblem(a, w)
         lines += _describe("W", w)
-        u = w @ a
-        v = a @ w
-        lines += _describe("WA", u)
-        lines += _describe("AW", v)
-        lines.append(f"k = {max(index_of(u), index_of(v))}")
+        lines += _describe("WA", problem.u.a)
+        lines += _describe("AW", problem.v.a)
+        lines.append(f"k = {problem.k}")
     print("\n".join(lines))
     return EXIT_OK
 

@@ -49,6 +49,13 @@ the sum of the r x r principal minors that the same pass reads off.  The
 enumeration guard bounds the minor order r: a route is refused when the
 rank it expands exceeds the guard, whatever the size of the input.
 
+Each call analyses its problem once: a `_SquareAnalysis` holds a square
+matrix, its index, and its powers and their ranks computed at most once;
+a `_WeightedProblem` holds A, W, the analyses of U and V, k and rank(W).
+Every route of the call reads them.  One refusal function per family
+states the route preconditions and returns the typed error or None: a
+single-route call raises it, ``route="all"`` skips the route.
+
 In exact mode agreement and all defining equations hold as equalities;
 float mode exists for the numeric oracles and the limit-based estimate.
 """
@@ -144,11 +151,65 @@ def mp_all_routes(a: QMatrix) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _drazin_applicable(a: QMatrix):
-    routes = ["cdet", "rdet", "mp_composition"]
-    if a.is_hermitian():
-        routes += ["hermitian_cdet", "hermitian_rdet"]
-    return routes
+class _SquareAnalysis:
+    """A square matrix with its index k, computed once, and its powers and
+    their ranks, each computed at most once, on first use."""
+
+    def __init__(self, a: QMatrix):
+        if not a.is_square():
+            raise ShapeError("Drazin inverse requires a square matrix")
+        self.a = a
+        self.k = index_of(a)
+        self._powers = {}
+        self._ranks = {}
+
+    def pow(self, e: int) -> QMatrix:
+        if e not in self._powers:
+            self._powers[e] = mat_pow(self.a, e)
+        return self._powers[e]
+
+    def pow_rank(self, e: int) -> int:
+        """rank(A^e)."""
+        if e not in self._ranks:
+            self._ranks[e] = rank(self.pow(e))
+        return self._ranks[e]
+
+
+def _drazin_refusal(s: _SquareAnalysis, route: str):
+    """The error refusing `route` on s, or None when the route applies."""
+    if route.startswith("hermitian") and not s.a.is_hermitian():
+        return NotHermitianError(f"route {route!r} requires a Hermitian matrix")
+    return None
+
+
+def _drazin(s: _SquareAnalysis, route: str) -> QMatrix:
+    n, k = s.a.rows, s.k
+    ak = s.pow(k)
+    r = s.pow_rank(k)
+    if r == 0:
+        return QMatrix.zeros(n, n, s.a.mode)
+
+    if route == "mp_composition":
+        return ak @ mp_inverse(s.pow(2 * k + 1), "cdet") @ ak
+
+    if route == "cdet":
+        p = s.pow(2 * k + 1)
+        cof, den = _bordered_cofactors(p.H @ p, r, row=False)
+        den = _positive_denominator(den, "Drazin cdet", s.a.mode)
+        return (ak @ (cof @ (p.H @ ak))) / den
+
+    if route == "rdet":
+        p = s.pow(2 * k + 1)
+        cof, den = _bordered_cofactors(p @ p.H, r, row=True)
+        den = _positive_denominator(den, "Drazin rdet", s.a.mode)
+        return (((ak @ p.H) @ cof) @ ak) / den
+
+    cof, den = _bordered_cofactors(s.pow(k + 1), r, row=route == "hermitian_rdet")
+    if den == 0:
+        raise invariant_error(s.a.mode, "Hermitian Drazin denominator vanished")
+    if route == "hermitian_cdet":
+        return (cof @ ak) / den
+    return (ak @ cof) / den
 
 
 def drazin(a: QMatrix, route: str = "cdet") -> QMatrix:
@@ -158,47 +219,20 @@ def drazin(a: QMatrix, route: str = "cdet") -> QMatrix:
     inverse.  Hermitian routes refuse non-Hermitian input rather than
     silently substituting a general route.
     """
-    if not a.is_square():
-        raise ShapeError("Drazin inverse requires a square matrix")
     if route == "all":
         return assert_routes_agree(drazin_all_routes(a), a.mode, "Drazin")
+    s = _SquareAnalysis(a)
     if route not in DRAZIN_ROUTES:
         raise ValueError(f"unknown Drazin route {route!r}")
-    if route.startswith("hermitian") and not a.is_hermitian():
-        raise NotHermitianError(f"route {route!r} requires a Hermitian matrix")
-
-    n = a.rows
-    k = index_of(a)
-    ak = mat_pow(a, k)
-    r = rank(ak)
-    if r == 0:
-        return QMatrix.zeros(n, n, a.mode)
-
-    if route == "mp_composition":
-        return ak @ mp_inverse(mat_pow(a, 2 * k + 1), "cdet") @ ak
-
-    if route == "cdet":
-        p = mat_pow(a, 2 * k + 1)
-        cof, den = _bordered_cofactors(p.H @ p, r, row=False)
-        den = _positive_denominator(den, "Drazin cdet", a.mode)
-        return (ak @ (cof @ (p.H @ ak))) / den
-
-    if route == "rdet":
-        p = mat_pow(a, 2 * k + 1)
-        cof, den = _bordered_cofactors(p @ p.H, r, row=True)
-        den = _positive_denominator(den, "Drazin rdet", a.mode)
-        return (((ak @ p.H) @ cof) @ ak) / den
-
-    cof, den = _bordered_cofactors(mat_pow(a, k + 1), r, row=route == "hermitian_rdet")
-    if den == 0:
-        raise invariant_error(a.mode, "Hermitian Drazin denominator vanished")
-    if route == "hermitian_cdet":
-        return (cof @ ak) / den
-    return (ak @ cof) / den
+    error = _drazin_refusal(s, route)
+    if error is not None:
+        raise error
+    return _drazin(s, route)
 
 
 def drazin_all_routes(a: QMatrix) -> dict:
-    return {name: drazin(a, name) for name in _drazin_applicable(a)}
+    s = _SquareAnalysis(a)
+    return {name: _drazin(s, name) for name in DRAZIN_ROUTES if _drazin_refusal(s, name) is None}
 
 
 # ---------------------------------------------------------------------------
@@ -206,30 +240,77 @@ def drazin_all_routes(a: QMatrix) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _weighted_setup(a: QMatrix, w: QMatrix):
-    if w.rows != a.cols or w.cols != a.rows:
-        raise ShapeError(
-            f"weight must be {a.cols}x{a.rows} for a {a.rows}x{a.cols} input, got {w.rows}x{w.cols}"
+class _WeightedProblem:
+    """A, W, the analyses of U = WA and V = AW, k and rank(W)."""
+
+    def __init__(self, a: QMatrix, w: QMatrix):
+        if w.rows != a.cols or w.cols != a.rows:
+            raise ShapeError(
+                f"weight must be {a.cols}x{a.rows} for a {a.rows}x{a.cols} input, got {w.rows}x{w.cols}"
+            )
+        self.a, self.w = a, w
+        self.u = _SquareAnalysis(w @ a)
+        self.v = _SquareAnalysis(a @ w)
+        self.k = max(self.u.k, self.v.k)
+        self.rank_w = rank(w)
+
+
+def _wdrazin_refusal(p: _WeightedProblem, route: str):
+    """The error refusing `route` on p, or None when the route applies."""
+    u_side = route.endswith("_U")
+    if route.startswith("mp_route"):
+        full, kind = (p.a.rows, "column") if u_side else (p.a.cols, "row")
+        if p.rank_w != full:
+            return PreconditionError(
+                f"route {route!r} requires rank(W) = {full} (full {kind} rank), got {p.rank_w}"
+            )
+    if route.startswith("hermitian"):
+        product, name = (p.u.a, "W @ A") if u_side else (p.v.a, "A @ W")
+        if not product.is_hermitian():
+            return NotHermitianError(f"route {route!r} requires {name} to be Hermitian")
+    return None
+
+
+def _wdrazin(p: _WeightedProblem, route: str) -> QMatrix:
+    a, w = p.a, p.w
+    if route == "via_drazin_U":
+        d = _drazin(p.u, "cdet")
+        return a @ (d @ d)
+    if route == "via_drazin_V":
+        d = _drazin(p.v, "cdet")
+        return (d @ d) @ a
+
+    # The remaining routes expand powers of U (the *_U routes) or V at k.
+    k, u_side = p.k, route.endswith("_U")
+    side = p.u if u_side else p.v
+    r = side.pow_rank(k)
+    if r == 0:
+        return QMatrix.zeros(a.rows, a.cols, a.mode)
+    sk = side.pow(k)
+
+    if route.startswith("hermitian"):
+        cof, den = _bordered_cofactors(side.pow(k + 2), r, row=u_side)
+        if den == 0:
+            raise invariant_error(a.mode, f"Hermitian {route[-1]}-route denominator vanished")
+        if route == "hermitian_U":
+            return ((a @ sk) @ cof) / den
+        return (cof @ (sk @ a)) / den
+
+    q = side.pow(2 * k + 1)
+    if route == "mp_route_U":
+        cof_w, den_w = _bordered_cofactors(w.H @ w, p.rank_w, row=False)
+        cof_u, den_u = _bordered_cofactors(q.H @ q, r, row=False)
+        den = _positive_denominator(den_w, "W*W minor", a.mode) * _positive_denominator(
+            den_u, "U-side minor", a.mode
         )
-    u = w @ a
-    v = a @ w
-    k = max(index_of(u), index_of(v))
-    return u, v, k
+        return ((cof_w @ (w.H @ sk)) @ (cof_u @ (q.H @ sk))) / den
 
-
-def wdrazin_applicable_routes(a: QMatrix, w: QMatrix):
-    u, v, _ = _weighted_setup(a, w)
-    routes = ["via_drazin_U", "via_drazin_V"]
-    rw = rank(w)
-    if rw == a.rows:
-        routes.append("mp_route_U")
-    if rw == a.cols:
-        routes.append("mp_route_V")
-    if u.is_hermitian():
-        routes.append("hermitian_U")
-    if v.is_hermitian():
-        routes.append("hermitian_V")
-    return routes
+    cof_v, den_v = _bordered_cofactors(q @ q.H, r, row=True)
+    cof_w, den_w = _bordered_cofactors(w @ w.H, p.rank_w, row=True)
+    den = _positive_denominator(den_v, "V-side minor", a.mode) * _positive_denominator(
+        den_w, "WW* minor", a.mode
+    )
+    return (((sk @ q.H) @ cof_v) @ ((sk @ w.H) @ cof_w)) / den
 
 
 def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U") -> QMatrix:
@@ -246,76 +327,16 @@ def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U") -> QMatrix:
         return assert_routes_agree(wdrazin_all_routes(a, w), a.mode, "weighted Drazin")
     if route not in WDRAZIN_ROUTES:
         raise ValueError(f"unknown weighted-Drazin route {route!r}")
-    u, v, k = _weighted_setup(a, w)
-    m, n = a.rows, a.cols
-
-    if route == "via_drazin_U":
-        d = drazin(u, "cdet")
-        return a @ (d @ d)
-    if route == "via_drazin_V":
-        d = drazin(v, "cdet")
-        return (d @ d) @ a
-
-    if route == "mp_route_U":
-        r1 = rank(w)
-        if r1 != m:
-            raise PreconditionError(
-                f"route 'mp_route_U' requires rank(W) = {m} (full column rank), got {r1}"
-            )
-        r = rank(mat_pow(u, k))
-        if r == 0:
-            return QMatrix.zeros(m, n, a.mode)
-        p = mat_pow(u, 2 * k + 1)
-        uk = mat_pow(u, k)
-        cof_w, den_w = _bordered_cofactors(w.H @ w, r1, row=False)
-        cof_u, den_u = _bordered_cofactors(p.H @ p, r, row=False)
-        den = _positive_denominator(den_w, "W*W minor", a.mode) * _positive_denominator(
-            den_u, "U-side minor", a.mode
-        )
-        return ((cof_w @ (w.H @ uk)) @ (cof_u @ (p.H @ uk))) / den
-
-    if route == "mp_route_V":
-        r1 = rank(w)
-        if r1 != n:
-            raise PreconditionError(
-                f"route 'mp_route_V' requires rank(W) = {n} (full row rank), got {r1}"
-            )
-        r = rank(mat_pow(v, k))
-        if r == 0:
-            return QMatrix.zeros(m, n, a.mode)
-        p = mat_pow(v, 2 * k + 1)
-        vk = mat_pow(v, k)
-        cof_v, den_v = _bordered_cofactors(p @ p.H, r, row=True)
-        cof_w, den_w = _bordered_cofactors(w @ w.H, r1, row=True)
-        den = _positive_denominator(den_v, "V-side minor", a.mode) * _positive_denominator(
-            den_w, "WW* minor", a.mode
-        )
-        return (((vk @ p.H) @ cof_v) @ ((vk @ w.H) @ cof_w)) / den
-
-    if route == "hermitian_V":
-        if not v.is_hermitian():
-            raise NotHermitianError("route 'hermitian_V' requires A @ W to be Hermitian")
-        r = rank(mat_pow(v, k))
-        if r == 0:
-            return QMatrix.zeros(m, n, a.mode)
-        cof, den = _bordered_cofactors(mat_pow(v, k + 2), r, row=False)
-        if den == 0:
-            raise invariant_error(a.mode, "Hermitian V-route denominator vanished")
-        return (cof @ (mat_pow(v, k) @ a)) / den
-
-    if not u.is_hermitian():
-        raise NotHermitianError("route 'hermitian_U' requires W @ A to be Hermitian")
-    r = rank(mat_pow(u, k))
-    if r == 0:
-        return QMatrix.zeros(m, n, a.mode)
-    cof, den = _bordered_cofactors(mat_pow(u, k + 2), r, row=True)
-    if den == 0:
-        raise invariant_error(a.mode, "Hermitian U-route denominator vanished")
-    return ((a @ mat_pow(u, k)) @ cof) / den
+    p = _WeightedProblem(a, w)
+    error = _wdrazin_refusal(p, route)
+    if error is not None:
+        raise error
+    return _wdrazin(p, route)
 
 
 def wdrazin_all_routes(a: QMatrix, w: QMatrix) -> dict:
-    return {name: wdrazin(a, w, name) for name in wdrazin_applicable_routes(a, w)}
+    p = _WeightedProblem(a, w)
+    return {name: _wdrazin(p, name) for name in WDRAZIN_ROUTES if _wdrazin_refusal(p, name) is None}
 
 
 class WdrazinLimitEstimates(NamedTuple):
@@ -339,13 +360,12 @@ def wdrazin_limit_estimate(a: QMatrix, w: QMatrix, lam: float) -> WdrazinLimitEs
     lam = float(lam)
     if not lam > 0:
         raise ValueError("shift must be positive")
-    u, v, k = _weighted_setup(a, w)
-    m, n = a.rows, a.cols
-    shifted_v = QMatrix.identity(m, FLOAT) * lam + mat_pow(v, k + 2)
-    shifted_u = QMatrix.identity(n, FLOAT) * lam + mat_pow(u, k + 2)
+    p = _WeightedProblem(a, w)
+    shifted_v = QMatrix.identity(a.rows, FLOAT) * lam + p.v.pow(p.k + 2)
+    shifted_u = QMatrix.identity(a.cols, FLOAT) * lam + p.u.pow(p.k + 2)
     try:
-        via_aw = inverse_square(shifted_v) @ (mat_pow(v, k) @ a)
-        via_wa = (a @ mat_pow(u, k)) @ inverse_square(shifted_u)
+        via_aw = inverse_square(shifted_v) @ (p.v.pow(p.k) @ a)
+        via_wa = (a @ p.u.pow(p.k)) @ inverse_square(shifted_u)
     except SingularError as exc:
         raise SingularError(f"shifted matrix singular at lam={lam}") from exc
     return WdrazinLimitEstimates(via_aw, via_wa)

@@ -230,15 +230,6 @@ class QMatrix:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Row-by-column product keeping the noncommutative factor order a_is * b_sj."""
-    return a @ b
-
-
-def conj_transpose(a: QMatrix) -> QMatrix:
-    return a.conj_transpose()
-
-
 def mat_pow(a: QMatrix, p: int) -> QMatrix:
     """p-th power by iterated multiplication; p = 0 gives the identity."""
     if not a.is_square():
@@ -259,6 +250,26 @@ def _float_pivot_tol(work):
     return 1e-20 * (1.0 + scale)
 
 
+def _pivot_row(work, col, start, mode, tol):
+    """Row at or below `start` to pivot on in column `col`, or None.
+
+    Exact mode takes the first nonzero entry; float mode the entry of
+    largest squared norm above `tol`.
+    """
+    if mode == EXACT:
+        for r in range(start, len(work)):
+            if not work[r][col].is_zero():
+                return r
+        return None
+    pivot_row, best = None, tol
+    for r in range(start, len(work)):
+        nn = work[r][col].norm_sq()
+        if nn > best:
+            best = nn
+            pivot_row = r
+    return pivot_row
+
+
 def rank(a: QMatrix) -> int:
     """Row rank by forward elimination with quaternionic left-division.
 
@@ -270,19 +281,7 @@ def rank(a: QMatrix) -> int:
     tol = 0 if a.mode == EXACT else _float_pivot_tol(work)
     rk = 0
     for col in range(n):
-        pivot_row = None
-        if a.mode == EXACT:
-            for r in range(rk, m):
-                if not work[r][col].is_zero():
-                    pivot_row = r
-                    break
-        else:
-            best = tol
-            for r in range(rk, m):
-                nn = work[r][col].norm_sq()
-                if nn > best:
-                    best = nn
-                    pivot_row = r
+        pivot_row = _pivot_row(work, col, rk, a.mode, tol)
         if pivot_row is None:
             continue
         work[rk], work[pivot_row] = work[pivot_row], work[rk]
@@ -334,19 +333,7 @@ def inverse_square(a: QMatrix) -> QMatrix:
     aug = [list(row) for row in QMatrix.identity(n, a.mode).entries()]
     tol = 0 if a.mode == EXACT else _float_pivot_tol(work)
     for col in range(n):
-        pivot_row = None
-        if a.mode == EXACT:
-            for r in range(col, n):
-                if not work[r][col].is_zero():
-                    pivot_row = r
-                    break
-        else:
-            best = tol
-            for r in range(col, n):
-                nn = work[r][col].norm_sq()
-                if nn > best:
-                    best = nn
-                    pivot_row = r
+        pivot_row = _pivot_row(work, col, col, a.mode, tol)
         if pivot_row is None:
             raise SingularError("matrix is singular")
         work[col], work[pivot_row] = work[pivot_row], work[col]

@@ -229,23 +229,6 @@ def _of(a0, a1, a2, a3, mode):
     return q
 
 
-def qmul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product a*b (noncommutative)."""
-    if not isinstance(b, Quaternion):
-        raise TypeError("qmul expects two quaternions")
-    return a * b
-
-
-def qconj(a: Quaternion) -> Quaternion:
-    """Conjugate; anti-homomorphism: qconj(a*b) == qconj(b)*qconj(a)."""
-    return a.conj()
-
-
-def qinv(a: Quaternion) -> Quaternion:
-    """Inverse of a nonzero quaternion; raises ZeroDivisionError on zero."""
-    return a.inv()
-
-
 # ---------------------------------------------------------------------------
 # Literal grammar
 # ---------------------------------------------------------------------------

@@ -179,6 +179,32 @@ def test_wdrazin_limit_flag(tmp_path, capsys):
     assert "limit.via_aw" in out and "limit.via_wa" in out
 
 
+def test_wdrazin_limit_flag_computes_the_inverse_once(tmp_path, capsys, monkeypatch):
+    # The deviation is measured against the printed result, not a second
+    # computation of it.
+    a = write(tmp_path, "a.qmat", golden.A_IN)
+    w = write(tmp_path, "w.qmat", golden.W_IN)
+    calls = []
+
+    def counted(f):
+        def wrapper(*args):
+            calls.append(f.__name__)
+            return f(*args)
+
+        return wrapper
+
+    for name in ("wdrazin", "wdrazin_all_routes"):
+        monkeypatch.setattr(geninv, name, counted(getattr(geninv, name)))
+    for route in ("via_drazin_V", "all"):
+        calls.clear()
+        args = ["wdrazin", "-i", a, "--weight", w, "--route", route, "--lambda", "1e-8", "--emit", "kv"]
+        assert main(args) == 0
+        assert len(calls) == 1, calls
+        deviations = [line for line in capsys.readouterr().out.splitlines() if ".deviation = " in line]
+        assert len(deviations) == 2
+        assert all(float(line.split(" = ")[1]) < 1e-5 for line in deviations)
+
+
 def test_wdrazin_refused_route(tmp_path, capsys):
     a = write(tmp_path, "a.qmat", golden.A_IN)
     w = write(tmp_path, "w.qmat", golden.W_IN)

@@ -1,12 +1,17 @@
 import random
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import golden
 from conftest import bordered_sum, random_qmatrix, random_rank_deficient
 from qdet import (
+    DRAZIN_ROUTES,
+    MP_ROUTES,
+    WDRAZIN_ROUTES,
     QMatrix,
     Quaternion,
     cdet,
@@ -15,6 +20,7 @@ from qdet import (
     check_wdrazin,
     drazin,
     drazin_all_routes,
+    geninv,
     mat_pow,
     mp_all_routes,
     mp_inverse,
@@ -30,7 +36,6 @@ from qdet.errors import (
     PreconditionError,
     ShapeError,
 )
-from qdet.geninv import wdrazin_applicable_routes
 from qdet.matrix import max_abs_diff, replace_col, replace_row
 from qdet.ncdet import set_enumeration_guard
 
@@ -225,14 +230,14 @@ def test_wdrazin_mp_route_sides_follow_weight_rank(rng):
     w_wide = random_qmatrix(rng, 2, 3, span=1)
     while rank(w_wide) < 2:
         w_wide = random_qmatrix(rng, 2, 3, span=1)
-    routes = wdrazin_applicable_routes(a_tall, w_wide)
+    routes = wdrazin_all_routes(a_tall, w_wide)
     assert "mp_route_V" in routes and "mp_route_U" not in routes
 
     a_wide = random_qmatrix(rng, 2, 3, span=1)
     w_tall = random_qmatrix(rng, 3, 2, span=1)
     while rank(w_tall) < 2:
         w_tall = random_qmatrix(rng, 3, 2, span=1)
-    routes = wdrazin_applicable_routes(a_wide, w_tall)
+    routes = wdrazin_all_routes(a_wide, w_tall)
     assert "mp_route_U" in routes and "mp_route_V" not in routes
 
 
@@ -266,6 +271,69 @@ def test_wdrazin_random_suite(rng):
         assert all(v == values[0] for v in values), list(routes)
         report = check_wdrazin(a, w, values[0])
         assert report.ok, report.human()
+
+
+# -- one analysis per problem ------------------------------------------------
+
+HERMITIAN = QMatrix.from_literals([["1", "i"], ["-i", "1"]])
+A_TALL = QMatrix.from_literals([["1", "i"], ["j", "0"], ["0", "k"]])
+W_WIDE = QMatrix.from_literals([["1", "0", "i"], ["0", "1", "j"]])  # full row rank
+
+DRAZIN_CASES = [golden.U, golden.A_IN @ golden.W_IN, HERMITIAN, QMatrix.zeros(2, 2)]
+WDRAZIN_CASES = [
+    (golden.A_IN, golden.W_IN),
+    (HERMITIAN, QMatrix.identity(2)),
+    (A_TALL, W_WIDE),
+    (A_TALL.H, W_WIDE.H),  # full column rank
+    (QMatrix.zeros(2, 3), QMatrix.zeros(3, 2)),
+    (golden.A_IN, golden.A_IN.H),
+]
+
+
+def test_all_routes_run_exactly_the_routes_that_do_not_refuse():
+    ran = set()
+    for a in DRAZIN_CASES:
+        routes = drazin_all_routes(a)
+        for name in DRAZIN_ROUTES:
+            try:
+                x = drazin(a, name)
+            except NotHermitianError:
+                assert name not in routes
+            else:
+                assert routes[name] == x
+                ran.add(("drazin", name))
+    for a, w in WDRAZIN_CASES:
+        routes = wdrazin_all_routes(a, w)
+        for name in WDRAZIN_ROUTES:
+            try:
+                x = wdrazin(a, w, name)
+            except (NotHermitianError, PreconditionError):
+                assert name not in routes
+            else:
+                assert routes[name] == x
+                ran.add(("wdrazin", name))
+    assert ran == {("drazin", r) for r in DRAZIN_ROUTES} | {("wdrazin", r) for r in WDRAZIN_ROUTES}
+
+
+def test_index_is_computed_once_per_analysed_matrix(monkeypatch):
+    calls = []
+    index_of = geninv.index_of
+    monkeypatch.setattr(geninv, "index_of", lambda a: calls.append(a) or index_of(a))
+    drazin_all_routes(golden.U)
+    assert len(calls) == 1
+    calls.clear()
+    wdrazin_all_routes(golden.A_IN, golden.W_IN)
+    assert len(calls) == 2  # U and V
+
+
+def test_readme_route_table_lists_the_route_tuples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {}
+    for line in readme.splitlines():
+        row = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line)
+        if row:
+            table[row.group(1)] = tuple(re.findall(r"`(\w+)`", row.group(2)))
+    assert table == {"mp_inverse": MP_ROUTES, "drazin": DRAZIN_ROUTES, "wdrazin": WDRAZIN_ROUTES}
 
 
 # -- rank and coefficient analogues used by the special-case routes ----------
