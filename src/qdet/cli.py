@@ -355,28 +355,29 @@ def _cmd_verify(args):
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
-def _describe(name, a):
+def _describe(name, a, r, k=None):
+    """Info lines of a with its rank r and, for a square a, its index k."""
     lines = [
         f"{name}.rows = {a.rows}",
         f"{name}.cols = {a.cols}",
         f"{name}.mode = {a.mode}",
-        f"{name}.rank = {rank(a)}",
+        f"{name}.rank = {r}",
         f"{name}.hermitian = {'true' if a.is_hermitian() else 'false'}",
     ]
-    if a.is_square():
-        lines.append(f"{name}.index = {index_of(a)}")
+    if k is not None:
+        lines.append(f"{name}.index = {k}")
     return lines
 
 
 def _cmd_info(args):
     a = _load(args.input, args.mode)
-    lines = _describe("A", a)
+    lines = _describe("A", a, rank(a), index_of(a) if a.is_square() else None)
     if args.weight:
         w = _load(args.weight, args.mode)
         problem = geninv._WeightedProblem(a, w)
-        lines += _describe("W", w)
-        lines += _describe("WA", problem.u.a)
-        lines += _describe("AW", problem.v.a)
+        lines += _describe("W", w, problem.rank_w, index_of(w) if w.is_square() else None)
+        for name, side in (("WA", problem.u), ("AW", problem.v)):
+            lines += _describe(name, side.a, side.pow_rank(1), side.k)
         lines.append(f"k = {problem.k}")
     print("\n".join(lines))
     return EXIT_OK

@@ -12,21 +12,31 @@ Notation used throughout (for an m x n input A and n x m weight W):
     V = A @ W            (m x m)
     k = max(Ind U, Ind V)
 
-Route names:
+Every determinantal route composes two Cramer kernels, as the paper
+builds its weighted representations from two earlier ones.
+`_mp_cramer(x, r, row)` is the determinantal Moore-Penrose inverse
+x^+ = N / d: the bordered minor sums of the Gram matrix x*x (column
+family, ``cdet``) or x x* (row family, ``rdet``) at rank r.  Such a sum
+is linear in its replaced column (row), so `ncdet._bordered_cofactors`
+makes one cofactor pass per anchor and returns a matrix Y and the sum
+d > 0 of the r x r principal minors, and N = Y x* (x* Y).
+`_hermitian_cramer(g, r, row)` gives Y and d != 0 of a Hermitian g.  The
+routes, each divided once, last, so exact intermediates stay integral:
 
-* Moore-Penrose: ``cdet`` expands column determinants of bordered minors
-  of A*A; ``rdet`` mirrors it with row determinants of A A*.
-* Drazin: ``cdet`` / ``rdet`` expand minors of (A^(2k+1))* A^(2k+1) and
-  its mirror; ``mp_composition`` uses A^k (A^(2k+1))^+ A^k;
-  ``hermitian_cdet`` / ``hermitian_rdet`` are the cheaper forms that
-  expand minors of A^(k+1), valid for Hermitian A only.
-* Weighted Drazin: ``via_drazin_U`` evaluates A (U^D)^2 and
-  ``via_drazin_V`` evaluates (V^D)^2 A with route-computed Drazin
-  inverses; ``mp_route_U`` / ``mp_route_V`` are the single determinantal
-  formulas obtained by pushing the Moore-Penrose representation through
-  W^+ {U^k [U^(2k+1)]^+ U^k} and its V-side mirror; ``hermitian_U`` /
-  ``hermitian_V`` expand minors of (WA)^(k+2) resp. (AW)^(k+2) and
-  require that product to be Hermitian.
+    mp_inverse  cdet, rdet                      N / d,  x = A
+    drazin      cdet, rdet                      A^k N A^k / d,  x = A^(2k+1)
+                mp_composition                  A^k mp_inverse(A^(2k+1)) A^k
+                hermitian_cdet, hermitian_rdet  Y A^k / d, A^k Y / d,  g = A^(k+1)
+    wdrazin     via_drazin_U, via_drazin_V      A (U^D)^2, (V^D)^2 A,  Drazin cdet
+                mp_route_U, mp_route_V          N_W (U^k N U^k) / (d_W d), mirror
+                hermitian_U, hermitian_V        A U^k Y / d, Y V^k A / d,  g = U^(k+2), V^(k+2)
+
+The drazin rows read k = Ind A and use A^D = A^k (A^(2k+1))^+ A^k, which
+holds for any k >= Ind A; with U and V at k it makes ``mp_route_U`` /
+``mp_route_V`` W^+ U^D and V^D W^+ (N_W, d_W from x = W).  The Hermitian
+routes require the power they expand to be Hermitian.  The enumeration
+guard bounds the minor order r: a route is refused when the rank it
+expands exceeds the guard, whatever the size of the input.
 
 The MP composition routes are valid only when the weight's pseudoinverse
 cancels against it on the relevant side: ``mp_route_U`` equals
@@ -37,17 +47,6 @@ compositions fail the weighted-Drazin defining equations (a 3x4 weight
 of rank 3 already exhibits the U-side failure), so both routes check
 their rank precondition at runtime and refuse, exactly like the
 Hermitian routes refuse non-Hermitian products.
-
-Every determinantal route is a ratio of bordered sums: entry (i, j) sums,
-over the size-r principal index sets containing i, the column (row)
-determinant anchored at i of a Hermitian G's principal submatrix with
-column (row) i replaced by column j of a right-hand matrix B.  A column
-determinant anchored at i is linear in that column, so
-`ncdet._bordered_cofactors` makes one cofactor pass per anchor and the
-sums become the matrix product Y @ B (B @ Y for rows), divided last by
-the sum of the r x r principal minors that the same pass reads off.  The
-enumeration guard bounds the minor order r: a route is refused when the
-rank it expands exceeds the guard, whatever the size of the input.
 
 Each call analyses its problem once: a `_SquareAnalysis` holds a square
 matrix, its index, and its powers and their ranks computed at most once;
@@ -71,12 +70,13 @@ from .errors import (
     SingularError,
     invariant_error,
 )
-from .matrix import QMatrix, index_of, inverse_square, mat_pow, max_abs_diff, rank
+from .matrix import QMatrix, index_of, inverse_square, max_abs_diff, rank
 from .ncdet import _bordered_cofactors
 
-# cdet and rdet stay bound here, uncalled: benchmarks/layers.py rebinds
-# the determinants in every qdet module that holds them, and its
-# self-test reads them from this one.
+# mat_pow, cdet and rdet stay bound here, uncalled: benchmarks/layers.py
+# rebinds them in every qdet module that holds them, and its self-test
+# reads them from this one.
+from .matrix import mat_pow  # noqa: F401
 from .ncdet import cdet, rdet  # noqa: F401
 from .scalar import EXACT, FLOAT
 
@@ -92,12 +92,6 @@ WDRAZIN_ROUTES = (
 )
 
 FLOAT_AGREEMENT_TOL = 1e-9
-
-
-def _positive_denominator(value, what, mode):
-    if value <= 0:
-        raise invariant_error(mode, f"{what} denominator is not positive: {value}")
-    return value
 
 
 def assert_routes_agree(results: dict, mode: str, what: str) -> QMatrix:
@@ -117,6 +111,29 @@ def assert_routes_agree(results: dict, mode: str, what: str) -> QMatrix:
 
 
 # ---------------------------------------------------------------------------
+# The two Cramer kernels
+# ---------------------------------------------------------------------------
+
+
+def _mp_cramer(x: QMatrix, r: int, row: bool):
+    """(N, d) with x^+ = N / d, from the order-r bordered minors of x*x
+    (N = Y x*) or, for the row family, of x x* (N = x* Y)."""
+    xs = x.H
+    y, d = _bordered_cofactors(x @ xs if row else xs @ x, r, row=row)
+    if d <= 0:
+        raise invariant_error(x.mode, f"Gram minor sum is not positive: {d}")
+    return (xs @ y if row else y @ xs), d
+
+
+def _hermitian_cramer(g: QMatrix, r: int, row: bool):
+    """(Y, d): the cofactor matrix and order-r minor sum of a Hermitian g."""
+    y, d = _bordered_cofactors(g, r, row=row)
+    if d == 0:
+        raise invariant_error(g.mode, "Hermitian minor sum vanished")
+    return y, d
+
+
+# ---------------------------------------------------------------------------
 # Moore-Penrose inverse
 # ---------------------------------------------------------------------------
 
@@ -133,13 +150,8 @@ def mp_inverse(a: QMatrix, route: str = "cdet") -> QMatrix:
         raise ValueError(f"unknown Moore-Penrose route {route!r}")
     if a.is_zero():
         return QMatrix.zeros(a.cols, a.rows, a.mode)
-    r = rank(a)
-    astar = a.H
-    if route == "cdet":
-        cof, den = _bordered_cofactors(astar @ a, r, row=False)
-        return (cof @ astar) / _positive_denominator(den, "A*A minor", a.mode)
-    cof, den = _bordered_cofactors(a @ astar, r, row=True)
-    return (astar @ cof) / _positive_denominator(den, "AA* minor", a.mode)
+    num, d = _mp_cramer(a, rank(a), row=route == "rdet")
+    return num / d
 
 
 def mp_all_routes(a: QMatrix) -> dict:
@@ -160,12 +172,13 @@ class _SquareAnalysis:
             raise ShapeError("Drazin inverse requires a square matrix")
         self.a = a
         self.k = index_of(a)
-        self._powers = {}
+        self._powers = [QMatrix.identity(a.rows, a.mode)]
         self._ranks = {}
 
     def pow(self, e: int) -> QMatrix:
-        if e not in self._powers:
-            self._powers[e] = mat_pow(self.a, e)
+        """A^e = A^(e-1) @ A, the products of `mat_pow`, each made once."""
+        while len(self._powers) <= e:
+            self._powers.append(self._powers[-1] @ self.a)
         return self._powers[e]
 
     def pow_rank(self, e: int) -> int:
@@ -182,34 +195,26 @@ def _drazin_refusal(s: _SquareAnalysis, route: str):
     return None
 
 
+def _drazin_cramer(s: _SquareAnalysis, k: int, row: bool):
+    """(A^k N A^k, d) with N / d = (A^(2k+1))^+: d times A^D for k >= Ind A."""
+    ak = s.pow(k)
+    num, d = _mp_cramer(s.pow(2 * k + 1), s.pow_rank(k), row)
+    return ak @ num @ ak, d
+
+
 def _drazin(s: _SquareAnalysis, route: str) -> QMatrix:
     n, k = s.a.rows, s.k
-    ak = s.pow(k)
     r = s.pow_rank(k)
     if r == 0:
         return QMatrix.zeros(n, n, s.a.mode)
-
+    ak = s.pow(k)
     if route == "mp_composition":
         return ak @ mp_inverse(s.pow(2 * k + 1), "cdet") @ ak
-
-    if route == "cdet":
-        p = s.pow(2 * k + 1)
-        cof, den = _bordered_cofactors(p.H @ p, r, row=False)
-        den = _positive_denominator(den, "Drazin cdet", s.a.mode)
-        return (ak @ (cof @ (p.H @ ak))) / den
-
-    if route == "rdet":
-        p = s.pow(2 * k + 1)
-        cof, den = _bordered_cofactors(p @ p.H, r, row=True)
-        den = _positive_denominator(den, "Drazin rdet", s.a.mode)
-        return (((ak @ p.H) @ cof) @ ak) / den
-
-    cof, den = _bordered_cofactors(s.pow(k + 1), r, row=route == "hermitian_rdet")
-    if den == 0:
-        raise invariant_error(s.a.mode, "Hermitian Drazin denominator vanished")
-    if route == "hermitian_cdet":
-        return (cof @ ak) / den
-    return (ak @ cof) / den
+    if route in ("cdet", "rdet"):
+        num, d = _drazin_cramer(s, k, row=route == "rdet")
+        return num / d
+    y, d = _hermitian_cramer(s.pow(k + 1), r, row=route == "hermitian_rdet")
+    return (y @ ak if route == "hermitian_cdet" else ak @ y) / d
 
 
 def drazin(a: QMatrix, route: str = "cdet") -> QMatrix:
@@ -286,31 +291,14 @@ def _wdrazin(p: _WeightedProblem, route: str) -> QMatrix:
     r = side.pow_rank(k)
     if r == 0:
         return QMatrix.zeros(a.rows, a.cols, a.mode)
-    sk = side.pow(k)
-
     if route.startswith("hermitian"):
-        cof, den = _bordered_cofactors(side.pow(k + 2), r, row=u_side)
-        if den == 0:
-            raise invariant_error(a.mode, f"Hermitian {route[-1]}-route denominator vanished")
-        if route == "hermitian_U":
-            return ((a @ sk) @ cof) / den
-        return (cof @ (sk @ a)) / den
-
-    q = side.pow(2 * k + 1)
-    if route == "mp_route_U":
-        cof_w, den_w = _bordered_cofactors(w.H @ w, p.rank_w, row=False)
-        cof_u, den_u = _bordered_cofactors(q.H @ q, r, row=False)
-        den = _positive_denominator(den_w, "W*W minor", a.mode) * _positive_denominator(
-            den_u, "U-side minor", a.mode
-        )
-        return ((cof_w @ (w.H @ sk)) @ (cof_u @ (q.H @ sk))) / den
-
-    cof_v, den_v = _bordered_cofactors(q @ q.H, r, row=True)
-    cof_w, den_w = _bordered_cofactors(w @ w.H, p.rank_w, row=True)
-    den = _positive_denominator(den_v, "V-side minor", a.mode) * _positive_denominator(
-        den_w, "WW* minor", a.mode
-    )
-    return (((sk @ q.H) @ cof_v) @ ((sk @ w.H) @ cof_w)) / den
+        y, d = _hermitian_cramer(side.pow(k + 2), r, row=u_side)
+        sk = side.pow(k)
+        return ((a @ sk) @ y if u_side else y @ (sk @ a)) / d
+    # W^+ U^D (column family) or V^D W^+ (row family).
+    num_w, d_w = _mp_cramer(w, p.rank_w, row=not u_side)
+    num, d = _drazin_cramer(side, k, row=not u_side)
+    return (num_w @ num if u_side else num @ num_w) / (d_w * d)
 
 
 def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U") -> QMatrix:

@@ -50,6 +50,7 @@ the minor sums, cofactors and inverses the guard bounds that order (the
 rank r a route expands), not the size of the matrix.
 """
 
+import contextvars
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -67,24 +68,26 @@ from .scalar import EXACT, Quaternion
 
 DEFAULT_ENUMERATION_GUARD = 8
 
-_guard = DEFAULT_ENUMERATION_GUARD
+# A context variable: a guard set in one thread is not seen by another,
+# which starts from the default.
+_guard = contextvars.ContextVar("enumeration_guard", default=DEFAULT_ENUMERATION_GUARD)
 
 
 def enumeration_guard() -> int:
-    return _guard
+    return _guard.get()
 
 
 def set_enumeration_guard(n: int) -> int:
-    """Set the module-wide size guard; returns the previous value."""
-    global _guard
+    """Set the size guard in the current context; returns the previous value."""
     if n < 1:
         raise ValueError("guard must be at least 1")
-    old, _guard = _guard, n
+    old = _guard.get()
+    _guard.set(n)
     return old
 
 
 def _refuse_above_guard(n: int, max_n, what: str) -> None:
-    limit = _guard if max_n is None else max_n
+    limit = _guard.get() if max_n is None else max_n
     if n > limit:
         raise EnumerationGuardError(
             f"{what} {n} exceeds the enumeration guard {limit} ({n}! terms per determinant); "

@@ -5,9 +5,9 @@ import pytest
 
 import golden
 from conftest import random_rank_deficient
-from qdet import QMatrix, Quaternion, geninv
+from qdet import QMatrix, Quaternion, cli, errors, geninv
 from qdet.cli import format_qmat, main, parse_qmat
-from qdet.errors import InternalInvariantError, ParseError
+from qdet.errors import InternalInvariantError, ParseError, QdetError, RouteDisagreementError
 
 
 def write(tmp_path, name, matrix):
@@ -249,6 +249,44 @@ def test_info_reports_shapes_ranks_indices(tmp_path, capsys):
     assert "k = 2" in out
 
 
+INFO_WORKED_EXAMPLE = """\
+A.rows = 4
+A.cols = 3
+A.mode = exact
+A.rank = 3
+A.hermitian = false
+W.rows = 3
+W.cols = 4
+W.mode = exact
+W.rank = 3
+W.hermitian = false
+WA.rows = 3
+WA.cols = 3
+WA.mode = exact
+WA.rank = 2
+WA.hermitian = false
+WA.index = 1
+AW.rows = 4
+AW.cols = 4
+AW.mode = exact
+AW.rank = 3
+AW.hermitian = false
+AW.index = 2
+k = 2
+"""
+
+
+def test_info_reads_indices_from_the_weighted_analysis(tmp_path, capsys, monkeypatch):
+    calls = []
+    for module in (cli, geninv):
+        monkeypatch.setattr(module, "index_of", lambda a, f=module.index_of: calls.append(a) or f(a))
+    a = write(tmp_path, "a.qmat", golden.A_IN)
+    w = write(tmp_path, "w.qmat", golden.W_IN)
+    assert main(["info", "-i", a, "--weight", w]) == 0
+    assert capsys.readouterr().out == INFO_WORKED_EXAMPLE
+    assert len(calls) == 2  # WA and AW, once each
+
+
 def test_mode_flag(tmp_path, capsys):
     path = write(tmp_path, "h.qmat", HERMITIAN)
     assert main(["det", "-i", path, "--mode", "float"]) == 0
@@ -294,6 +332,26 @@ def test_internal_invariant_exits_as_verification_failure(tmp_path, capsys, monk
     monkeypatch.setattr(geninv, "mp_inverse", broken)
     assert main(["mp", "-i", write(tmp_path, "h.qmat", HERMITIAN)]) == 3
     assert "verification failure" in capsys.readouterr().err
+
+
+QDET_ERRORS = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, QdetError)]
+
+
+@pytest.mark.parametrize("cls", QDET_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_error_class_has_its_documented_exit_code(cls, tmp_path, capsys, monkeypatch):
+    # 1 parse error, 3 verification failure, 2 every other refusal.
+    def raising(a, route="cdet"):
+        raise cls("injected")
+
+    monkeypatch.setattr(geninv, "mp_inverse", raising)
+    if issubclass(cls, ParseError):
+        expected = 1
+    elif issubclass(cls, (RouteDisagreementError, InternalInvariantError)):
+        expected = 3
+    else:
+        expected = 2
+    assert main(["mp", "-i", write(tmp_path, "h.qmat", HERMITIAN)]) == expected
+    assert "injected" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_numpy_unloaded():

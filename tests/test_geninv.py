@@ -31,8 +31,10 @@ from qdet import (
 )
 from qdet.errors import (
     EnumerationGuardError,
+    InternalInvariantError,
     ModeError,
     NotHermitianError,
+    NumericalBreakdownError,
     PreconditionError,
     ShapeError,
 )
@@ -324,6 +326,38 @@ def test_index_is_computed_once_per_analysed_matrix(monkeypatch):
     calls.clear()
     wdrazin_all_routes(golden.A_IN, golden.W_IN)
     assert len(calls) == 2  # U and V
+
+
+def test_each_power_is_one_product_from_the_last(monkeypatch):
+    s = geninv._SquareAnalysis(golden.U)
+    products = []
+    matmul = QMatrix.__matmul__
+    monkeypatch.setattr(QMatrix, "__matmul__", lambda x, y: products.append(1) or matmul(x, y))
+    s.pow(2)
+    s.pow(5)
+    assert len(products) == 5
+    monkeypatch.undo()
+    assert [s.pow(e) for e in range(6)] == [mat_pow(golden.U, e) for e in range(6)]
+
+
+@pytest.mark.parametrize(
+    "mode, error", [("exact", InternalInvariantError), ("float", NumericalBreakdownError)]
+)
+def test_kernels_refuse_a_broken_minor_sum(monkeypatch, mode, error):
+    # Gram minor sums must be positive, Hermitian ones nonzero.
+    bordered = geninv._bordered_cofactors
+    d = [0]
+    monkeypatch.setattr(geninv, "_bordered_cofactors", lambda g, r, row: (bordered(g, r, row)[0], d[0]))
+    h = QMatrix.from_literals([["2", "i"], ["-i", "2"]])
+    h = h.to_float() if mode == "float" else h
+    for route in ("cdet", "rdet"):
+        with pytest.raises(error):
+            mp_inverse(h, route)
+    with pytest.raises(error):
+        drazin(h, "hermitian_cdet")
+    d[0] = -1
+    with pytest.raises(error):
+        mp_inverse(h, "cdet")
 
 
 def test_readme_route_table_lists_the_route_tuples():

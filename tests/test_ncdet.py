@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,14 @@ from qdet import (
 )
 from qdet.errors import EnumerationGuardError, NotHermitianError, ShapeError, SingularError
 from qdet.matrix import delete_row_col, replace_col, replace_row, submatrix
-from qdet.ncdet import CycleForm, _bordered_cofactors, eval_char_poly, set_enumeration_guard
+from qdet.ncdet import (
+    DEFAULT_ENUMERATION_GUARD,
+    CycleForm,
+    _bordered_cofactors,
+    enumeration_guard,
+    eval_char_poly,
+    set_enumeration_guard,
+)
 
 
 # -- cycle forms ------------------------------------------------------------
@@ -460,6 +468,20 @@ def test_guard_global_setter():
     try:
         with pytest.raises(EnumerationGuardError):
             rdet(1, QMatrix.identity(4))
+    finally:
+        set_enumeration_guard(old)
+
+
+def test_guard_set_in_one_thread_is_not_seen_by_another():
+    old = set_enumeration_guard(3)
+    try:
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(enumeration_guard()))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert seen == [DEFAULT_ENUMERATION_GUARD]
+        assert enumeration_guard() == 3
     finally:
         set_enumeration_guard(old)
 
