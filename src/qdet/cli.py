@@ -33,7 +33,7 @@ from .errors import (
     ShapeError,
     SingularError,
 )
-from .matrix import QMatrix, index_of, max_abs_diff, rank
+from .matrix import Powers, QMatrix, index_of, max_abs_diff, rank
 from .scalar import EXACT, FLOAT, Quaternion, format_quaternion, literal_mode, parse_quaternion
 
 EXIT_OK = 0
@@ -225,7 +225,10 @@ def _load(path, mode_override):
         raise _UsageError(f"cannot read {path}: {exc}") from None
     a = parse_qmat(text)
     if mode_override == FLOAT:
-        return a.to_float()
+        try:
+            return a.to_float()
+        except OverflowError:
+            raise _UsageError(f"cannot reinterpret {path} in float mode: overflows a float") from None
     if mode_override == EXACT and a.mode == FLOAT:
         raise _UsageError("cannot reinterpret a float file in exact mode")
     return a
@@ -371,13 +374,17 @@ def _describe(name, a, r, k=None):
 
 def _cmd_info(args):
     a = _load(args.input, args.mode)
-    lines = _describe("A", a, rank(a), index_of(a) if a.is_square() else None)
+    if a.is_square():  # rank and index from one power table
+        p = Powers(a)
+        lines = _describe("A", a, p.rank(1), index_of(p))
+    else:
+        lines = _describe("A", a, rank(a))
     if args.weight:
         w = _load(args.weight, args.mode)
         problem = geninv._WeightedProblem(a, w)
         lines += _describe("W", w, problem.rank_w, index_of(w) if w.is_square() else None)
         for name, side in (("WA", problem.u), ("AW", problem.v)):
-            lines += _describe(name, side.a, side.pow_rank(1), side.k)
+            lines += _describe(name, side.a, side.rank(1), side.k)
         lines.append(f"k = {problem.k}")
     print("\n".join(lines))
     return EXIT_OK

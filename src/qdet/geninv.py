@@ -48,9 +48,9 @@ of rank 3 already exhibits the U-side failure), so both routes check
 their rank precondition at runtime and refuse, exactly like the
 Hermitian routes refuse non-Hermitian products.
 
-Each call analyses its problem once: a `_SquareAnalysis` holds a square
-matrix, its index, and its powers and their ranks computed at most once;
-a `_WeightedProblem` holds A, W, the analyses of U and V, k and rank(W).
+Each call analyses its problem once: a `_SquareAnalysis` is the
+`matrix.Powers` table of a square matrix, filled by `index_of`, plus its
+index; a `_WeightedProblem` holds A, W, the analyses of U and V, k, rank(W).
 Every route of the call reads them.  One refusal function per family
 states the route preconditions and returns the typed error or None: a
 single-route call raises it, ``route="all"`` skips the route.
@@ -70,7 +70,7 @@ from .errors import (
     SingularError,
     invariant_error,
 )
-from .matrix import QMatrix, index_of, inverse_square, max_abs_diff, rank
+from .matrix import Powers, QMatrix, index_of, inverse_square, max_abs_diff, rank
 from .ncdet import _bordered_cofactors
 
 # mat_pow, cdet and rdet stay bound here, uncalled: benchmarks/layers.py
@@ -163,29 +163,14 @@ def mp_all_routes(a: QMatrix) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class _SquareAnalysis:
-    """A square matrix with its index k, computed once, and its powers and
-    their ranks, each computed at most once, on first use."""
+class _SquareAnalysis(Powers):
+    """The power table of a square matrix plus its index k, computed once."""
 
     def __init__(self, a: QMatrix):
         if not a.is_square():
             raise ShapeError("Drazin inverse requires a square matrix")
-        self.a = a
-        self.k = index_of(a)
-        self._powers = [QMatrix.identity(a.rows, a.mode)]
-        self._ranks = {}
-
-    def pow(self, e: int) -> QMatrix:
-        """A^e = A^(e-1) @ A, the products of `mat_pow`, each made once."""
-        while len(self._powers) <= e:
-            self._powers.append(self._powers[-1] @ self.a)
-        return self._powers[e]
-
-    def pow_rank(self, e: int) -> int:
-        """rank(A^e)."""
-        if e not in self._ranks:
-            self._ranks[e] = rank(self.pow(e))
-        return self._ranks[e]
+        super().__init__(a)
+        self.k = index_of(self)
 
 
 def _drazin_refusal(s: _SquareAnalysis, route: str):
@@ -197,23 +182,23 @@ def _drazin_refusal(s: _SquareAnalysis, route: str):
 
 def _drazin_cramer(s: _SquareAnalysis, k: int, row: bool):
     """(A^k N A^k, d) with N / d = (A^(2k+1))^+: d times A^D for k >= Ind A."""
-    ak = s.pow(k)
-    num, d = _mp_cramer(s.pow(2 * k + 1), s.pow_rank(k), row)
+    ak = s[k]
+    num, d = _mp_cramer(s[2 * k + 1], s.rank(k), row)
     return ak @ num @ ak, d
 
 
 def _drazin(s: _SquareAnalysis, route: str) -> QMatrix:
     n, k = s.a.rows, s.k
-    r = s.pow_rank(k)
+    r = s.rank(k)
     if r == 0:
         return QMatrix.zeros(n, n, s.a.mode)
-    ak = s.pow(k)
+    ak = s[k]
     if route == "mp_composition":
-        return ak @ mp_inverse(s.pow(2 * k + 1), "cdet") @ ak
+        return ak @ mp_inverse(s[2 * k + 1], "cdet") @ ak
     if route in ("cdet", "rdet"):
         num, d = _drazin_cramer(s, k, row=route == "rdet")
         return num / d
-    y, d = _hermitian_cramer(s.pow(k + 1), r, row=route == "hermitian_rdet")
+    y, d = _hermitian_cramer(s[k + 1], r, row=route == "hermitian_rdet")
     return (y @ ak if route == "hermitian_cdet" else ak @ y) / d
 
 
@@ -288,12 +273,12 @@ def _wdrazin(p: _WeightedProblem, route: str) -> QMatrix:
     # The remaining routes expand powers of U (the *_U routes) or V at k.
     k, u_side = p.k, route.endswith("_U")
     side = p.u if u_side else p.v
-    r = side.pow_rank(k)
+    r = side.rank(k)
     if r == 0:
         return QMatrix.zeros(a.rows, a.cols, a.mode)
     if route.startswith("hermitian"):
-        y, d = _hermitian_cramer(side.pow(k + 2), r, row=u_side)
-        sk = side.pow(k)
+        y, d = _hermitian_cramer(side[k + 2], r, row=u_side)
+        sk = side[k]
         return ((a @ sk) @ y if u_side else y @ (sk @ a)) / d
     # W^+ U^D (column family) or V^D W^+ (row family).
     num_w, d_w = _mp_cramer(w, p.rank_w, row=not u_side)
@@ -349,11 +334,11 @@ def wdrazin_limit_estimate(a: QMatrix, w: QMatrix, lam: float) -> WdrazinLimitEs
     if not lam > 0:
         raise ValueError("shift must be positive")
     p = _WeightedProblem(a, w)
-    shifted_v = QMatrix.identity(a.rows, FLOAT) * lam + p.v.pow(p.k + 2)
-    shifted_u = QMatrix.identity(a.cols, FLOAT) * lam + p.u.pow(p.k + 2)
+    shifted_v = QMatrix.identity(a.rows, FLOAT) * lam + p.v[p.k + 2]
+    shifted_u = QMatrix.identity(a.cols, FLOAT) * lam + p.u[p.k + 2]
     try:
-        via_aw = inverse_square(shifted_v) @ (p.v.pow(p.k) @ a)
-        via_wa = (a @ p.u.pow(p.k)) @ inverse_square(shifted_u)
+        via_aw = inverse_square(shifted_v) @ (p.v[p.k] @ a)
+        via_wa = (a @ p.u[p.k]) @ inverse_square(shifted_u)
     except SingularError as exc:
         raise SingularError(f"shifted matrix singular at lam={lam}") from exc
     return WdrazinLimitEstimates(via_aw, via_wa)

@@ -6,7 +6,10 @@ helpers) is 0-based like any Python sequence; the determinant anchors in
 `qdet.ncdet` are 1-based to match the usual notation.
 
 Rank is row rank computed by forward elimination with quaternionic
-left-division, which is valid over a division ring.  The complex adjoint
+left-division, which is valid over a division ring.  A `Powers` table
+holds the powers of one square matrix and their ranks for one call;
+`mat_pow`, `index_of`, the Drazin routes and the checkers read powers
+from such a table instead of rebuilding them.  The complex adjoint
 embedding maps each entry a + bi + cj + dk to the 2x2 complex block
 
     [[a + bi,  c + di],
@@ -17,9 +20,10 @@ matrices; it is used only as an independent numeric oracle, and this
 block convention is fixed project-wide because the oracle depends on it.
 """
 
+import math
 from typing import TYPE_CHECKING
 
-from .errors import ModeError, ShapeError, SingularError, invariant_error
+from .errors import ModeError, NumericalBreakdownError, ShapeError, SingularError, invariant_error
 from .scalar import EXACT, FLOAT, Quaternion, parse_quaternion
 
 if TYPE_CHECKING:
@@ -151,9 +155,6 @@ class QMatrix:
     def __truediv__(self, scalar):
         return QMatrix([[q / scalar for q in row] for row in self._entries])
 
-    def __pow__(self, p):
-        return mat_pow(self, p)
-
     def __eq__(self, other):
         if not isinstance(other, QMatrix):
             return NotImplemented
@@ -170,15 +171,12 @@ class QMatrix:
         body = "; ".join(" ".join(str(q) for q in row) for row in self._entries)
         return f"QMatrix({self.rows}x{self.cols} {self.mode}: {body})"
 
-    def conj_transpose(self):
+    @property
+    def H(self):
         """Hermitian adjoint: (A*)_ij = conj(A_ji); satisfies (AB)* = B*A*."""
         return QMatrix(
             [[self._entries[i][j].conj() for i in range(self.rows)] for j in range(self.cols)]
         )
-
-    @property
-    def H(self):
-        return self.conj_transpose()
 
     def is_hermitian(self, tol=None):
         """Whether A equals its conjugate transpose.
@@ -213,12 +211,6 @@ class QMatrix:
     def is_zero(self):
         return all(q.is_zero() for row in self._entries for q in row)
 
-    def rank(self):
-        return rank(self)
-
-    def index_of(self):
-        return index_of(self)
-
     def to_float(self):
         if self.mode == FLOAT:
             return self
@@ -230,24 +222,45 @@ class QMatrix:
 # ---------------------------------------------------------------------------
 
 
+class Powers:
+    """The powers of one square matrix A and their ranks, for one call.
+
+    ``p[e]`` is A^e, built as A^(e-1) @ A from the identity and made at
+    most once; ``p.rank(e)`` is rank(A^e), computed at most once, with
+    rank(A^0) = n.  A table lives as long as the call that builds it, so
+    no result is cached across calls.
+    """
+
+    def __init__(self, a: QMatrix):
+        if not a.is_square():
+            raise ShapeError("powers and index are defined for square matrices only")
+        self.a = a
+        self._powers = [QMatrix.identity(a.rows, a.mode)]
+        self._ranks = {0: a.rows}
+
+    def __getitem__(self, e: int) -> QMatrix:
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        while len(self._powers) <= e:
+            self._powers.append(self._powers[-1] @ self.a)
+        return self._powers[e]
+
+    def rank(self, e: int) -> int:
+        if e not in self._ranks:
+            self._ranks[e] = rank(self[e])
+        return self._ranks[e]
+
+
 def mat_pow(a: QMatrix, p: int) -> QMatrix:
     """p-th power by iterated multiplication; p = 0 gives the identity."""
-    if not a.is_square():
-        raise ShapeError("matrix power requires a square matrix")
-    if not isinstance(p, int) or p < 0:
-        raise ValueError("exponent must be a nonnegative integer")
-    acc = QMatrix.identity(a.rows, a.mode)
-    for _ in range(p):
-        acc = acc @ a
-    return acc
+    return Powers(a)[p]
 
 
 def _float_pivot_tol(work):
-    scale = max(
-        (q.norm_sq() for row in work for q in row),
-        default=0.0,
-    )
-    return 1e-20 * (1.0 + scale)
+    norms = [q.norm_sq() for row in work for q in row]
+    if not all(map(math.isfinite, norms)):
+        raise NumericalBreakdownError("an entry's squared norm is not finite: no float pivot scale")
+    return 1e-20 * (1.0 + max(norms))
 
 
 def _pivot_row(work, col, start, mode, tol):
@@ -274,7 +287,8 @@ def rank(a: QMatrix) -> int:
     """Row rank by forward elimination with quaternionic left-division.
 
     In float mode a pivot is accepted when its squared norm exceeds a
-    tolerance relative to the largest entry of the working matrix.
+    tolerance relative to the largest entry of the working matrix; an
+    entry whose squared norm is not finite raises NumericalBreakdownError.
     """
     work = [list(row) for row in a.entries()]
     m, n = a.rows, a.cols
@@ -298,25 +312,19 @@ def rank(a: QMatrix) -> int:
     return rk
 
 
-def index_of(a: QMatrix) -> int:
-    """Smallest k with rank(A^(k+1)) == rank(A^k); 0 iff A is nonsingular."""
-    if not a.is_square():
-        raise ShapeError("index is defined for square matrices only")
-    n = a.rows
-    prev = rank(a)
-    if prev == n:
-        return 0
-    power = a
-    k = 1
-    while True:
-        power = power @ a
-        cur = rank(power)
-        if cur == prev:
-            return k
-        prev = cur
+def index_of(a) -> int:
+    """Smallest k with rank(A^(k+1)) == rank(A^k); 0 iff A is nonsingular.
+
+    `a` is a `QMatrix` or its `Powers` table, which then keeps the powers
+    and ranks the search builds for the caller.
+    """
+    p = a if isinstance(a, Powers) else Powers(a)
+    k = 0
+    while p.rank(k + 1) != p.rank(k):
         k += 1
-        if k > n:  # rank strictly drops at most n times
-            raise invariant_error(a.mode, "index computation failed to stabilize")
+        if k > p.a.rows:  # rank strictly drops at most n times
+            raise invariant_error(p.a.mode, "index computation failed to stabilize")
+    return k
 
 
 def inverse_square(a: QMatrix) -> QMatrix:
@@ -393,7 +401,7 @@ def delete_row_col(a: QMatrix, i: int, j: int) -> QMatrix:
 
 
 def max_abs_diff(a: QMatrix, b: QMatrix) -> float:
-    """Largest absolute componentwise difference, as a float."""
+    """Largest absolute componentwise difference, as a float (NaN if any is)."""
     if a.shape != b.shape:
         raise ShapeError(f"cannot compare {a.shape} with {b.shape}")
     worst = 0.0
@@ -401,6 +409,8 @@ def max_abs_diff(a: QMatrix, b: QMatrix) -> float:
         for qa, qb in zip(ra, rb):
             for ca, cb in zip(qa.components(), qb.components()):
                 d = abs(float(ca) - float(cb))
+                if math.isnan(d):
+                    return d  # no tolerance may accept it
                 if d > worst:
                     worst = d
     return worst

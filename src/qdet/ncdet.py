@@ -86,20 +86,20 @@ def set_enumeration_guard(n: int) -> int:
     return old
 
 
-def _refuse_above_guard(n: int, max_n, what: str) -> None:
+def _refuse_above_guard(n: int, max_n, what="minor order", bounds="the minor order, not the matrix size"):
     limit = _guard.get() if max_n is None else max_n
     if n > limit:
         raise EnumerationGuardError(
-            f"{what} {n} exceeds the enumeration guard {limit} ({n}! terms per determinant); "
+            f"{what} {n} exceeds the enumeration guard {limit}, which bounds {bounds}; "
             "raise the guard explicitly to proceed"
         )
 
 
-def _check(a: QMatrix, anchor: int, max_n):
+def _check(a: QMatrix, anchor: int, max_n, bounds="the determinant size (2^n index subsets summed)"):
     if not a.is_square():
         raise ShapeError("row/column determinants require a square matrix")
     n = a.rows
-    _refuse_above_guard(n, max_n, "n =")
+    _refuse_above_guard(n, max_n, "n =", bounds)
     if not 1 <= anchor <= n:
         raise ValueError(f"anchor {anchor} out of range 1..{n}")
     return n
@@ -343,7 +343,7 @@ def _bordered_cofactors(g: QMatrix, r: int, row: bool, max_n: int | None = None)
     tail table over the subsets of at most r elements serves every anchor
     and, at size r, the denominator.  The guard bounds the minor order r.
     """
-    _refuse_above_guard(r, max_n, "minor order")
+    _refuse_above_guard(r, max_n)
     n = g.rows
     e = g.entries()
     tails = _tails(e, g.mode, range(n), r, row)
@@ -436,7 +436,7 @@ def _blocks(perm, n, anchor):
 
 def rdet_reference(i: int, a: QMatrix, max_n: int | None = None) -> Quaternion:
     """Row determinant by direct summation over one-line permutations."""
-    n = _check(a, i, max_n)
+    n = _check(a, i, max_n, "the size of an n!-term reference sum")
     total = Quaternion.zero(a.mode)
     for perm in itertools.permutations(range(1, n + 1)):
         starts, r = _blocks(perm, n, i)
@@ -450,7 +450,7 @@ def rdet_reference(i: int, a: QMatrix, max_n: int | None = None) -> Quaternion:
 
 def cdet_reference(j: int, a: QMatrix, max_n: int | None = None) -> Quaternion:
     """Column determinant by direct summation over one-line permutations."""
-    n = _check(a, j, max_n)
+    n = _check(a, j, max_n, "the size of an n!-term reference sum")
     total = Quaternion.zero(a.mode)
     for perm in itertools.permutations(range(1, n + 1)):
         starts, r = _blocks(perm, n, j)
@@ -487,7 +487,7 @@ def principal_minor_sum(a: QMatrix, s: int, max_n: int | None = None):
         raise NotHermitianError("principal minors require a Hermitian matrix")
     if not 1 <= s <= a.rows:
         raise ValueError(f"minor order {s} out of range 1..{a.rows}")
-    _refuse_above_guard(s, max_n, "minor order")
+    _refuse_above_guard(s, max_n)
     return _minor_sum(_tails(a.entries(), a.mode, range(a.rows), s, True), a.rows, s, a.mode)
 
 
@@ -502,7 +502,7 @@ def char_poly(a: QMatrix, max_n: int | None = None) -> tuple:
     if not a.is_hermitian():
         raise NotHermitianError("characteristic polynomial requires a Hermitian matrix")
     n = a.rows
-    _refuse_above_guard(n, max_n, "minor order")
+    _refuse_above_guard(n, max_n)
     tails = _tails(a.entries(), a.mode, range(n), n, True)
     return tuple(_minor_sum(tails, n, s, a.mode) for s in range(1, n + 1))
 
@@ -542,6 +542,6 @@ def hermitian_inverse(a: QMatrix, max_n: int | None = None) -> QMatrix:
             raise InternalInvariantError("cofactor inverse failed the product check")
         return right / det
     right, left = right / det, left / det
-    if max_abs_diff(right, left) > 1e-9 * (1.0 + abs(det)):
+    if not max_abs_diff(right, left) <= 1e-9 * (1.0 + abs(det)):  # NaN fails too
         raise NumericalBreakdownError("cofactor assemblies disagree beyond float tolerance")
     return right

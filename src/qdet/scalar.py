@@ -23,6 +23,7 @@ by an optional unit ``i|j|k``, with no internal whitespace.  Examples:
 ``1+2i-3j+1/2k``, ``-k``, ``0``.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -93,10 +94,6 @@ class Quaternion:
     @classmethod
     def real(cls, value, mode=EXACT):
         return cls(value, 0, 0, 0, mode)
-
-    @classmethod
-    def parse(cls, text, mode=None):
-        return parse_quaternion(text, mode)
 
     # -- predicates ---------------------------------------------------
 
@@ -292,6 +289,7 @@ def parse_quaternion(text: str, mode=None) -> Quaternion:
     With ``mode=None`` the mode is inferred from the literal itself
     (decimals imply float, otherwise exact).  Passing an explicit mode
     rejects literals of the other kind, e.g. a decimal in exact mode.
+    A zero denominator or a float that is not finite raises `ParseError`.
     """
     inferred = literal_mode(text)
     if mode is None:
@@ -301,15 +299,20 @@ def parse_quaternion(text: str, mode=None) -> Quaternion:
 
     comps = [Fraction(0)] * 4 if mode == EXACT else [0.0] * 4
     for sign, coef, unit in _split_terms(text):
-        if coef is None:
-            value = Fraction(1) if mode == EXACT else 1.0
-        elif mode == EXACT:
-            value = Fraction(coef)
-        else:
-            value = float(Fraction(coef)) if "/" in coef else float(coef)
+        try:
+            if coef is None:
+                value = Fraction(1) if mode == EXACT else 1.0
+            elif mode == EXACT:
+                value = Fraction(coef)
+            else:
+                value = float(Fraction(coef)) if "/" in coef else float(coef)
+        except (ArithmeticError, ValueError) as exc:  # 1/0, float overflow, digit limit
+            raise ParseError(f"literal {text!r} has no {mode} value: {exc}") from None
         if sign == "-":
             value = -value
         comps[_UNIT_SLOT[unit]] += value
+    if mode == FLOAT and not all(map(math.isfinite, comps)):
+        raise ParseError(f"literal {text!r} is not a finite float")
     return Quaternion(*comps, mode=mode)
 
 

@@ -10,17 +10,19 @@ For the weighted inverse the two composition identities X W = (AW)^D and
 W X = (WA)^D are reported by checking that X W (resp. W X) satisfies the
 Drazin defining equations of AW (resp. WA); by uniqueness of the Drazin
 inverse this is equivalent to the matrix equality without computing any
-inverse here.
+inverse here.  Each check reads the powers of A (of AW and WA) from one
+`Powers` table; a NaN residual fails every tolerance.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ModeError, ShapeError
 from .matrix import (
+    Powers,
     QMatrix,
     embed_complex,
     index_of,
-    mat_pow,
     max_abs_diff,
     unembed_complex,
 )
@@ -122,15 +124,14 @@ def check_penrose(
     return VerifyReport("penrose", a.mode, provenance, checks, tuple(notes))
 
 
-def _drazin_checks(a: QMatrix, x: QMatrix, tol, notes):
-    k = index_of(a)
+def _drazin_checks(p: Powers, k: int, x: QMatrix, tol, notes):
+    """The Drazin equations of x for the matrix of the power table p, of index k."""
+    a = p.a
     ax = a @ x
     checks = (
         _equation("XAX = X", x @ ax, x, a.mode, tol, notes),
         _equation("AX = XA", ax, x @ a, a.mode, tol, notes),
-        _equation(
-            f"A^(k+1) X = A^k  [k={k}]", mat_pow(a, k + 1) @ x, mat_pow(a, k), a.mode, tol, notes
-        ),
+        _equation(f"A^(k+1) X = A^k  [k={k}]", p[k + 1] @ x, p[k], a.mode, tol, notes),
     )
     return checks
 
@@ -142,14 +143,15 @@ def check_drazin(
     if not a.is_square() or a.shape != x.shape:
         raise ShapeError("Drazin check needs square matrices of equal size")
     notes: list = []
-    checks = _drazin_checks(a, x, tol, notes)
+    p = Powers(a)
+    checks = _drazin_checks(p, index_of(p), x, tol, notes)
     return VerifyReport("drazin", a.mode, provenance, checks, tuple(notes))
 
 
 def _combined(label, sub_checks):
     passed = all(c.passed for c in sub_checks)
     residuals = [c.residual for c in sub_checks if c.residual is not None]
-    residual = max(residuals) if residuals else None
+    residual = max(residuals, key=lambda r: math.inf if math.isnan(r) else r) if residuals else None
     return EquationCheck(label, passed, residual)
 
 
@@ -163,24 +165,17 @@ def check_wdrazin(
     if x.shape != a.shape:
         raise ShapeError(f"candidate must be {a.rows}x{a.cols}, got {x.rows}x{x.cols}")
     notes: list = []
-    u = w @ a
-    v = a @ w
-    k = max(index_of(u), index_of(v))
+    u, v = Powers(w @ a), Powers(a @ w)
+    ku, kv = index_of(u), index_of(v)
+    k = max(ku, kv)
     xw = x @ w
     wx = w @ x
     checks = [
-        _equation(
-            f"(AW)^(k+1) X W = (AW)^k  [k={k}]",
-            mat_pow(v, k + 1) @ xw,
-            mat_pow(v, k),
-            a.mode,
-            tol,
-            notes,
-        ),
+        _equation(f"(AW)^(k+1) X W = (AW)^k  [k={k}]", v[k + 1] @ xw, v[k], a.mode, tol, notes),
         _equation("XWAWX = X", xw @ (a @ wx), x, a.mode, tol, notes),
-        _equation("AWX = XWA", v @ x, x @ (w @ a), a.mode, tol, notes),
-        _combined("XW satisfies the Drazin equations of AW", _drazin_checks(v, xw, tol, notes)),
-        _combined("WX satisfies the Drazin equations of WA", _drazin_checks(u, wx, tol, notes)),
+        _equation("AWX = XWA", v.a @ x, x @ u.a, a.mode, tol, notes),
+        _combined("XW satisfies the Drazin equations of AW", _drazin_checks(v, kv, xw, tol, notes)),
+        _combined("WX satisfies the Drazin equations of WA", _drazin_checks(u, ku, wx, tol, notes)),
     ]
     return VerifyReport("wdrazin", a.mode, provenance, tuple(checks), tuple(notes))
 

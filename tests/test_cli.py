@@ -1,11 +1,27 @@
+import contextlib
+import io
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 from conftest import random_rank_deficient
-from qdet import QMatrix, Quaternion, cli, errors, geninv
+from qdet import (
+    DRAZIN_ROUTES,
+    MP_ROUTES,
+    WDRAZIN_ROUTES,
+    QMatrix,
+    Quaternion,
+    cli,
+    errors,
+    geninv,
+    parse_quaternion,
+)
 from qdet.cli import format_qmat, main, parse_qmat
 from qdet.errors import InternalInvariantError, ParseError, QdetError, RouteDisagreementError
 
@@ -63,6 +79,55 @@ def test_parse_wrong_row_count():
         parse_qmat("2 2\n1 0\n")
     with pytest.raises(ParseError):
         parse_qmat("1 1\n1\n2\n")
+
+
+def test_parse_refuses_zero_denominators_and_float_overflow():
+    # A zero denominator and a float beyond the float range have no value.
+    for literal in ("1/0", "2-3/0k", "1e999", "1e308+1e308"):
+        with pytest.raises(ParseError):
+            parse_quaternion(literal)
+    for text in ("1 1\n1/0\n", "2 2\n1e999 1\n1 2\n"):
+        with pytest.raises(ParseError) as err:
+            parse_qmat(text)
+        assert (err.value.line, err.value.col) == (2, 1)
+
+
+def _term(sign, coef, unit):
+    return sign + coef + unit
+
+
+coefficients = st.one_of(
+    st.just(""),
+    st.integers(0, 99).map(str),
+    st.tuples(st.integers(0, 99), st.integers(0, 9)).map("{0[0]}/{0[1]}".format),
+    st.tuples(st.integers(0, 9), st.integers(-400, 400)).map("{0[0]}.5e{0[1]}".format),
+)
+terms = st.builds(_term, st.sampled_from(["", "+", "-"]), coefficients, st.sampled_from(["", "i", "j", "k"]))
+literals = st.one_of(
+    st.lists(terms, min_size=1, max_size=3).map("".join),
+    st.text(alphabet="0123456789ijk+-/.eE", min_size=1, max_size=6),
+)
+
+
+def _qmat_text(m, n, comment):
+    rows = st.lists(st.lists(literals, min_size=n, max_size=n), min_size=m, max_size=m)
+    return rows.map(lambda rows: f"{comment}{m} {n}\n" + "".join(" ".join(r) + "\n" for r in rows))
+
+
+well_formed_texts = st.tuples(st.integers(1, 3), st.integers(1, 3), st.sampled_from(["", "% c\n"])).flatmap(
+    lambda mnc: _qmat_text(*mnc)
+)
+qmat_texts = st.one_of(well_formed_texts, st.text(alphabet="0123456789ijkeE+-/. %\n\t", max_size=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(qmat_texts)
+def test_qmat_text_parses_or_raises_parse_error(text):
+    try:
+        a = parse_qmat(text)
+    except ParseError:
+        return
+    assert isinstance(a, QMatrix)
 
 
 def test_format_parse_round_trip(rng):
@@ -352,6 +417,85 @@ def test_every_error_class_has_its_documented_exit_code(cls, tmp_path, capsys, m
         expected = 2
     assert main(["mp", "-i", write(tmp_path, "h.qmat", HERMITIAN)]) == expected
     assert "injected" in capsys.readouterr().err
+
+
+def test_overflowing_float_input_is_refused(tmp_path, capsys):
+    # An entry above ~1.3e154 overflows its squared norm, so float rank has
+    # no pivot scale: a refusal, never rank 0 or a zero result that passes.
+    a = write(tmp_path, "a.qmat", QMatrix.from_literals([["1e200", "1.0"], ["1.0", "2.0"]]))
+    b = write(tmp_path, "b.qmat", QMatrix.from_literals([["1e200", "1e200"], ["1e200", "1e200"]]))
+    assert main(["info", "-i", a]) == 2
+    assert main(["drazin", "-i", b, "--route", "all", "--check"]) == 2
+    assert "PASS" not in capsys.readouterr().out
+
+
+def test_float_mode_refuses_an_exact_entry_beyond_the_float_range(tmp_path, capsys):
+    path = tmp_path / "big.qmat"
+    path.write_text("1 1\n" + "1" * 400 + "\n")
+    assert main(["info", "-i", str(path), "--mode", "float"]) == 1
+    assert "overflows a float" in capsys.readouterr().err
+
+
+def test_unparsable_literals_exit_as_parse_errors(tmp_path, capsys):
+    for body in ("1/0 1\n1 2", "1e999 1\n1 2"):
+        path = tmp_path / "a.qmat"
+        path.write_text(f"2 2\n{body}\n")
+        assert main(["mp", "-i", str(path), "--route", "all", "--check"]) == 1
+        assert "line 2, col 1" in capsys.readouterr().err
+
+
+def _argv(command, pick, a, w, x):
+    """One invocation of `command`; `pick` chooses its anchor, route or kind."""
+    if command == "det":
+        return ["det", "-i", a] + (["--anchor", f"{'rc'[pick % 2]}:{pick % 3 + 1}"] if pick else [])
+    if command == "verify":
+        kind = ("mp", "drazin", "wdrazin")[pick % 3]
+        return ["verify", "--kind", kind, "-i", a, "--candidate", x, "--weight", w]
+    if command == "info":
+        return ["info", "-i", a, "--weight", w]
+    routes = {"mp": MP_ROUTES, "drazin": DRAZIN_ROUTES, "wdrazin": WDRAZIN_ROUTES}[command] + ("all",)
+    argv = [command, "-i", a, "--route", routes[pick % len(routes)], "--check"]
+    return argv + (["--weight", w, "--lambda", "0.01"] if command == "wdrazin" else [])
+
+
+def _small_matrices(m, n):
+    component = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+    entry = st.builds(Quaternion, *[component] * 4)
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m).map(QMatrix)
+
+
+cli_cases = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda mn: st.tuples(
+        st.sampled_from(["det", "mp", "drazin", "wdrazin", "verify", "info"]),
+        st.integers(0, 11),
+        st.booleans(),
+        _small_matrices(mn[0], mn[1]),
+        _small_matrices(mn[1], mn[0]),
+        _small_matrices(*mn),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_cases, st.one_of(st.none(), qmat_texts))
+def test_every_subcommand_ends_with_an_exit_code(case, raw):
+    # Exit 0-3, nothing escapes; an input file that does not parse exits 1.
+    command, pick, use_float, a, w, x = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [
+            write(Path(tmp), name, m.to_float() if use_float else m)
+            for name, m in (("a.qmat", a), ("w.qmat", w), ("x.qmat", x))
+        ]
+        if raw is not None:
+            Path(paths[0]).write_text(raw)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(_argv(command, pick, *paths))
+    assert code in (0, 1, 2, 3)
+    if raw is not None:
+        try:
+            parse_qmat(raw)
+        except ParseError:
+            assert code == 1
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -21,6 +21,7 @@ from qdet import (
     drazin,
     drazin_all_routes,
     geninv,
+    index_of,
     mat_pow,
     mp_all_routes,
     mp_inverse,
@@ -38,6 +39,7 @@ from qdet.errors import (
     PreconditionError,
     ShapeError,
 )
+from qdet import matrix
 from qdet.matrix import max_abs_diff, replace_col, replace_row
 from qdet.ncdet import set_enumeration_guard
 
@@ -170,7 +172,7 @@ def test_drazin_random_suite(rng):
         assert all(v == values[0] for v in values)
         report = check_drazin(a, values[0])
         assert report.ok, report.human()
-        k = a.index_of()
+        k = index_of(a)
         x = values[0]
         assert mat_pow(a, k + 1) @ x == mat_pow(a, k)
         assert x @ a @ x == x
@@ -328,16 +330,16 @@ def test_index_is_computed_once_per_analysed_matrix(monkeypatch):
     assert len(calls) == 2  # U and V
 
 
-def test_each_power_is_one_product_from_the_last(monkeypatch):
-    s = geninv._SquareAnalysis(golden.U)
-    products = []
+def test_weighted_routes_read_each_power_from_one_table(monkeypatch):
+    products, ranks = [], []
     matmul = QMatrix.__matmul__
     monkeypatch.setattr(QMatrix, "__matmul__", lambda x, y: products.append(1) or matmul(x, y))
-    s.pow(2)
-    s.pow(5)
-    assert len(products) == 5
-    monkeypatch.undo()
-    assert [s.pow(e) for e in range(6)] == [mat_pow(golden.U, e) for e in range(6)]
+    counted = lambda a, f=rank: ranks.append(a) or f(a)  # noqa: E731
+    for module in (geninv, matrix):
+        monkeypatch.setattr(module, "rank", counted)
+    wdrazin_all_routes(golden.A_IN, golden.W_IN)
+    # index_of fills the analyses' tables, so no power or rank is made twice.
+    assert (len(products), len(ranks)) == (29, 6)
 
 
 @pytest.mark.parametrize(
@@ -379,7 +381,7 @@ def test_bordered_column_rank_inequality(rng):
         a = random_qmatrix(rng, m, n, span=1, sparsity=0.2)
         w = random_qmatrix(rng, n, m, span=1, sparsity=0.2)
         v = a @ w
-        k = max((w @ a).index_of(), v.index_of())
+        k = max(index_of(w @ a), index_of(v))
         vk2 = mat_pow(v, k + 2)
         vbar = mat_pow(v, k) @ a
         base = rank(vk2)
@@ -394,7 +396,7 @@ def test_bordered_row_rank_inequality(rng):
         a = random_qmatrix(rng, m, n, span=1, sparsity=0.2)
         w = random_qmatrix(rng, n, m, span=1, sparsity=0.2)
         u = w @ a
-        k = max(u.index_of(), (a @ w).index_of())
+        k = max(index_of(u), index_of(a @ w))
         uk2 = mat_pow(u, k + 2)
         ubar = a @ mat_pow(u, k)
         base = rank(uk2)
@@ -412,7 +414,7 @@ def test_shifted_cdet_coefficient_expansion(rng):
         a = random_qmatrix(rng, m, n, span=1)
         w = a.H
         v = a @ w
-        k = max((w @ a).index_of(), v.index_of())
+        k = max(index_of(w @ a), index_of(v))
         vk2 = mat_pow(v, k + 2)
         vbar = mat_pow(v, k) @ a
         i = rng.randrange(m)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import golden
 from conftest import random_qmatrix
 from qdet import (
     QMatrix,
+    Quaternion,
     embed_complex,
     index_of,
     inverse_square,
@@ -12,8 +15,9 @@ from qdet import (
     rank,
     unembed_complex,
 )
-from qdet.errors import ModeError, ShapeError, SingularError
-from qdet.matrix import max_abs_diff
+from qdet import matrix
+from qdet.errors import ModeError, NumericalBreakdownError, ShapeError, SingularError
+from qdet.matrix import Powers, max_abs_diff
 
 
 def test_worked_example_products():
@@ -109,6 +113,57 @@ def test_index_stabilizes_within_dimension(rng):
         k = index_of(a)
         assert 0 <= k <= n
         assert rank(mat_pow(a, k)) == rank(mat_pow(a, k + 1))
+
+
+def test_each_power_is_one_product_from_the_last(monkeypatch):
+    p = Powers(golden.U)
+    products = []
+    matmul = QMatrix.__matmul__
+    monkeypatch.setattr(QMatrix, "__matmul__", lambda x, y: products.append(1) or matmul(x, y))
+    p[2]
+    p[5]
+    assert len(products) == 5
+    monkeypatch.undo()
+    assert [p[e] for e in range(6)] == [mat_pow(golden.U, e) for e in range(6)]
+
+
+def test_index_of_leaves_its_powers_and_ranks_in_the_table(monkeypatch):
+    v = golden.A_IN @ golden.W_IN
+    p = Powers(v)
+    ranks, products = [], []
+    monkeypatch.setattr(matrix, "rank", lambda a, f=matrix.rank: ranks.append(a) or f(a))
+    matmul = QMatrix.__matmul__
+    monkeypatch.setattr(QMatrix, "__matmul__", lambda x, y: products.append(1) or matmul(x, y))
+    assert p.rank(0) == 4 and ranks == []  # rank(A^0) = n without elimination
+    assert index_of(p) == golden.IND_V
+    assert (len(ranks), len(products)) == (3, 3)  # V, V^2, V^3, each once
+    assert (p.rank(2), p.rank(3)) == (golden.RANK_V2, golden.RANK_V3)
+    p[2], p[3], index_of(p)
+    assert (len(ranks), len(products)) == (3, 3)
+
+
+def test_operator_aliases_are_gone():
+    assert not any(hasattr(QMatrix, name) for name in ("rank", "index_of", "__pow__", "conj_transpose"))
+    assert not hasattr(Quaternion, "parse")
+
+
+def test_max_abs_diff_propagates_nan():
+    nan = Quaternion(float("nan"), mode="float")
+    big, zero = Quaternion(5.0, mode="float"), Quaternion.zero("float")
+    for row in ([nan, big], [big, nan]):
+        assert math.isnan(max_abs_diff(QMatrix([row]), QMatrix([[zero, zero]])))
+    assert max_abs_diff(QMatrix([[big]]), QMatrix([[zero]])) == 5.0
+
+
+def test_float_rank_refuses_an_overflowing_scale():
+    # A squared norm beyond the float range leaves no pivot scale: refuse
+    # rather than reject every pivot.
+    a = QMatrix.from_literals([["1e200", "1.0"], ["1.0", "2.0"]])
+    with pytest.raises(NumericalBreakdownError):
+        rank(a)
+    with pytest.raises(NumericalBreakdownError):
+        inverse_square(a)
+    assert rank(QMatrix.from_literals([["1e150", "1e150"], ["1e150", "2e150"]])) == 2
 
 
 def test_embedding_block_convention():

@@ -24,7 +24,13 @@ from qdet import (
     rdet,
     rdet_reference,
 )
-from qdet.errors import EnumerationGuardError, NotHermitianError, ShapeError, SingularError
+from qdet.errors import (
+    EnumerationGuardError,
+    NotHermitianError,
+    NumericalBreakdownError,
+    ShapeError,
+    SingularError,
+)
 from qdet.matrix import delete_row_col, replace_col, replace_row, submatrix
 from qdet.ncdet import (
     DEFAULT_ENUMERATION_GUARD,
@@ -305,8 +311,12 @@ def test_bordered_cofactor_denominator_is_the_minor_sum(rng):
 
 
 def test_bordered_cofactors_respect_the_guard():
-    with pytest.raises(EnumerationGuardError):
+    with pytest.raises(EnumerationGuardError) as err:
         _bordered_cofactors(QMatrix.identity(4), 3, False, max_n=2)
+    # No n! sum runs here; the message names what the guard bounds.
+    assert str(err.value).startswith(
+        "minor order 3 exceeds the enumeration guard 2, which bounds the minor order, not the matrix size"
+    )
     cof, d = _bordered_cofactors(QMatrix.identity(4), 2, True, max_n=2)
     assert d == 6
 
@@ -366,6 +376,13 @@ def test_hermitian_inverse_matches_cofactor_assembly(rng):
         right, left = cofactor_assembly(h)
         assert hermitian_inverse(h) == right == left
         produced += 1
+
+
+def test_float_hermitian_inverse_refuses_nan_cofactors():
+    # The determinant overflows to inf - inf = NaN; NaN assemblies must not
+    # pass the agreement test.
+    with pytest.raises(NumericalBreakdownError):
+        hermitian_inverse(QMatrix.from_literals([["1e200", "1e200"], ["1e200", "1e200"]]))
 
 
 def test_hermitian_inverse_examples():

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import pytest
@@ -6,12 +7,14 @@ import golden
 from conftest import random_rank_deficient
 from qdet import (
     QMatrix,
+    Quaternion,
     check_drazin,
     check_penrose,
     check_wdrazin,
     mp_oracle_embedding,
 )
 from qdet.errors import ModeError, ShapeError
+from qdet import matrix
 from qdet.matrix import max_abs_diff
 
 
@@ -135,3 +138,20 @@ def test_checkers_do_not_import_inverse_code():
     assert "ncdet" not in verify_mod.__dict__
     source = open(verify_mod.__file__).read()
     assert "geninv" not in source
+
+
+def test_float_checks_fail_on_nan():
+    nan = QMatrix([[Quaternion(float("nan"), mode="float")]])
+    report = check_penrose(QMatrix.from_literals([["1.0"]]), nan)
+    assert not report.ok
+    assert all(math.isnan(c.residual) for c in report.checks)
+
+
+def test_wdrazin_check_reads_each_power_from_one_table(monkeypatch):
+    products, ranks = [], []
+    matmul = QMatrix.__matmul__
+    monkeypatch.setattr(QMatrix, "__matmul__", lambda x, y: products.append(1) or matmul(x, y))
+    monkeypatch.setattr(matrix, "rank", lambda a, f=matrix.rank: ranks.append(a) or f(a))
+    assert check_wdrazin(golden.A_IN, golden.W_IN, golden.ADW).ok
+    # One table each for WA and AW: every power and rank is made once.
+    assert (len(products), len(ranks)) == (22, 5)
