@@ -5,12 +5,21 @@ scalar mode.  Container indexing (``A[i, j]``, `row`, `col`, submatrix
 helpers) is 0-based like any Python sequence; the determinant anchors in
 `qdet.ncdet` are 1-based to match the usual notation.
 
-Rank is row rank computed by forward elimination with quaternionic
-left-division, which is valid over a division ring.  A `Powers` table
-holds the powers of one square matrix and their ranks for one call;
-`mat_pow`, `index_of`, the Drazin routes and the checkers read powers
-from such a table instead of rebuilding them.  The complex adjoint
-embedding maps each entry a + bi + cj + dk to the 2x2 complex block
+Products and row elimination run on component 4-tuples with the
+Hamilton product written out, not on `Quaternion` objects.  In exact mode
+each operand is first scaled to integers (one lcm of denominators per
+matrix for a product, one per row for elimination), so the arithmetic is
+on `int`, and a result is divided once per entry at the end, with
+components canonical as in `qdet.scalar` (`int` where integral).  Rank is
+row rank by forward elimination; exact elimination is fraction-free (see
+`_eliminate`), float elimination uses quaternionic left-division with a
+pivot tolerance, valid over a division ring.  A `Powers` table holds the
+powers of one square matrix and their ranks for one call; `mat_pow`,
+`index_of`, the Drazin routes and the checkers read powers from such a
+table instead of rebuilding them.
+
+The complex adjoint embedding maps each entry a + bi + cj + dk to the
+2x2 complex block
 
     [[a + bi,  c + di],
      [-c + di, a - bi]]
@@ -21,10 +30,11 @@ block convention is fixed project-wide because the oracle depends on it.
 """
 
 import math
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import ModeError, NumericalBreakdownError, ShapeError, SingularError, invariant_error
-from .scalar import EXACT, FLOAT, Quaternion, parse_quaternion
+from .scalar import EXACT, FLOAT, Quaternion, _of, parse_quaternion
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,6 +64,17 @@ class QMatrix:
         self.cols = ncols
         self.mode = mode
         self._entries = data
+
+    @classmethod
+    def _trusted(cls, data, mode):
+        """Wrap a nonempty rectangular tuple of tuples of `mode` quaternions
+        (a kernel result) without re-validating it."""
+        m = object.__new__(cls)
+        m.rows = len(data)
+        m.cols = len(data[0])
+        m.mode = mode
+        m._entries = data
+        return m
 
     # -- constructors -------------------------------------------------
 
@@ -134,17 +155,27 @@ class QMatrix:
         self._check_mode(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        bcols = [other.col(j) for j in range(other.cols)]
+        arows, brows = _component_rows(self._entries), _component_rows(other._entries)
+        zero, den = 0.0, 1
+        if self.mode == EXACT:  # one lcm per operand, one division per entry
+            (arows, da), (brows, db) = _cleared(arows), _cleared(brows)
+            zero, den = 0, da * db
+        bcols = list(zip(*brows))
         out = []
-        for row in self._entries:
+        for ra in arows:
             out_row = []
-            for bc in bcols:
-                acc = Quaternion.zero(self.mode)
-                for a, b in zip(row, bc):
-                    acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return QMatrix(out)
+            for cb in bcols:
+                # The summation order of entrywise `acc + a * b`, so float
+                # products are bit-identical to Quaternion arithmetic.
+                s0 = s1 = s2 = s3 = zero
+                for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(ra, cb):
+                    s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+                    s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+                    s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+                    s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+                out_row.append(_quaternion((s0, s1, s2, s3), den, self.mode))
+            out.append(tuple(out_row))
+        return QMatrix._trusted(tuple(out), self.mode)
 
     def __mul__(self, scalar):
         # Real scalar only; reals are central so the side does not matter.
@@ -204,7 +235,7 @@ class QMatrix:
         for i in range(self.rows):
             for j in range(i, self.cols):
                 d = self._entries[i][j] - self._entries[j][i].conj()
-                if any(abs(c) > tol for c in d.components()):
+                if not all(abs(c) <= tol for c in d.components()):  # NaN is never within tol
                     return False
         return True
 
@@ -256,60 +287,184 @@ def mat_pow(a: QMatrix, p: int) -> QMatrix:
     return Powers(a)[p]
 
 
-def _float_pivot_tol(work):
-    norms = [q.norm_sq() for row in work for q in row]
+# ---------------------------------------------------------------------------
+# Component-tuple kernel: products and elimination
+# ---------------------------------------------------------------------------
+
+
+def _component_rows(entries):
+    """Rows of component 4-tuples of quaternion rows `entries`."""
+    return [[(q.a0, q.a1, q.a2, q.a3) for q in row] for row in entries]
+
+
+def _cleared(rows):
+    """Exact component rows scaled to ints by the lcm of their
+    denominators, and that lcm (rows of ints come back as they are)."""
+    den, ints = 1, True
+    for row in rows:
+        for t in row:
+            for c in t:
+                if c.__class__ is not int:
+                    den, ints = math.lcm(den, c.denominator), False
+    if ints:
+        return rows, 1
+    scaled = [
+        [tuple(c * den if c.__class__ is int else c.numerator * (den // c.denominator) for c in t)
+         for t in row]
+        for row in rows
+    ]
+    return scaled, den
+
+
+def _elimination_rows(entries, exact):
+    """Component rows to eliminate: exact rows each scaled to ints by
+    their own lcm and divided by their content, as only their span counts."""
+    rows = _component_rows(entries)
+    if not exact:
+        return rows
+    out = []
+    for row in rows:
+        (scaled,), _ = _cleared([row])
+        out.append(_primitive(scaled))
+    return out
+
+
+def _primitive(row):
+    """An int row divided by the gcd of its components."""
+    g = math.gcd(*(c for t in row for c in t))
+    if g > 1:
+        return [(a // g, b // g, c // g, d // g) for a, b, c, d in row]
+    return row
+
+
+def _over(c, den):
+    """The int c divided by the positive int den, canonical: `int` where integral."""
+    q, r = divmod(c, den)
+    return Fraction(c, den) if r else q
+
+
+def _quaternion(t, den, mode):
+    """The quaternion t / den (den 1 in float mode)."""
+    if den != 1:
+        t = (_over(t[0], den), _over(t[1], den), _over(t[2], den), _over(t[3], den))
+    return _of(t[0], t[1], t[2], t[3], mode)
+
+
+def _hamilton(a, b):
+    """The Hamilton product a b of component tuples, in `Quaternion.__mul__` order."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    )
+
+
+def _norm_sq(t):
+    a0, a1, a2, a3 = t
+    return a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+
+
+def _float_pivot_tol(rows, ncols):
+    norms = [_norm_sq(t) for row in rows for t in row[:ncols]]
     if not all(map(math.isfinite, norms)):
         raise NumericalBreakdownError("an entry's squared norm is not finite: no float pivot scale")
     return 1e-20 * (1.0 + max(norms))
 
 
-def _pivot_row(work, col, start, mode, tol):
+def _pivot_row(rows, col, start, exact, tol):
     """Row at or below `start` to pivot on in column `col`, or None.
 
     Exact mode takes the first nonzero entry; float mode the entry of
     largest squared norm above `tol`.
     """
-    if mode == EXACT:
-        for r in range(start, len(work)):
-            if not work[r][col].is_zero():
+    if exact:
+        for r in range(start, len(rows)):
+            if any(rows[r][col]):
                 return r
         return None
     pivot_row, best = None, tol
-    for r in range(start, len(work)):
-        nn = work[r][col].norm_sq()
+    for r in range(start, len(rows)):
+        nn = _norm_sq(rows[r][col])
         if nn > best:
             best = nn
             pivot_row = r
     return pivot_row
 
 
-def rank(a: QMatrix) -> int:
-    """Row rank by forward elimination with quaternionic left-division.
+def _eliminate(rows, pivot_cols, exact, jordan=False):
+    """Row-reduce `rows` (lists of component tuples) in place; return the rank.
 
-    In float mode a pivot is accepted when its squared norm exceeds a
-    tolerance relative to the largest entry of the working matrix; an
-    entry whose squared norm is not finite raises NumericalBreakdownError.
+    Pivots are sought in the first `pivot_cols` columns (`_pivot_row`).
+    Forward elimination clears below each pivot and passes over a column
+    without one; with `jordan` it clears above as well, leaves pivot j in
+    row j, and stops at the first column without a pivot.
+
+    Exact rows hold ints and stay integral: with pivot p and lead entry l
+    of row r, row_r <- N(p) row_r - (l conj(p)) row_p, where N(p) = p conj(p)
+    is a positive integer, and the row is then divided by its content; no
+    `Fraction` is made.  (Bareiss's exact division rests on commutative
+    determinants and does not carry over; the content gcd does.)  Float
+    mode keeps quaternionic left-division, row_r <- row_r - (l p^-1) row_p;
+    Gauss-Jordan first scales the pivot row by p^-1, then subtracts
+    l row_p.  Both use the same pivot tolerance throughout.
     """
-    work = [list(row) for row in a.entries()]
-    m, n = a.rows, a.cols
-    tol = 0 if a.mode == EXACT else _float_pivot_tol(work)
-    rk = 0
-    for col in range(n):
-        pivot_row = _pivot_row(work, col, rk, a.mode, tol)
+    tol = 0 if exact else _float_pivot_tol(rows, pivot_cols)
+    m, rk = len(rows), 0
+    for col in range(pivot_cols):
+        pivot_row = _pivot_row(rows, col, rk, exact, tol)
         if pivot_row is None:
+            if jordan:
+                break
             continue
-        work[rk], work[pivot_row] = work[pivot_row], work[rk]
-        pinv = work[rk][col].inv()
-        for r in range(rk + 1, m):
-            lead = work[r][col]
-            if lead.is_zero():
+        rows[rk], rows[pivot_row] = rows[pivot_row], rows[rk]
+        p0, p1, p2, p3 = p = rows[rk][col]
+        n = _norm_sq(p)
+        lo = 0 if jordan else col
+        if exact:
+            pbar = (p0, -p1, -p2, -p3)
+        else:
+            s = 1.0 / n
+            pinv = (p0 * s, -p1 * s, -p2 * s, -p3 * s)
+            if jordan:
+                rows[rk] = [_hamilton(pinv, y) for y in rows[rk]]
+        prow = rows[rk][lo:]
+        for r in range(0 if jordan else rk + 1, m):
+            row = rows[r]
+            lead = row[col]
+            if r == rk or not any(lead):
                 continue
-            factor = lead * pinv
-            work[r] = [x - factor * y for x, y in zip(work[r], work[rk])]
+            if exact:
+                f = _hamilton(lead, pbar)
+                new = [
+                    (n * x0 - h0, n * x1 - h1, n * x2 - h2, n * x3 - h3)
+                    for (x0, x1, x2, x3), (h0, h1, h2, h3) in zip(row[lo:], (_hamilton(f, y) for y in prow))
+                ]
+                rows[r] = row[:lo] + _primitive(new)  # row[:lo] is zero when lo > 0
+            else:
+                f = lead if jordan else _hamilton(lead, pinv)
+                rows[r] = row[:lo] + [
+                    (x0 - h0, x1 - h1, x2 - h2, x3 - h3)
+                    for (x0, x1, x2, x3), (h0, h1, h2, h3) in zip(row[lo:], (_hamilton(f, y) for y in prow))
+                ]
         rk += 1
         if rk == m:
             break
     return rk
+
+
+def rank(a: QMatrix) -> int:
+    """Row rank by forward elimination (`_eliminate`).
+
+    Exact mode eliminates fraction-free on integer rows.  In float mode a
+    pivot is accepted when its squared norm exceeds a tolerance relative
+    to the largest entry of the matrix; an entry whose squared norm is
+    not finite raises NumericalBreakdownError.
+    """
+    exact = a.mode == EXACT
+    return _eliminate(_elimination_rows(a.entries(), exact), a.cols, exact)
 
 
 def index_of(a) -> int:
@@ -328,36 +483,34 @@ def index_of(a) -> int:
 
 
 def inverse_square(a: QMatrix) -> QMatrix:
-    """Two-sided inverse of a square matrix by Gauss-Jordan elimination.
+    """Two-sided inverse of a square matrix by Gauss-Jordan elimination on
+    [A | I] (`_eliminate`).
 
     Uses left row operations, so it solves A X = I; over a division ring a
-    one-sided inverse of a square matrix is automatically two-sided.
-    Raises `SingularError` when no acceptable pivot exists.
+    one-sided inverse of a square matrix is automatically two-sided.  In
+    exact mode the elimination is fraction-free and leaves row i as
+    [p_i e_i | R_i], so row i of the inverse is conj(p_i) R_i / N(p_i),
+    one division per entry.  Raises `SingularError` when no acceptable
+    pivot exists.
     """
     if not a.is_square():
         raise ShapeError("inverse requires a square matrix")
-    n = a.rows
-    work = [list(row) for row in a.entries()]
-    aug = [list(row) for row in QMatrix.identity(n, a.mode).entries()]
-    tol = 0 if a.mode == EXACT else _float_pivot_tol(work)
-    for col in range(n):
-        pivot_row = _pivot_row(work, col, col, a.mode, tol)
-        if pivot_row is None:
-            raise SingularError("matrix is singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pinv = work[col][col].inv()
-        work[col] = [pinv * x for x in work[col]]
-        aug[col] = [pinv * x for x in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            lead = work[r][col]
-            if lead.is_zero():
-                continue
-            work[r] = [x - lead * y for x, y in zip(work[r], work[col])]
-            aug[r] = [x - lead * y for x, y in zip(aug[r], aug[col])]
-    return QMatrix(aug)
+    n, exact = a.rows, a.mode == EXACT
+    one = Quaternion.one(a.mode)
+    zero = Quaternion.zero(a.mode)
+    augmented = [row + tuple(one if j == i else zero for j in range(n)) for i, row in enumerate(a.entries())]
+    rows = _elimination_rows(augmented, exact)
+    if _eliminate(rows, n, exact, jordan=True) < n:
+        raise SingularError("matrix is singular")
+    out = []
+    for i, row in enumerate(rows):
+        if exact:
+            p0, p1, p2, p3 = p = row[i]
+            pbar, norm = (p0, -p1, -p2, -p3), _norm_sq(p)
+            out.append(tuple(_quaternion(_hamilton(pbar, y), norm, a.mode) for y in row[n:]))
+        else:  # pivot rows were scaled by their inverse pivots
+            out.append(tuple(_quaternion(t, 1, a.mode) for t in row[n:]))
+    return QMatrix._trusted(tuple(out), a.mode)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,25 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
-from conftest import random_qmatrix
+from conftest import (
+    random_qmatrix,
+    reference_index,
+    reference_inverse_square,
+    reference_matmul,
+    reference_rank,
+)
 from qdet import (
     QMatrix,
     Quaternion,
+    ddet,
     embed_complex,
+    hermitian_inverse,
     index_of,
     inverse_square,
     mat_pow,
@@ -16,7 +27,7 @@ from qdet import (
     unembed_complex,
 )
 from qdet import matrix
-from qdet.errors import ModeError, NumericalBreakdownError, ShapeError, SingularError
+from qdet.errors import ModeError, NotHermitianError, NumericalBreakdownError, ShapeError, SingularError
 from qdet.matrix import Powers, max_abs_diff
 
 
@@ -205,3 +216,90 @@ def test_hermitian_predicate():
     assert h.is_hermitian()
     assert not QMatrix.from_literals([["i", "0"], ["0", "0"]]).is_hermitian()
     assert not QMatrix.from_literals([["1", "0", "0"], ["0", "1", "0"]]).is_hermitian()
+
+
+def test_float_hermitian_predicate_rejects_nan():
+    nan = float("nan")
+    a = QMatrix([[Quaternion(nan, mode="float"), Quaternion(1, 2, 0, 0, "float")],
+                 [Quaternion(5, mode="float"), Quaternion(nan, mode="float")]])
+    assert not a.is_hermitian()
+    with pytest.raises(NotHermitianError):
+        ddet(a)
+    with pytest.raises(NotHermitianError):
+        hermitian_inverse(a)
+
+
+# -- the component-tuple kernel against the Quaternion-arithmetic references --
+
+def kernel_component(rnd):
+    """0, an int, or a non-integral Fraction w + p/q with 0 < p < q."""
+    kind = rnd.randrange(3)
+    if kind < 2:
+        return rnd.randint(-3, 3) if kind else 0
+    q = rnd.randint(2, 6)
+    return rnd.randint(-3, 2) + Fraction(rnd.randint(1, q - 1), q)
+
+
+@st.composite
+def kernel_matrices(draw, rows, cols):
+    """An exact rows x cols matrix: dense, or a product of thin factors
+    (rank deficient), with some rows and columns zeroed."""
+    rnd = draw(st.randoms(use_true_random=False))
+
+    def dense(m, n):
+        return QMatrix([[Quaternion(*(kernel_component(rnd) for _ in range(4))) for _ in range(n)]
+                        for _ in range(m)])
+
+    inner = draw(st.integers(1, 7))
+    if inner < min(rows, cols):
+        a = reference_matmul(dense(rows, inner), dense(inner, cols))
+    else:
+        a = dense(rows, cols)
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=2))
+    z = Quaternion.zero()
+    return QMatrix([[z if i in zero_rows or j in zero_cols else a[i, j] for j in range(cols)]
+                    for i in range(rows)])
+
+
+def _bits(x: QMatrix):
+    return [[tuple(c.hex() for c in q.components()) for q in row] for row in x.entries()]
+
+
+def _canonical(x: QMatrix):
+    """Every exact component is an int when integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for row in x.entries() for q in row for c in q.components())
+
+
+def _inverse_or_error(inverse, a):
+    try:
+        return inverse(a)
+    except (SingularError, NumericalBreakdownError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_kernel_matches_the_quaternion_references(data):
+    m, k, n = (data.draw(st.integers(1, 7)) for _ in range(3))
+    a, b = data.draw(kernel_matrices(m, k)), data.draw(kernel_matrices(k, n))
+    s = data.draw(kernel_matrices(n, n))
+
+    product = a @ b
+    assert product == reference_matmul(a, b) and _canonical(product)
+    for x in (a, product, s):
+        assert rank(x) == reference_rank(x)
+    assert index_of(s) == reference_index(s)
+    inverse = _inverse_or_error(inverse_square, s)
+    assert inverse == _inverse_or_error(reference_inverse_square, s)
+    assert isinstance(inverse, type) or _canonical(inverse)
+
+    fa, fb, fs = a.to_float(), b.to_float(), s.to_float()
+    assert _bits(fa @ fb) == _bits(reference_matmul(fa, fb))
+    for x in (fa, fa @ fb, fs):
+        assert rank(x) == reference_rank(x)
+    inverse = _inverse_or_error(inverse_square, fs)
+    expected = _inverse_or_error(reference_inverse_square, fs)
+    assert inverse == expected if isinstance(expected, type) else _bits(inverse) == _bits(expected)
+
