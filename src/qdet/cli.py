@@ -235,7 +235,7 @@ def _load(path, mode_override):
 
 
 def _resolve_guard(args):
-    """Apply --max-n / $QDET_MAX_N; returns the previous guard (or None)."""
+    """The guard --max-n / $QDET_MAX_N asks for, or None."""
     limit = args.max_n
     if limit is None:
         env = os.environ.get(GUARD_ENV_VAR)
@@ -244,9 +244,7 @@ def _resolve_guard(args):
                 limit = int(env)
             except ValueError:
                 raise _UsageError(f"${GUARD_ENV_VAR} must be an integer, got {env!r}") from None
-    if limit is None:
-        return None
-    return ncdet.set_enumeration_guard(limit)
+    return limit
 
 
 def _parse_anchor(text):
@@ -402,11 +400,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    previous_guard = None
     try:
         args = parser.parse_args(argv)
-        previous_guard = _resolve_guard(args)
-        return _COMMANDS[args.command](args)
+        with ncdet._scoped_guard(_resolve_guard(args)):
+            return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"qdet: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -433,9 +430,6 @@ def main(argv=None) -> int:
     except QdetError as exc:
         print(f"qdet: error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    finally:
-        if previous_guard is not None:
-            ncdet.set_enumeration_guard(previous_guard)
 
 
 if __name__ == "__main__":

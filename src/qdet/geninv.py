@@ -71,7 +71,7 @@ from .errors import (
     invariant_error,
 )
 from .matrix import Powers, QMatrix, index_of, inverse_square, max_abs_diff, rank
-from .ncdet import _bordered_cofactors
+from .ncdet import _bordered_cofactors, _scoped_guard
 
 # mat_pow, cdet and rdet stay bound here, uncalled: benchmarks/layers.py
 # rebinds them in every qdet module that holds them, and its self-test
@@ -138,20 +138,22 @@ def _hermitian_cramer(g: QMatrix, r: int, row: bool):
 # ---------------------------------------------------------------------------
 
 
-def mp_inverse(a: QMatrix, route: str = "cdet") -> QMatrix:
+def mp_inverse(a: QMatrix, route: str = "cdet", max_n: int | None = None) -> QMatrix:
     """Moore-Penrose inverse of a; satisfies the four Penrose equations.
 
     Routes: ``cdet`` (minors of A*A), ``rdet`` (minors of A A*), or
-    ``all`` to compute both and assert entrywise agreement.
+    ``all`` to compute both and assert entrywise agreement.  ``max_n``
+    sets the enumeration guard for this call only.
     """
-    if route == "all":
-        return assert_routes_agree(mp_all_routes(a), a.mode, "Moore-Penrose")
-    if route not in MP_ROUTES:
-        raise ValueError(f"unknown Moore-Penrose route {route!r}")
-    if a.is_zero():
-        return QMatrix.zeros(a.cols, a.rows, a.mode)
-    num, d = _mp_cramer(a, rank(a), row=route == "rdet")
-    return num / d
+    with _scoped_guard(max_n):
+        if route == "all":
+            return assert_routes_agree(mp_all_routes(a), a.mode, "Moore-Penrose")
+        if route not in MP_ROUTES:
+            raise ValueError(f"unknown Moore-Penrose route {route!r}")
+        if a.is_zero():
+            return QMatrix.zeros(a.cols, a.rows, a.mode)
+        num, d = _mp_cramer(a, rank(a), row=route == "rdet")
+        return num / d
 
 
 def mp_all_routes(a: QMatrix) -> dict:
@@ -202,22 +204,24 @@ def _drazin(s: _SquareAnalysis, route: str) -> QMatrix:
     return (y @ ak if route == "hermitian_cdet" else ak @ y) / d
 
 
-def drazin(a: QMatrix, route: str = "cdet") -> QMatrix:
+def drazin(a: QMatrix, route: str = "cdet", max_n: int | None = None) -> QMatrix:
     """Drazin inverse of a square matrix.
 
     When a is nonsingular (index 0) every route returns the ordinary
     inverse.  Hermitian routes refuse non-Hermitian input rather than
-    silently substituting a general route.
+    silently substituting a general route.  ``max_n`` sets the
+    enumeration guard for this call only.
     """
-    if route == "all":
-        return assert_routes_agree(drazin_all_routes(a), a.mode, "Drazin")
-    s = _SquareAnalysis(a)
-    if route not in DRAZIN_ROUTES:
-        raise ValueError(f"unknown Drazin route {route!r}")
-    error = _drazin_refusal(s, route)
-    if error is not None:
-        raise error
-    return _drazin(s, route)
+    with _scoped_guard(max_n):
+        if route == "all":
+            return assert_routes_agree(drazin_all_routes(a), a.mode, "Drazin")
+        s = _SquareAnalysis(a)
+        if route not in DRAZIN_ROUTES:
+            raise ValueError(f"unknown Drazin route {route!r}")
+        error = _drazin_refusal(s, route)
+        if error is not None:
+            raise error
+        return _drazin(s, route)
 
 
 def drazin_all_routes(a: QMatrix) -> dict:
@@ -286,7 +290,7 @@ def _wdrazin(p: _WeightedProblem, route: str) -> QMatrix:
     return (num_w @ num if u_side else num @ num_w) / (d_w * d)
 
 
-def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U") -> QMatrix:
+def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U", max_n: int | None = None) -> QMatrix:
     """Weighted Drazin inverse of a with respect to the weight w.
 
     The result X is the unique solution of
@@ -294,17 +298,19 @@ def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U") -> QMatrix:
         (AW)^(k+1) X W = (AW)^k,   X W A W X = X,   A W X = X W A,
 
     and also satisfies X W = (AW)^D and W X = (WA)^D.  With W = I it
-    reduces to the Drazin inverse.
+    reduces to the Drazin inverse.  ``max_n`` sets the enumeration guard
+    for this call only.
     """
-    if route == "all":
-        return assert_routes_agree(wdrazin_all_routes(a, w), a.mode, "weighted Drazin")
-    if route not in WDRAZIN_ROUTES:
-        raise ValueError(f"unknown weighted-Drazin route {route!r}")
-    p = _WeightedProblem(a, w)
-    error = _wdrazin_refusal(p, route)
-    if error is not None:
-        raise error
-    return _wdrazin(p, route)
+    with _scoped_guard(max_n):
+        if route == "all":
+            return assert_routes_agree(wdrazin_all_routes(a, w), a.mode, "weighted Drazin")
+        if route not in WDRAZIN_ROUTES:
+            raise ValueError(f"unknown weighted-Drazin route {route!r}")
+        p = _WeightedProblem(a, w)
+        error = _wdrazin_refusal(p, route)
+        if error is not None:
+            raise error
+        return _wdrazin(p, route)
 
 
 def wdrazin_all_routes(a: QMatrix, w: QMatrix) -> dict:

@@ -33,6 +33,17 @@ bit-exact agreement on random matrices is a test gate, as is the
 collapse to the classical determinant on commuting entries.
 `cycle_forms` lists the canonical cycle forms themselves.
 
+The subset tables hold component 4-tuples, not `Quaternion` objects: the
+Hamilton product is written out in `Quaternion.__mul__` order, and a
+`Quaternion` is made only for an output.  Exact entries are scaled once
+by the lcm den of their denominators, so every table entry is a tuple of
+`int`s.  Every term of an entry has a fixed number of factors (|Y| for a
+path over Y, |Y|+1 for a signed cycle sum over Y, |X| for the tail of X,
+r-1 for a cofactor of order r), so each output is divided once, by den to
+that power, with components canonical (`int` where integral).  Float
+mode keeps the summation order of `Quaternion` arithmetic, so its results
+are bit-identical to it.
+
 The same recursion serves the Hermitian offspring.  Its tail table holds,
 for every subset X, the determinant of the principal submatrix on X
 anchored at its first index, which on a Hermitian matrix is the principal
@@ -47,9 +58,12 @@ Every evaluator refuses matrices above a size guard (default n = 8)
 rather than silently running for hours: the reference evaluators and the
 bordered minor sums stay exponential in the order of their minors.  For
 the minor sums, cofactors and inverses the guard bounds that order (the
-rank r a route expands), not the size of the matrix.
+rank r a route expands), not the size of the matrix.  The inverse routes
+of `qdet.geninv` take a per-call `max_n`, set for the call by
+`_scoped_guard`.
 """
 
+import contextlib
 import contextvars
 import itertools
 from dataclasses import dataclass
@@ -63,7 +77,15 @@ from .errors import (
     ShapeError,
     SingularError,
 )
-from .matrix import QMatrix, max_abs_diff
+from .matrix import (
+    QMatrix,
+    _cleared,
+    _component_rows,
+    _hamilton,
+    _over,
+    _quaternion,
+    max_abs_diff,
+)
 from .scalar import EXACT, Quaternion
 
 DEFAULT_ENUMERATION_GUARD = 8
@@ -84,6 +106,22 @@ def set_enumeration_guard(n: int) -> int:
     old = _guard.get()
     _guard.set(n)
     return old
+
+
+@contextlib.contextmanager
+def _scoped_guard(max_n: int | None):
+    """The guard set to max_n inside the block and reset on leaving it,
+    however it is left; max_n None leaves the guard as it is."""
+    if max_n is None:
+        yield
+        return
+    if max_n < 1:
+        raise ValueError("guard must be at least 1")
+    token = _guard.set(max_n)
+    try:
+        yield
+    finally:
+        _guard.reset(token)
 
 
 def _refuse_above_guard(n: int, max_n, what="minor order", bounds="the minor order, not the matrix size"):
@@ -192,7 +230,58 @@ def _mask(indices) -> int:
     return mask
 
 
-def _open_paths(e, root, members, max_size, forward):
+@lru_cache(maxsize=256)
+def _subsets(members: tuple, max_size: int) -> tuple:
+    """(mask, subset) for every subset of `members` with 1..max_size
+    elements, by size and then in combination order."""
+    return tuple(
+        (_mask(subset), subset)
+        for size in range(1, max_size + 1)
+        for subset in itertools.combinations(members, size)
+    )
+
+
+def _scaled(a: QMatrix):
+    """(e, den, start): the entries of a as component tuples, exact ones
+    scaled to ints by the lcm den of their denominators (den is 1 in float
+    mode), and the start of a table sum.
+
+    A float sum starts from -0.0, the identity of IEEE addition (x + -0.0
+    is x, also for x = -0.0), so it equals the `Quaternion` sum seeded by
+    its first term, bit for bit; +0.0 would turn a sum of -0.0 terms
+    into +0.0.
+    """
+    rows = _component_rows(a.entries())
+    if a.mode == EXACT:
+        e, den = _cleared(rows)
+        return e, den, (0, 0, 0, 0)
+    return rows, 1, (-0.0, -0.0, -0.0, -0.0)
+
+
+def _extend(prev, factors, forward, start):
+    """`start` plus the sum, over the paths (o, p) of the dict `prev` in
+    order, of p * factors[o] (forward) or factors[o] * p: every path
+    extended by one step.  The Hamilton product is written out, in
+    `Quaternion.__mul__` order."""
+    s0, s1, s2, s3 = start
+    if forward:
+        for o, (a0, a1, a2, a3) in prev.items():
+            b0, b1, b2, b3 = factors[o]
+            s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+            s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+            s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+            s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+    else:
+        for o, (b0, b1, b2, b3) in prev.items():
+            a0, a1, a2, a3 = factors[o]
+            s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+            s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+            s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+            s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+    return (s0, s1, s2, s3)
+
+
+def _open_paths(e, root, members, max_size, forward, start):
     """Sums of the open chains through `root` over subsets of `members`.
 
     Maps the bitmask of each subset Y of `members` (0-based indices, at
@@ -205,24 +294,18 @@ def _open_paths(e, root, members, max_size, forward):
     Held-Karp style: each end extends the chains of Y - {end} by one step,
     so a subset costs |Y|**2 products instead of |Y|! chains.
     """
+    steps = list(zip(*e)) if forward else e  # the factors a step to `end` takes
     paths = {}
-    for size in range(1, max_size + 1):
-        for subset in itertools.combinations(members, size):
-            mask = _mask(subset)
-            ends = paths[mask] = {}
-            for end in subset:
-                if size == 1:
-                    ends[end] = e[root][end] if forward else e[end][root]
-                    continue
-                path = None
-                for other, prev in paths[mask ^ (1 << end)].items():
-                    step = prev * e[other][end] if forward else e[end][other] * prev
-                    path = step if path is None else path + step
-                ends[end] = path
+    for mask, subset in _subsets(members, max_size):
+        if len(subset) == 1:
+            (end,) = subset
+            paths[mask] = {end: e[root][end] if forward else e[end][root]}
+        else:
+            paths[mask] = {end: _extend(paths[mask ^ (1 << end)], steps[end], forward, start) for end in subset}
     return paths
 
 
-def _signed_cycle_sums(e, root, members, max_size):
+def _signed_cycle_sums(e, root, members, max_size, start):
     """Signed sums of the cycles through `root` over subsets of `members`.
 
     Returns a dict mapping the bitmask of each subset Y of `members`
@@ -235,49 +318,50 @@ def _signed_cycle_sums(e, root, members, max_size):
     and H of the empty set is e[root][root]: the forward open paths of
     `_open_paths`, each closed by its last factor.
     """
+    back = [row[root] for row in e]
     sums = {0: e[root][root]}
-    for mask, ends in _open_paths(e, root, members, max_size, True).items():
-        closed = None
-        for last, path in ends.items():
-            cycle = path * e[last][root]
-            closed = cycle if closed is None else closed + cycle
-        sums[mask] = -closed if mask.bit_count() % 2 else closed
+    for mask, ends in _open_paths(e, root, members, max_size, True, start).items():
+        h0, h1, h2, h3 = _extend(ends, back, True, start)
+        sums[mask] = (-h0, -h1, -h2, -h3) if mask.bit_count() % 2 else (h0, h1, h2, h3)
     return sums
 
 
 def _combine(cycle_sums, tails, rest, row):
     """Sum over the subsets Y of `rest` of S(Y) and the tail of rest - Y,
     multiplied in the determinant's order (S first for rows, last for
-    columns).  The first term, Y = rest, has the empty tail 1."""
-    total = cycle_sums[rest]
+    columns).  The first term, Y = rest, has the empty tail 1 and seeds
+    the sum."""
+    s0, s1, s2, s3 = cycle_sums[rest]
     y = rest
     while y:
         y = (y - 1) & rest
         s, t = cycle_sums[y], tails[rest ^ y]
-        total = total + (s * t if row else t * s)
-    return total
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = (s, t) if row else (t, s)
+        s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+        s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+        s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+        s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+    return (s0, s1, s2, s3)
 
 
-def _tails(e, mode, universe, max_size, row):
+def _tails(e, universe, max_size, row, start):
     """The tail table of the cycle-sum recursion, by bitmask: R(X)
-    (row=True) or C(X) for every subset X of `universe` with at most
-    `max_size` elements.
+    (row=True) or C(X) for every nonempty subset X of `universe` with at
+    most `max_size` elements.
 
     R(X) is the row determinant of the principal submatrix on X anchored
     at its first row, C(X) the column determinant anchored at its first
     column; on a Hermitian matrix both are the principal minor of X.
     """
     sums_at = {
-        m: _signed_cycle_sums(e, m, [x for x in universe if x > m], max_size - 1)
+        m: _signed_cycle_sums(e, m, tuple(x for x in universe if x > m), max_size - 1, start)
         for m in universe
     }
-    tails = {0: Quaternion.one(mode)}
+    tails = {}
     # By increasing size: every subset a tail needs is smaller, so ready.
-    for size in range(1, max_size + 1):
-        for subset in itertools.combinations(universe, size):
-            mask = _mask(subset)
-            low = subset[0]
-            tails[mask] = _combine(sums_at[low], tails, mask ^ (1 << low), row)
+    for mask, subset in _subsets(universe, max_size):
+        low = subset[0]
+        tails[mask] = _combine(sums_at[low], tails, mask ^ (1 << low), row)
     return tails
 
 
@@ -295,26 +379,49 @@ def _cycle_sum_det(a: QMatrix, anchor: int, row: bool) -> Quaternion:
     (`_signed_cycle_sums`), and rdet = sum over Y of S_anchor(Y) * R(rest).
     The column determinant multiplies the same factors in the mirrored
     order, C(X - {m} - Y) * S_m(Y).  By distributivity this is the n!-term
-    sum regrouped, at O(n**2 2**n + 3**n) products.
+    sum regrouped, at O(n**2 2**n + 3**n) products; each term has n
+    factors, so an exact result is divided by den**n.
     """
-    e = a.entries()
+    e, den, start = _scaled(a)
     root = anchor - 1
-    others = [x for x in range(a.rows) if x != root]
-    tails = _tails(e, a.mode, others, len(others), row)
-    cycle_sums = _signed_cycle_sums(e, root, others, len(others))
-    return _combine(cycle_sums, tails, _mask(others), row)
+    others = tuple(x for x in range(a.rows) if x != root)
+    tails = _tails(e, others, len(others), row, start)
+    cycle_sums = _signed_cycle_sums(e, root, others, len(others), start)
+    return _quaternion(_combine(cycle_sums, tails, _mask(others), row), den**a.rows, a.mode)
 
 
-def _minor_sum(tails, n, s, mode):
+def _minor_sum(tails, n, s, den, mode):
     """Sum of the s x s principal minors of a Hermitian n x n matrix, read
-    from its tail table (`_tails` over range(n), sizes up to s)."""
+    from its tail table (`_tails` over range(n), sizes up to s, of the
+    entries scaled by den)."""
     total = None
     for idx in itertools.combinations(range(n), s):
-        minor = tails[_mask(idx)]
-        if mode == EXACT and not minor.is_real():
+        m0, m1, m2, m3 = tails[_mask(idx)]
+        if mode == EXACT and (m1 or m2 or m3):
             raise InternalInvariantError("Hermitian determinant produced a non-real value")
-        total = minor.a0 if total is None else total + minor.a0
-    return total
+        total = m0 if total is None else total + m0
+    return _over(total, den**s) if mode == EXACT else total
+
+
+def _leftover_tails(tails, n, r, start):
+    """For each mask U of fewer than r indices of range(n), the sum of the
+    tails of the sets Z outside U with |U| + |Z| = r, in combination order.
+
+    In a cofactor pass a path anchored at i over Y leaves the sets Z that
+    fill beta = {i} + Y + Z up to r elements; their tail sum depends only
+    on U = {i} + Y, not on the anchor, so it is made once per U.
+    """
+    sums = {}
+    for used in tails:
+        k = r - used.bit_count()
+        if k:
+            s0, s1, s2, s3 = start
+            rest = [x for x in range(n) if not used >> x & 1]
+            for z in itertools.combinations(rest, k):
+                t0, t1, t2, t3 = tails[_mask(z)]
+                s0, s1, s2, s3 = s0 + t0, s1 + t1, s2 + t2, s3 + t3
+            sums[used] = (s0, s1, s2, s3)
+    return sums
 
 
 def _bordered_cofactors(g: QMatrix, r: int, row: bool, max_n: int | None = None):
@@ -341,41 +448,40 @@ def _bordered_cofactors(g: QMatrix, r: int, row: bool, max_n: int | None = None)
     family mirrors this: rdet_j starts with e[j][first], the path runs
     backwards from first to j and the tails multiply on its right.  One
     tail table over the subsets of at most r elements serves every anchor
-    and, at size r, the denominator.  The guard bounds the minor order r.
+    and, at size r, the denominator.  Every term of an entry of Y has r - 1
+    factors.  The guard bounds the minor order r.
     """
     _refuse_above_guard(r, max_n)
     n = g.rows
-    e = g.entries()
-    tails = _tails(e, g.mode, range(n), r, row)
-    cof = [[Quaternion.zero(g.mode)] * n for _ in range(n)]
+    e, den, start = _scaled(g)
+    tails = _tails(e, tuple(range(n)), r, row, start)
+    fills = _leftover_tails(tails, n, r, start)
+    # Each entry of Y is a sum started from Quaternion.zero (+0.0 in float
+    # mode), as the Quaternion recursion started it.
+    zero, one = Quaternion.zero(g.mode).components(), Quaternion.one(g.mode).components()
+    cof = [[zero] * n for _ in range(n)]
     for i in range(n):
-        others = [x for x in range(n) if x != i]
-        paths = _open_paths(e, i, others, r - 1, not row)
-        for size in range(r):
-            for subset in itertools.combinations(others, size):
-                # t sums the tails of the leftover sets; None stands for the
-                # empty tail 1, when the path fills the whole set.
-                t = None
-                if size < r - 1:
-                    rest = [x for x in others if x not in subset]
-                    for z in itertools.combinations(rest, r - 1 - size):
-                        tail = tails[_mask(z)]
-                        t = tail if t is None else t + tail
-                if size == 0:
-                    cof[i][i] = cof[i][i] + (Quaternion.one(g.mode) if t is None else t)
-                    continue
-                for end, path in paths[_mask(subset)].items():
-                    if t is not None:
-                        path = path * t if row else t * path
-                    if size % 2:
-                        path = -path
-                    if row:
-                        cof[end][i] = cof[end][i] + path
-                    else:
-                        cof[i][end] = cof[i][end] + path
+        # The term without a path: the tails that fill {i} up to r, or 1.
+        t0, t1, t2, t3 = fills.get(1 << i, one)
+        cof[i][i] = (zero[0] + t0, zero[1] + t1, zero[2] + t2, zero[3] + t3)
+        paths = _open_paths(e, i, tuple(x for x in range(n) if x != i), r - 1, not row, start)
+        for mask, ends in paths.items():
+            t = fills.get(mask | 1 << i)  # None when the path fills beta
+            odd = mask.bit_count() % 2
+            for end, path in ends.items():
+                if t is not None:
+                    path = _hamilton(path, t) if row else _hamilton(t, path)
+                a, b = (end, i) if row else (i, end)
+                (c0, c1, c2, c3), (p0, p1, p2, p3) = cof[a][b], path
+                if odd:  # c - p is c + (-p) in IEEE arithmetic too
+                    cof[a][b] = (c0 - p0, c1 - p1, c2 - p2, c3 - p3)
+                else:
+                    cof[a][b] = (c0 + p0, c1 + p1, c2 + p2, c3 + p3)
+    scale = den ** (r - 1)
+    y = QMatrix._trusted(tuple(tuple(_quaternion(t, scale, g.mode) for t in ys) for ys in cof), g.mode)
     if g.mode == EXACT and not g.is_hermitian():
-        return QMatrix(cof), None
-    return QMatrix(cof), _minor_sum(tails, n, r, g.mode)
+        return y, None
+    return y, _minor_sum(tails, n, r, den, g.mode)
 
 
 def rdet(i: int, a: QMatrix, max_n: int | None = None) -> Quaternion:
@@ -488,7 +594,8 @@ def principal_minor_sum(a: QMatrix, s: int, max_n: int | None = None):
     if not 1 <= s <= a.rows:
         raise ValueError(f"minor order {s} out of range 1..{a.rows}")
     _refuse_above_guard(s, max_n)
-    return _minor_sum(_tails(a.entries(), a.mode, range(a.rows), s, True), a.rows, s, a.mode)
+    e, den, start = _scaled(a)
+    return _minor_sum(_tails(e, tuple(range(a.rows)), s, True, start), a.rows, s, den, a.mode)
 
 
 def char_poly(a: QMatrix, max_n: int | None = None) -> tuple:
@@ -503,8 +610,9 @@ def char_poly(a: QMatrix, max_n: int | None = None) -> tuple:
         raise NotHermitianError("characteristic polynomial requires a Hermitian matrix")
     n = a.rows
     _refuse_above_guard(n, max_n)
-    tails = _tails(a.entries(), a.mode, range(n), n, True)
-    return tuple(_minor_sum(tails, n, s, a.mode) for s in range(1, n + 1))
+    e, den, start = _scaled(a)
+    tails = _tails(e, tuple(range(n)), n, True, start)
+    return tuple(_minor_sum(tails, n, s, den, a.mode) for s in range(1, n + 1))
 
 
 def eval_char_poly(coeffs, t):

@@ -9,7 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from qdet import QMatrix, Quaternion, cdet, rdet
-from qdet.errors import NumericalBreakdownError, ShapeError, SingularError
+from qdet.errors import InternalInvariantError, NumericalBreakdownError, ShapeError, SingularError
 from qdet.matrix import replace_col, replace_row, submatrix
 
 
@@ -141,6 +141,145 @@ def reference_index(a: QMatrix) -> int:
         power = reference_matmul(power, a)
         ranks.append(reference_rank(power))
     return k
+
+
+# The subset recursion of `qdet.ncdet` written in `Quaternion` operations,
+# as it ran before its tables moved to component tuples: `rdet`/`cdet`,
+# the minor sums and the bordered cofactors are checked against it value
+# for value (exact mode) and bit for bit (float mode).
+
+
+def _ref_mask(indices) -> int:
+    mask = 0
+    for x in indices:
+        mask |= 1 << x
+    return mask
+
+
+def _ref_open_paths(e, root, members, max_size, forward):
+    paths = {}
+    for size in range(1, max_size + 1):
+        for subset in itertools.combinations(members, size):
+            mask = _ref_mask(subset)
+            ends = paths[mask] = {}
+            for end in subset:
+                if size == 1:
+                    ends[end] = e[root][end] if forward else e[end][root]
+                    continue
+                path = None
+                for other, prev in paths[mask ^ (1 << end)].items():
+                    step = prev * e[other][end] if forward else e[end][other] * prev
+                    path = step if path is None else path + step
+                ends[end] = path
+    return paths
+
+
+def _ref_signed_cycle_sums(e, root, members, max_size):
+    sums = {0: e[root][root]}
+    for mask, ends in _ref_open_paths(e, root, members, max_size, True).items():
+        closed = None
+        for last, path in ends.items():
+            cycle = path * e[last][root]
+            closed = cycle if closed is None else closed + cycle
+        sums[mask] = -closed if mask.bit_count() % 2 else closed
+    return sums
+
+
+def _ref_combine(cycle_sums, tails, rest, row):
+    total = cycle_sums[rest]
+    y = rest
+    while y:
+        y = (y - 1) & rest
+        s, t = cycle_sums[y], tails[rest ^ y]
+        total = total + (s * t if row else t * s)
+    return total
+
+
+def _ref_tails(e, mode, universe, max_size, row):
+    sums_at = {
+        m: _ref_signed_cycle_sums(e, m, [x for x in universe if x > m], max_size - 1)
+        for m in universe
+    }
+    tails = {0: Quaternion.one(mode)}
+    for size in range(1, max_size + 1):
+        for subset in itertools.combinations(universe, size):
+            mask = _ref_mask(subset)
+            low = subset[0]
+            tails[mask] = _ref_combine(sums_at[low], tails, mask ^ (1 << low), row)
+    return tails
+
+
+def _ref_minor_sum(tails, n, s, mode):
+    total = None
+    for idx in itertools.combinations(range(n), s):
+        minor = tails[_ref_mask(idx)]
+        if mode == "exact" and not minor.is_real():
+            raise InternalInvariantError("Hermitian determinant produced a non-real value")
+        total = minor.a0 if total is None else total + minor.a0
+    return total
+
+
+def reference_det(a: QMatrix, anchor: int, row: bool) -> Quaternion:
+    """rdet (row=True) or cdet anchored at `anchor` (1-based)."""
+    e = a.entries()
+    root = anchor - 1
+    others = [x for x in range(a.rows) if x != root]
+    tails = _ref_tails(e, a.mode, others, len(others), row)
+    cycle_sums = _ref_signed_cycle_sums(e, root, others, len(others))
+    return _ref_combine(cycle_sums, tails, _ref_mask(others), row)
+
+
+def reference_minor_sums(h: QMatrix) -> tuple:
+    """The sums of the s x s principal minors of a Hermitian h, s = 1..n."""
+    n = h.rows
+    tails = _ref_tails(h.entries(), h.mode, range(n), n, True)
+    return tuple(_ref_minor_sum(tails, n, s, h.mode) for s in range(1, n + 1))
+
+
+def reference_bordered_cofactors(g: QMatrix, r: int, row: bool, max_n=None):
+    """`ncdet._bordered_cofactors`, without its guard."""
+    n = g.rows
+    e = g.entries()
+    tails = _ref_tails(e, g.mode, range(n), r, row)
+    cof = [[Quaternion.zero(g.mode)] * n for _ in range(n)]
+    for i in range(n):
+        others = [x for x in range(n) if x != i]
+        paths = _ref_open_paths(e, i, others, r - 1, not row)
+        for size in range(r):
+            for subset in itertools.combinations(others, size):
+                t = None
+                if size < r - 1:
+                    rest = [x for x in others if x not in subset]
+                    for z in itertools.combinations(rest, r - 1 - size):
+                        tail = tails[_ref_mask(z)]
+                        t = tail if t is None else t + tail
+                if size == 0:
+                    cof[i][i] = cof[i][i] + (Quaternion.one(g.mode) if t is None else t)
+                    continue
+                for end, path in paths[_ref_mask(subset)].items():
+                    if t is not None:
+                        path = path * t if row else t * path
+                    if size % 2:
+                        path = -path
+                    if row:
+                        cof[end][i] = cof[end][i] + path
+                    else:
+                        cof[i][end] = cof[i][end] + path
+    if g.mode == "exact" and not g.is_hermitian():
+        return QMatrix(cof), None
+    return QMatrix(cof), _ref_minor_sum(tails, n, r, g.mode)
+
+
+def float_bits(value):
+    """A float result with every component as `float.hex`, so that equal
+    bits, and only equal bits, compare equal (the sign of a zero too)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, Quaternion):
+        return tuple(c.hex() for c in value.components())
+    if isinstance(value, QMatrix):
+        return [[float_bits(q) for q in row] for row in value.entries()]
+    return [float_bits(v) for v in value]
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from qdet import (
     QMatrix,
     Quaternion,
     cli,
+    enumeration_guard,
     errors,
     geninv,
     parse_quaternion,
@@ -169,9 +170,13 @@ def test_det_bad_anchor_and_missing_file(tmp_path, capsys):
 
 def test_guard_exit_code(tmp_path, capsys):
     path = write(tmp_path, "h4.qmat", QMatrix.identity(4))
+    before = enumeration_guard()
     assert main(["det", "-i", path, "--anchor", "r:1", "--max-n", "3"]) == 2
     assert "guard" in capsys.readouterr().err
+    assert enumeration_guard() == before  # --max-n holds for the run only
     assert main(["det", "-i", path, "--anchor", "r:1", "--max-n", "4"]) == 0
+    assert main(["det", "-i", path, "--anchor", "r:1", "--max-n", "0"]) == 1
+    assert enumeration_guard() == before
 
 
 def test_default_guard_refuses_nine_by_nine(tmp_path, capsys):

@@ -41,7 +41,7 @@ from qdet.errors import (
 )
 from qdet import matrix
 from qdet.matrix import max_abs_diff, replace_col, replace_row
-from qdet.ncdet import set_enumeration_guard
+from qdet.ncdet import enumeration_guard, set_enumeration_guard
 
 
 # -- Moore-Penrose -----------------------------------------------------------
@@ -114,6 +114,33 @@ def test_mp_refuses_a_rank_above_the_guard():
         assert check_penrose(a, mp_inverse(a, "all")).ok
     finally:
         set_enumeration_guard(old)
+
+
+def test_inverse_routes_take_a_per_call_guard():
+    # Rank 3 and index 1: every route expands minors of order 3.
+    a = random_rank_deficient(random.Random(4), 4, 4, 3)
+    assert (rank(a), index_of(a)) == (3, 1)
+    w = a.H  # rank 3 too, so the mp_route routes (full-rank W) sit out
+    calls = {
+        "mp_inverse": (lambda max_n: mp_inverse(a, "all", max_n=max_n), check_penrose),
+        "drazin": (lambda max_n: drazin(a, "all", max_n=max_n), check_drazin),
+        "wdrazin": (lambda max_n: wdrazin(a, w, "all", max_n=max_n), lambda a, x: check_wdrazin(a, w, x)),
+    }
+    before = enumeration_guard()
+    for name, (call, check) in calls.items():
+        with pytest.raises(EnumerationGuardError):
+            call(2)
+        assert enumeration_guard() == before, name  # a refusal does not leak the override
+        assert check(a, call(3)).ok, name
+        assert enumeration_guard() == before, name
+    old = set_enumeration_guard(2)  # the override also raises a lower context guard
+    try:
+        assert mp_inverse(a, max_n=3) == mp_inverse(a, max_n=8)
+        assert enumeration_guard() == 2
+    finally:
+        set_enumeration_guard(old)
+    with pytest.raises(ValueError):
+        mp_inverse(a, max_n=0)
 
 
 def test_mp_of_large_low_rank_input_stays_within_the_guard():

@@ -5,11 +5,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden
-from conftest import bordered_sum, random_hermitian, random_qmatrix, random_quaternion
+from conftest import (
+    bordered_sum,
+    float_bits,
+    random_hermitian,
+    random_qmatrix,
+    random_quaternion,
+    reference_bordered_cofactors,
+    reference_det,
+    reference_minor_sums,
+)
 from qdet import (
     QMatrix,
     Quaternion,
@@ -24,8 +33,10 @@ from qdet import (
     rdet,
     rdet_reference,
 )
+from qdet import ncdet
 from qdet.errors import (
     EnumerationGuardError,
+    InternalInvariantError,
     NotHermitianError,
     NumericalBreakdownError,
     ShapeError,
@@ -522,3 +533,117 @@ def test_float_mode_determinants(rng):
     approx = rdet(1, a.to_float())
     assert approx.mode == "float"
     assert max(abs(float(x) - y) for x, y in zip(exact.components(), approx.components())) < 1e-9
+
+
+# -- the component-tuple kernel against the Quaternion-object recursion ------
+
+# Denominators 2, 3 and 7 make den = 42 on most exact draws, so an output
+# of s factors is divided by 42**s, at every s.  A third of the entries
+# are zero, in float mode with either sign per component, so that whole
+# sums of signed zeros occur and the sign of a zero sum is exercised.
+KERNEL_COMPONENTS = {
+    "exact": st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 3), Fraction(5, 7), Fraction(-3, 2)]),
+    "float": st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.1, 1 / 3, -2.75, 1e-3]),
+}
+KERNEL_ZEROS = {"exact": st.just(0), "float": st.sampled_from([0.0, -0.0])}
+
+
+@st.composite
+def kernel_matrices(draw, mode):
+    """A square matrix of `mode`: general, B + B*, or the Gram matrix B B*."""
+    n = draw(st.integers(1, 5))
+
+    def entry():
+        components = KERNEL_ZEROS[mode] if draw(st.integers(0, 2)) == 0 else KERNEL_COMPONENTS[mode]
+        return Quaternion(*(draw(components) for _ in range(4)), mode=mode)
+
+    b = QMatrix([[entry() for _ in range(n)] for _ in range(n)])
+    kind = draw(st.sampled_from(["general", "sum", "gram"]))
+    return b if kind == "general" else b + b.H if kind == "sum" else b @ b.H
+
+
+def assert_same(got, want, mode, canonical=True):
+    """Equal bits (float), or equal values (exact) whose components are
+    `int` where integral when `canonical`."""
+    if mode == "float":
+        assert float_bits(got) == float_bits(want)
+        return
+    assert got == want
+    if not canonical:
+        return
+    if isinstance(got, QMatrix):
+        values = [c for row in got.entries() for q in row for c in q.components()]
+    elif isinstance(got, Quaternion):
+        values = list(got.components())
+    else:
+        values = list(got) if isinstance(got, tuple) else [got]
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in values)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (SingularError, NumericalBreakdownError, InternalInvariantError) as exc:
+        return type(exc)
+
+
+def assert_kernel_matches_reference(g):
+    mode, n = g.mode, g.rows
+    for anchor in range(1, n + 1):
+        assert_same(rdet(anchor, g), reference_det(g, anchor, True), mode)
+        assert_same(cdet(anchor, g), reference_det(g, anchor, False), mode)
+    for r in range(1, n + 1):
+        for row in (False, True):
+            (y, d), (y_ref, d_ref) = _bordered_cofactors(g, r, row), reference_bordered_cofactors(g, r, row)
+            assert_same(y, y_ref, mode)
+            if d_ref is None:
+                assert d is None
+            else:
+                assert_same(d, d_ref, mode)
+    if not g.is_hermitian():
+        return
+    sums = reference_minor_sums(g)
+    assert_same(tuple(principal_minor_sum(g, s) for s in range(1, n + 1)), sums, mode)
+    assert_same(char_poly(g), sums, mode)
+    got = outcome(hermitian_inverse, g)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ncdet, "_bordered_cofactors", reference_bordered_cofactors)
+        want = outcome(hermitian_inverse, g)
+    if isinstance(want, type):
+        assert got is want
+    else:  # divided by ddet in Quaternion arithmetic, so not always canonical
+        assert_same(got, want, mode, canonical=False)
+
+
+# Fixed cases: den = 42 with minors of every order 1..4 (B and its
+# Hermitian part, exact and float), and a float rdet_1 = -(e01 e10) +
+# e00 e11 whose two products are -0.0: the recursion seeds the cycle sum
+# with its one term, so the result is +0.0, where a sum started from +0.0
+# would give -0.0.
+FRACTION_CASE = QMatrix.from_literals(
+    [["1/2", "i", "5/7k", "1"], ["1/3j", "2", "-1/2", "k"], ["0", "5/7", "1/3i", "-1"], ["3/2", "-j", "1", "1/7"]]
+)
+SIGNED_ZERO_CASE = QMatrix(
+    [[Quaternion(x, mode="float") for x in row] for row in ((-0.0, -0.0), (1.0, 1.0))]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["exact", "float"]).flatmap(kernel_matrices))
+@example(FRACTION_CASE)
+@example(FRACTION_CASE + FRACTION_CASE.H)
+@example((FRACTION_CASE + FRACTION_CASE.H).to_float())
+@example(SIGNED_ZERO_CASE)
+def test_tuple_kernel_matches_the_quaternion_recursion(g):
+    assert_kernel_matches_reference(g)
+
+
+def test_subset_tables_make_no_quaternion_products(monkeypatch, rng):
+    g, h = random_qmatrix(rng, 5, 5), random_hermitian(rng, 5)
+    products = []
+    mul = Quaternion.__mul__
+    monkeypatch.setattr(Quaternion, "__mul__", lambda x, y: products.append(1) or mul(x, y))
+    rdet(2, g), cdet(4, g), char_poly(h), principal_minor_sum(h, 3)
+    for row in (False, True):
+        _bordered_cofactors(h, 4, row)
+    assert products == []
