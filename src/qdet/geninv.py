@@ -25,7 +25,7 @@ routes, each divided once, last, so exact intermediates stay integral:
 
     mp_inverse  cdet, rdet                      N / d,  x = A
     drazin      cdet, rdet                      A^k N A^k / d,  x = A^(2k+1)
-                mp_composition                  A^k mp_inverse(A^(2k+1)) A^k
+                mp_composition                  A^k (N / d) A^k,  cdet's N and d
                 hermitian_cdet, hermitian_rdet  Y A^k / d, A^k Y / d,  g = A^(k+1)
     wdrazin     via_drazin_U, via_drazin_V      A (U^D)^2, (V^D)^2 A,  Drazin cdet
                 mp_route_U, mp_route_V          N_W (U^k N U^k) / (d_W d), mirror
@@ -50,10 +50,15 @@ Hermitian routes refuse non-Hermitian products.
 
 Each call analyses its problem once: a `_SquareAnalysis` is the
 `matrix.Powers` table of a square matrix, filled by `index_of`, plus its
-index; a `_WeightedProblem` holds A, W, the analyses of U and V, k, rank(W).
-Every route of the call reads them.  One refusal function per family
-states the route preconditions and returns the typed error or None: a
-single-route call raises it, ``route="all"`` skips the route.
+index and the `_mp_cramer` pass of each odd power A^(2e+1) at rank(A^e),
+made on first use; a `_WeightedProblem` holds A, W, the analyses of U and
+V, k, rank(W).  Every route of the call reads them, so no kernel pass
+runs twice in a call: ``mp_composition`` reads the pass of ``cdet``, and
+``mp_route_U`` that of ``via_drazin_U`` when Ind U = k.  Rank 0 needs no
+branch: the kernels' order-0 case (Y = 0, d = 1) gives the zero inverse.
+One refusal function per family states the route preconditions and
+returns the typed error or None: a single-route call raises it,
+``route="all"`` skips the route.
 
 In exact mode agreement and all defining equations hold as equalities;
 float mode exists for the numeric oracles and the limit-based estimate.
@@ -150,14 +155,17 @@ def mp_inverse(a: QMatrix, route: str = "cdet", max_n: int | None = None) -> QMa
             return assert_routes_agree(mp_all_routes(a), a.mode, "Moore-Penrose")
         if route not in MP_ROUTES:
             raise ValueError(f"unknown Moore-Penrose route {route!r}")
-        if a.is_zero():
-            return QMatrix.zeros(a.cols, a.rows, a.mode)
-        num, d = _mp_cramer(a, rank(a), row=route == "rdet")
-        return num / d
+        return _mp(a, rank(a), route)
+
+
+def _mp(a: QMatrix, r: int, route: str) -> QMatrix:
+    num, d = _mp_cramer(a, r, row=route == "rdet")
+    return num / d
 
 
 def mp_all_routes(a: QMatrix) -> dict:
-    return {name: mp_inverse(a, name) for name in MP_ROUTES}
+    r = rank(a)
+    return {name: _mp(a, r, name) for name in MP_ROUTES}
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +174,22 @@ def mp_all_routes(a: QMatrix) -> dict:
 
 
 class _SquareAnalysis(Powers):
-    """The power table of a square matrix plus its index k, computed once."""
+    """The power table of a square matrix plus its index k, computed once,
+    and the Moore-Penrose kernels of its odd powers, each made on first use."""
 
     def __init__(self, a: QMatrix):
         if not a.is_square():
             raise ShapeError("Drazin inverse requires a square matrix")
         super().__init__(a)
         self.k = index_of(self)
+        self._mp = {}
+
+    def mp_cramer(self, e: int, row: bool):
+        """(N, d) with N / d = (A^(2e+1))^+, at rank(A^e): for e >= Ind A the
+        two ranks agree and A^e N A^e / d = A^D."""
+        if (e, row) not in self._mp:
+            self._mp[e, row] = _mp_cramer(self[2 * e + 1], self.rank(e), row)
+        return self._mp[e, row]
 
 
 def _drazin_refusal(s: _SquareAnalysis, route: str):
@@ -182,26 +199,16 @@ def _drazin_refusal(s: _SquareAnalysis, route: str):
     return None
 
 
-def _drazin_cramer(s: _SquareAnalysis, k: int, row: bool):
-    """(A^k N A^k, d) with N / d = (A^(2k+1))^+: d times A^D for k >= Ind A."""
-    ak = s[k]
-    num, d = _mp_cramer(s[2 * k + 1], s.rank(k), row)
-    return ak @ num @ ak, d
-
-
 def _drazin(s: _SquareAnalysis, route: str) -> QMatrix:
-    n, k = s.a.rows, s.k
-    r = s.rank(k)
-    if r == 0:
-        return QMatrix.zeros(n, n, s.a.mode)
+    k = s.k
     ak = s[k]
+    if route.startswith("hermitian"):
+        y, d = _hermitian_cramer(s[k + 1], s.rank(k), row=route == "hermitian_rdet")
+        return (y @ ak if route == "hermitian_cdet" else ak @ y) / d
+    num, d = s.mp_cramer(k, row=route == "rdet")
     if route == "mp_composition":
-        return ak @ mp_inverse(s[2 * k + 1], "cdet") @ ak
-    if route in ("cdet", "rdet"):
-        num, d = _drazin_cramer(s, k, row=route == "rdet")
-        return num / d
-    y, d = _hermitian_cramer(s[k + 1], r, row=route == "hermitian_rdet")
-    return (y @ ak if route == "hermitian_cdet" else ak @ y) / d
+        return ak @ (num / d) @ ak
+    return ak @ num @ ak / d
 
 
 def drazin(a: QMatrix, route: str = "cdet", max_n: int | None = None) -> QMatrix:
@@ -277,16 +284,14 @@ def _wdrazin(p: _WeightedProblem, route: str) -> QMatrix:
     # The remaining routes expand powers of U (the *_U routes) or V at k.
     k, u_side = p.k, route.endswith("_U")
     side = p.u if u_side else p.v
-    r = side.rank(k)
-    if r == 0:
-        return QMatrix.zeros(a.rows, a.cols, a.mode)
+    sk = side[k]
     if route.startswith("hermitian"):
-        y, d = _hermitian_cramer(side[k + 2], r, row=u_side)
-        sk = side[k]
+        y, d = _hermitian_cramer(side[k + 2], side.rank(k), row=u_side)
         return ((a @ sk) @ y if u_side else y @ (sk @ a)) / d
     # W^+ U^D (column family) or V^D W^+ (row family).
     num_w, d_w = _mp_cramer(w, p.rank_w, row=not u_side)
-    num, d = _drazin_cramer(side, k, row=not u_side)
+    num, d = side.mp_cramer(k, row=not u_side)
+    num = sk @ num @ sk
     return (num_w @ num if u_side else num @ num_w) / (d_w * d)
 
 

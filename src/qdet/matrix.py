@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import ModeError, NumericalBreakdownError, ShapeError, SingularError, invariant_error
-from .scalar import EXACT, FLOAT, Quaternion, _of, parse_quaternion
+from .scalar import EXACT, FLOAT, Quaternion, _coerce_real_operand, _of, parse_quaternion
 
 if TYPE_CHECKING:
     import numpy as np
@@ -179,12 +179,34 @@ class QMatrix:
 
     def __mul__(self, scalar):
         # Real scalar only; reals are central so the side does not matter.
-        return QMatrix([[q * scalar for q in row] for row in self._entries])
+        return self._scaled(scalar, divide=False)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return QMatrix([[q / scalar for q in row] for row in self._entries])
+        return self._scaled(scalar, divide=True)
+
+    def _scaled(self, scalar, divide):
+        """self * scalar, or self / scalar when divide.  Exact entries are
+        scaled to ints by one lcm and each is divided once, so components
+        are `int` where integral; float mode multiplies by the scalar or
+        by its reciprocal, as `Quaternion` does."""
+        r = _coerce_real_operand(scalar, self.mode)
+        if r is None:
+            return NotImplemented
+        if divide and r == 0:
+            raise ZeroDivisionError("division of quaternion by zero scalar")
+        if self.mode == FLOAT:
+            r = 1.0 / r if divide else r
+            return QMatrix._trusted(tuple(tuple(q * r for q in row) for row in self._entries), FLOAT)
+        num, den = (r.denominator, r.numerator) if divide else (r.numerator, r.denominator)
+        if den < 0:
+            num, den = -num, -den
+        rows, lcm = _cleared(_component_rows(self._entries))
+        return QMatrix._trusted(
+            tuple(tuple(_quaternion(tuple(c * num for c in t), den * lcm, EXACT) for t in row) for row in rows),
+            EXACT,
+        )
 
     def __eq__(self, other):
         if not isinstance(other, QMatrix):
@@ -541,10 +563,6 @@ def submatrix(a: QMatrix, row_idx, col_idx) -> QMatrix:
     row_idx = tuple(row_idx)
     col_idx = tuple(col_idx)
     return QMatrix([[a[i, j] for j in col_idx] for i in row_idx])
-
-
-def principal_submatrix(a: QMatrix, idx) -> QMatrix:
-    return submatrix(a, idx, idx)
 
 
 def delete_row_col(a: QMatrix, i: int, j: int) -> QMatrix:

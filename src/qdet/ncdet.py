@@ -449,10 +449,14 @@ def _bordered_cofactors(g: QMatrix, r: int, row: bool, max_n: int | None = None)
     backwards from first to j and the tails multiply on its right.  One
     tail table over the subsets of at most r elements serves every anchor
     and, at size r, the denominator.  Every term of an entry of Y has r - 1
-    factors.  The guard bounds the minor order r.
+    factors.  At r = 0 no set holds an anchor and the one empty minor is
+    1, so Y = 0 and d = 1: a Cramer formula at rank 0 gives the zero
+    inverse.  The guard bounds the minor order r.
     """
     _refuse_above_guard(r, max_n)
     n = g.rows
+    if r == 0:  # no order-0 set holds an anchor; the one empty minor is 1
+        return QMatrix.zeros(n, n, g.mode), 1
     e, den, start = _scaled(g)
     tails = _tails(e, tuple(range(n)), r, row, start)
     fills = _leftover_tails(tails, n, r, start)

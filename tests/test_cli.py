@@ -395,6 +395,14 @@ def test_near_singular_float_input_ends_with_an_exit_code(tmp_path, capsys, rng)
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_mp_of_a_rank_zero_float_input(tmp_path, capsys):
+    path = tmp_path / "tiny.qmat"
+    path.write_text("1 1\n1e-200\n")
+    assert main(["mp", "-i", str(path), "--route", "all", "--check"]) == 0
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err and "result: PASS" in out.out
+
+
 def test_internal_invariant_exits_as_verification_failure(tmp_path, capsys, monkeypatch):
     def broken(a, route="cdet"):
         raise InternalInvariantError("A*A minor denominator is not positive: 0")

@@ -369,6 +369,34 @@ def test_weighted_routes_read_each_power_from_one_table(monkeypatch):
     assert (len(products), len(ranks)) == (29, 6)
 
 
+def test_each_kernel_pass_runs_once_per_call(monkeypatch):
+    passes, ranks = [], []
+    bordered, rank_of = geninv._bordered_cofactors, geninv.rank
+    monkeypatch.setattr(geninv, "_bordered_cofactors", lambda g, r, row: passes.append(1) or bordered(g, r, row))
+    monkeypatch.setattr(geninv, "rank", lambda a: ranks.append(1) or rank_of(a))
+    counts = []
+    for call in (
+        lambda: drazin_all_routes(golden.U),  # mp_composition reads the cdet pass
+        lambda: wdrazin_all_routes(A_TALL.H, W_WIDE.H),  # mp_route_U shares via_drazin_U's
+        lambda: mp_all_routes(A_TALL),  # one rank for both routes
+    ):
+        passes.clear()
+        ranks.clear()
+        call()
+        counts.append((len(passes), len(ranks)))
+    assert counts == [(2, 0), (3, 1), (2, 1)]
+
+
+def test_rank_zero_input_has_the_zero_inverse_in_every_family():
+    # A nonzero float input of float rank 0 meets the kernels' order-0 case.
+    tiny = QMatrix([[Quaternion(1e-200, mode="float")]])
+    zero = QMatrix.zeros(1, 1, "float")
+    for route in ("cdet", "rdet", "all"):
+        assert mp_inverse(tiny, route) == zero
+        assert drazin(tiny, route) == zero
+    assert wdrazin(tiny, tiny, "all") == zero
+
+
 @pytest.mark.parametrize(
     "mode, error", [("exact", InternalInvariantError), ("float", NumericalBreakdownError)]
 )

@@ -279,6 +279,33 @@ def _inverse_or_error(inverse, a):
         return type(exc)
 
 
+def test_real_scalar_products_run_on_the_kernel():
+    a = QMatrix.from_literals([["1/2", "3i"], ["2j-1/3k", "0"]])
+    entrywise = lambda x, f: QMatrix([[f(q) for q in row] for row in x.entries()])  # noqa: E731
+    for r in (2, -3, Fraction(3, 2), Fraction(-1, 6), 0):
+        assert a * r == r * a == entrywise(a, lambda q: q * r) and _canonical(a * r)
+        if r:
+            assert a / r == entrywise(a, lambda q: q / r) and _canonical(a / r)
+    assert _canonical(hermitian_inverse(QMatrix.diagonal([Quaternion(4), Quaternion(1), Quaternion(1)])))
+    f = a.to_float()
+    for r in (3, 0.1, -7.5):
+        assert _bits(f * r) == _bits(entrywise(f, lambda q: q * r))
+        assert _bits(f / r) == _bits(entrywise(f, lambda q: q / r))
+    for x, zero in ((a, 0), (f, 0.0), (f, -0.0)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+    for x, other in ((a, 0.5), (f, Fraction(1, 2))):
+        with pytest.raises(ModeError):
+            x * other
+        with pytest.raises(ModeError):
+            x / other
+    for bad in (True, "2", Quaternion(0, 1)):
+        with pytest.raises(TypeError):
+            a * bad
+        with pytest.raises(TypeError):
+            a / bad
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_kernel_matches_the_quaternion_references(data):

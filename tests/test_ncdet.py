@@ -332,6 +332,14 @@ def test_bordered_cofactors_respect_the_guard():
     assert d == 6
 
 
+def test_bordered_cofactors_of_order_zero():
+    # No order-0 set holds an anchor, and the one empty minor is 1.
+    for g in (golden.U, QMatrix.from_literals([["2", "i"], ["-i", "2"]]).to_float()):
+        for row in (False, True):
+            cof, d = _bordered_cofactors(g, 0, row)
+            assert cof == QMatrix.zeros(g.rows, g.rows, g.mode) and d == 1
+
+
 bordered_cases = st.integers(1, 5).flatmap(
     lambda n: st.tuples(
         st.lists(
