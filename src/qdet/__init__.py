@@ -30,18 +30,15 @@ from .matrix import (
     unembed_complex,
 )
 from .ncdet import (
-    CycleForm,
     cdet,
     cdet_reference,
     char_poly,
-    cycle_forms,
     ddet,
     enumeration_guard,
     hermitian_inverse,
     principal_minor_sum,
     rdet,
     rdet_reference,
-    set_enumeration_guard,
 )
 from .scalar import (
     EXACT,
@@ -65,7 +62,6 @@ __all__ = [
     "FLOAT",
     "Quaternion",
     "QMatrix",
-    "CycleForm",
     "VerifyReport",
     "MP_ROUTES",
     "DRAZIN_ROUTES",
@@ -87,9 +83,7 @@ __all__ = [
     "principal_minor_sum",
     "char_poly",
     "hermitian_inverse",
-    "cycle_forms",
     "enumeration_guard",
-    "set_enumeration_guard",
     "mp_inverse",
     "mp_all_routes",
     "drazin",

@@ -222,9 +222,9 @@ def drazin(a: QMatrix, route: str = "cdet", max_n: int | None = None) -> QMatrix
     with _scoped_guard(max_n):
         if route == "all":
             return assert_routes_agree(drazin_all_routes(a), a.mode, "Drazin")
-        s = _SquareAnalysis(a)
         if route not in DRAZIN_ROUTES:
             raise ValueError(f"unknown Drazin route {route!r}")
+        s = _SquareAnalysis(a)
         error = _drazin_refusal(s, route)
         if error is not None:
             raise error

@@ -231,29 +231,26 @@ class QMatrix:
             [[self._entries[i][j].conj() for i in range(self.rows)] for j in range(self.cols)]
         )
 
-    def is_hermitian(self, tol=None):
+    def is_hermitian(self):
         """Whether A equals its conjugate transpose.
 
         Exact mode compares structurally.  Float mode allows a small
-        absolute tolerance (default 1e-12 scaled by the largest entry)
+        absolute tolerance (1e-12 scaled by the largest entry)
         to absorb non-associative rounding in products like A @ A.H.
         """
         if not self.is_square():
             return False
         if self.mode == EXACT:
-            if tol not in (None, 0):
-                raise ValueError("tolerance is meaningless in exact mode")
             for i in range(self.rows):
                 for j in range(i, self.cols):
                     if self._entries[i][j] != self._entries[j][i].conj():
                         return False
             return True
-        if tol is None:
-            scale = max(
-                (abs(c) for row in self._entries for q in row for c in q.components()),
-                default=0.0,
-            )
-            tol = 1e-12 * (1.0 + scale)
+        scale = max(
+            (abs(c) for row in self._entries for q in row for c in q.components()),
+            default=0.0,
+        )
+        tol = 1e-12 * (1.0 + scale)
         for i in range(self.rows):
             for j in range(i, self.cols):
                 d = self._entries[i][j] - self._entries[j][i].conj()

@@ -31,7 +31,6 @@ n!-sized table.  The reference one walks `itertools.permutations` and
 decomposes each permutation into its cycles, term by term.  Their
 bit-exact agreement on random matrices is a test gate, as is the
 collapse to the classical determinant on commuting entries.
-`cycle_forms` lists the canonical cycle forms themselves.
 
 The subset tables hold component 4-tuples, not `Quaternion` objects: the
 Hamilton product is written out in `Quaternion.__mul__` order, and a
@@ -58,15 +57,14 @@ Every evaluator refuses matrices above a size guard (default n = 8)
 rather than silently running for hours: the reference evaluators and the
 bordered minor sums stay exponential in the order of their minors.  For
 the minor sums, cofactors and inverses the guard bounds that order (the
-rank r a route expands), not the size of the matrix.  The inverse routes
-of `qdet.geninv` take a per-call `max_n`, set for the call by
-`_scoped_guard`.
+rank r a route expands), not the size of the matrix.  It is overridden
+for one call only, by the `max_n` of every evaluator and inverse (held
+by `_scoped_guard`); an override below 1 is a `ValueError`.
 """
 
 import contextlib
 import contextvars
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -96,16 +94,15 @@ _guard = contextvars.ContextVar("enumeration_guard", default=DEFAULT_ENUMERATION
 
 
 def enumeration_guard() -> int:
+    """The size guard in force in the current context (read-only)."""
     return _guard.get()
 
 
-def set_enumeration_guard(n: int) -> int:
-    """Set the size guard in the current context; returns the previous value."""
-    if n < 1:
-        raise ValueError("guard must be at least 1")
-    old = _guard.get()
-    _guard.set(n)
-    return old
+def _override(max_n: int) -> int:
+    """max_n, checked as a guard override."""
+    if max_n < 1:
+        raise ValueError(f"guard override max_n must be at least 1, got {max_n}")
+    return max_n
 
 
 @contextlib.contextmanager
@@ -115,9 +112,7 @@ def _scoped_guard(max_n: int | None):
     if max_n is None:
         yield
         return
-    if max_n < 1:
-        raise ValueError("guard must be at least 1")
-    token = _guard.set(max_n)
+    token = _guard.set(_override(max_n))
     try:
         yield
     finally:
@@ -125,7 +120,7 @@ def _scoped_guard(max_n: int | None):
 
 
 def _refuse_above_guard(n: int, max_n, what="minor order", bounds="the minor order, not the matrix size"):
-    limit = _guard.get() if max_n is None else max_n
+    limit = _guard.get() if max_n is None else _override(max_n)
     if n > limit:
         raise EnumerationGuardError(
             f"{what} {n} exceeds the enumeration guard {limit}, which bounds {bounds}; "
@@ -141,86 +136,6 @@ def _check(a: QMatrix, anchor: int, max_n, bounds="the determinant size (2^n ind
     if not 1 <= anchor <= n:
         raise ValueError(f"anchor {anchor} out of range 1..{n}")
     return n
-
-
-@dataclass(frozen=True)
-class CycleForm:
-    """Canonical disjoint-cycle decomposition of one permutation of {1..n}.
-
-    `cycles[0]` is the cycle containing `anchor`, written starting at the
-    anchor; the remaining cycles are sorted by ascending minimal element
-    and each written starting at its minimal element.  Indices are
-    1-based.  The column-determinant layout (anchor cycle last, anchor in
-    final position, remaining cycles by descending minimal element) is a
-    derived view, see `cdet_notation`.
-    """
-
-    anchor: int
-    cycles: tuple
-
-    @property
-    def r(self) -> int:
-        return len(self.cycles)
-
-    @property
-    def sign(self) -> int:
-        n = sum(len(c) for c in self.cycles)
-        return -1 if (n - self.r) % 2 else 1
-
-    def cdet_notation(self) -> tuple:
-        """Cycles as written for the column determinant: reversed cycle
-        list, each cycle rotated so its starting element comes last."""
-        return tuple(c[1:] + c[:1] for c in reversed(self.cycles))
-
-    def validate(self) -> None:
-        n = sum(len(c) for c in self.cycles)
-        seen = sorted(x for c in self.cycles for x in c)
-        if seen != list(range(1, n + 1)):
-            raise ValueError("cycles do not partition 1..n")
-        if self.cycles[0][0] != self.anchor:
-            raise ValueError("first cycle must start at the anchor")
-        mins = [min(c) for c in self.cycles[1:]]
-        if mins != sorted(mins):
-            raise ValueError("non-anchor cycles must be sorted by minimal element")
-        for c in self.cycles[1:]:
-            if c[0] != min(c):
-                raise ValueError("non-anchor cycles must start at their minimal element")
-
-
-def _arrangements(pool, size):
-    for comb in itertools.combinations(pool, size):
-        yield from itertools.permutations(comb)
-
-
-def _min_rooted_partitions(elements):
-    """All decompositions of `elements` (sorted tuple) into cycles rooted at
-    their minimal element, emitted in increasing order of those minima."""
-    if not elements:
-        yield ()
-        return
-    head, rest = elements[0], elements[1:]
-    for size in range(len(rest) + 1):
-        for tail in _arrangements(rest, size):
-            cycle = (head, *tail)
-            remaining = tuple(x for x in rest if x not in tail)
-            for more in _min_rooted_partitions(remaining):
-                yield (cycle, *more)
-
-
-@lru_cache(maxsize=128)
-def cycle_forms(n: int, anchor: int) -> tuple:
-    """All n! cycle forms of S_n anchored at `anchor` (1-based)."""
-    if not 1 <= anchor <= n:
-        raise ValueError(f"anchor {anchor} out of range 1..{n}")
-    others = tuple(x for x in range(1, n + 1) if x != anchor)
-    forms = []
-    for size in range(len(others) + 1):
-        for arr in _arrangements(others, size):
-            first = (anchor, *arr)
-            remaining = tuple(x for x in others if x not in arr)
-            for tail in _min_rooted_partitions(remaining):
-                forms.append(CycleForm(anchor, (first, *tail)))
-    return tuple(forms)
 
 
 def _mask(indices) -> int:

@@ -41,7 +41,7 @@ from qdet.errors import (
 )
 from qdet import matrix
 from qdet.matrix import max_abs_diff, replace_col, replace_row
-from qdet.ncdet import enumeration_guard, set_enumeration_guard
+from qdet.ncdet import _scoped_guard, enumeration_guard
 
 
 # -- Moore-Penrose -----------------------------------------------------------
@@ -105,15 +105,10 @@ def test_mp_refuses_a_rank_above_the_guard():
         mp_inverse(QMatrix.identity(9))
     a = random_rank_deficient(random.Random(7), 5, 4, 3)
     assert rank(a) == 3
-    old = set_enumeration_guard(2)
-    try:
-        for route in ("cdet", "rdet"):
-            with pytest.raises(EnumerationGuardError):
-                mp_inverse(a, route)
-        set_enumeration_guard(3)
-        assert check_penrose(a, mp_inverse(a, "all")).ok
-    finally:
-        set_enumeration_guard(old)
+    for route in ("cdet", "rdet"):
+        with pytest.raises(EnumerationGuardError):
+            mp_inverse(a, route, max_n=2)
+    assert check_penrose(a, mp_inverse(a, "all", max_n=3)).ok
 
 
 def test_inverse_routes_take_a_per_call_guard():
@@ -133,14 +128,9 @@ def test_inverse_routes_take_a_per_call_guard():
         assert enumeration_guard() == before, name  # a refusal does not leak the override
         assert check(a, call(3)).ok, name
         assert enumeration_guard() == before, name
-    old = set_enumeration_guard(2)  # the override also raises a lower context guard
-    try:
+    with _scoped_guard(2):  # the override also raises a lower context guard
         assert mp_inverse(a, max_n=3) == mp_inverse(a, max_n=8)
         assert enumeration_guard() == 2
-    finally:
-        set_enumeration_guard(old)
-    with pytest.raises(ValueError):
-        mp_inverse(a, max_n=0)
 
 
 def test_mp_of_large_low_rank_input_stays_within_the_guard():
@@ -180,6 +170,16 @@ def test_drazin_hermitian_routes_require_hermitian():
         drazin(a, "hermitian_cdet")
     with pytest.raises(ShapeError):
         drazin(QMatrix.zeros(2, 3))
+
+
+def test_drazin_checks_the_route_before_analysing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(geninv, "index_of", lambda a: calls.append(a) or index_of(a))
+    with pytest.raises(ValueError, match="unknown Drazin route"):
+        drazin(golden.U, "bogus")
+    assert calls == []
+    with pytest.raises(ValueError, match="unknown Drazin route"):
+        drazin(QMatrix.zeros(2, 3), "bogus")
 
 
 def test_drazin_random_suite(rng):

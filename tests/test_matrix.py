@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -26,7 +27,8 @@ from qdet import (
     rank,
     unembed_complex,
 )
-from qdet import matrix
+import qdet
+from qdet import matrix, ncdet
 from qdet.errors import ModeError, NotHermitianError, NumericalBreakdownError, ShapeError, SingularError
 from qdet.matrix import Powers, max_abs_diff
 
@@ -156,6 +158,10 @@ def test_index_of_leaves_its_powers_and_ranks_in_the_table(monkeypatch):
 def test_operator_aliases_are_gone():
     assert not any(hasattr(QMatrix, name) for name in ("rank", "index_of", "__pow__", "conj_transpose"))
     assert not hasattr(Quaternion, "parse")
+    for name in ("CycleForm", "cycle_forms", "set_enumeration_guard"):
+        assert not hasattr(qdet, name) and not hasattr(ncdet, name), name
+    assert list(inspect.signature(QMatrix.is_hermitian).parameters) == ["self"]
+    assert all(hasattr(qdet, name) for name in qdet.__all__)
 
 
 def test_max_abs_diff_propagates_nan():

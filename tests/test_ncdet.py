@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import threading
@@ -25,7 +26,6 @@ from qdet import (
     cdet,
     cdet_reference,
     char_poly,
-    cycle_forms,
     ddet,
     embed_complex,
     hermitian_inverse,
@@ -33,6 +33,7 @@ from qdet import (
     rdet,
     rdet_reference,
 )
+import qdet
 from qdet import ncdet
 from qdet.errors import (
     EnumerationGuardError,
@@ -45,60 +46,11 @@ from qdet.errors import (
 from qdet.matrix import delete_row_col, replace_col, replace_row, submatrix
 from qdet.ncdet import (
     DEFAULT_ENUMERATION_GUARD,
-    CycleForm,
     _bordered_cofactors,
+    _scoped_guard,
     enumeration_guard,
     eval_char_poly,
-    set_enumeration_guard,
 )
-
-
-# -- cycle forms ------------------------------------------------------------
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_cycle_forms_enumerate_all_permutations(n):
-    for anchor in range(1, n + 1):
-        forms = cycle_forms(n, anchor)
-        assert len(forms) == math.factorial(n)
-        assert len(set(forms)) == len(forms)
-        for form in forms:
-            form.validate()
-
-
-def test_cycle_form_sign_matches_transposition_parity():
-    # (-1)^(n-r) is the classical permutation sign.
-    for n in (2, 3, 4):
-        for form in cycle_forms(n, 1):
-            perm = {}
-            for cyc in form.cycles:
-                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                    perm[a] = b
-            inversions = sum(
-                1
-                for x, y in itertools.combinations(range(1, n + 1), 2)
-                if perm[x] > perm[y]
-            )
-            assert form.sign == (-1) ** inversions
-
-
-def test_cycle_form_cdet_notation_is_anchor_last():
-    form = CycleForm(2, ((2, 4), (1, 3), (5,)))
-    assert form.r == 3
-    written = form.cdet_notation()
-    assert written == ((5,), (3, 1), (4, 2))
-    assert written[-1][-1] == form.anchor
-
-
-def test_cycle_form_validate_rejects_bad_layouts():
-    with pytest.raises(ValueError):
-        CycleForm(1, ((2, 1), (3,))).validate()  # anchor not first
-    with pytest.raises(ValueError):
-        CycleForm(1, ((1,), (3,), (2,))).validate()  # minima out of order
-    with pytest.raises(ValueError):
-        CycleForm(1, ((1,), (3, 2))).validate()  # cycle not min-rooted
-    with pytest.raises(ValueError):
-        CycleForm(1, ((1,), (3,))).validate()  # not a partition
 
 
 # -- determinants: examples from first principles ---------------------------
@@ -499,18 +451,8 @@ def test_guard_refuses_oversized_input():
     assert rdet(1, small, max_n=4) == Quaternion.one()
 
 
-def test_guard_global_setter():
-    old = set_enumeration_guard(3)
-    try:
-        with pytest.raises(EnumerationGuardError):
-            rdet(1, QMatrix.identity(4))
-    finally:
-        set_enumeration_guard(old)
-
-
 def test_guard_set_in_one_thread_is_not_seen_by_another():
-    old = set_enumeration_guard(3)
-    try:
+    with _scoped_guard(3):
         seen = []
         worker = threading.Thread(target=lambda: seen.append(enumeration_guard()))
         worker.start()
@@ -518,8 +460,44 @@ def test_guard_set_in_one_thread_is_not_seen_by_another():
         assert not worker.is_alive()
         assert seen == [DEFAULT_ENUMERATION_GUARD]
         assert enumeration_guard() == 3
-    finally:
-        set_enumeration_guard(old)
+    assert enumeration_guard() == DEFAULT_ENUMERATION_GUARD
+
+
+# Every public function that takes a per-call guard override, called on a
+# 2x2 Hermitian input whose minors fit under an override of 2.
+_H = QMatrix.from_literals([["2", "i"], ["-i", "2"]])
+GUARDED_CALLS = {
+    "rdet": lambda max_n: rdet(1, _H, max_n=max_n),
+    "cdet": lambda max_n: cdet(1, _H, max_n=max_n),
+    "rdet_reference": lambda max_n: rdet_reference(1, _H, max_n=max_n),
+    "cdet_reference": lambda max_n: cdet_reference(1, _H, max_n=max_n),
+    "ddet": lambda max_n: ddet(_H, max_n=max_n),
+    "principal_minor_sum": lambda max_n: principal_minor_sum(_H, 1, max_n=max_n),
+    "char_poly": lambda max_n: char_poly(_H, max_n=max_n),
+    "hermitian_inverse": lambda max_n: hermitian_inverse(_H, max_n=max_n),
+    "mp_inverse": lambda max_n: qdet.mp_inverse(_H, max_n=max_n),
+    "drazin": lambda max_n: qdet.drazin(_H, max_n=max_n),
+    "wdrazin": lambda max_n: qdet.wdrazin(_H, _H, max_n=max_n),
+}
+
+
+def test_guarded_calls_cover_every_public_max_n():
+    takes = {
+        name
+        for name in qdet.__all__
+        if callable(getattr(qdet, name)) and "max_n" in inspect.signature(getattr(qdet, name)).parameters
+    }
+    assert takes == set(GUARDED_CALLS)
+
+
+@pytest.mark.parametrize("max_n", [0, -3])
+@pytest.mark.parametrize("name", sorted(GUARDED_CALLS))
+def test_an_override_below_one_is_a_value_error(name, max_n):
+    call = GUARDED_CALLS[name]
+    with pytest.raises(ValueError, match="at least 1"):
+        call(max_n)
+    assert enumeration_guard() == DEFAULT_ENUMERATION_GUARD
+    call(2)  # the same call runs under a valid override
 
 
 def test_anchor_validation(rng):
