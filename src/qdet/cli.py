@@ -272,68 +272,51 @@ def _cmd_det(args):
     return EXIT_OK
 
 
-def _run_routed(args, all_routes, one_route, checker):
-    if args.route == "all":
-        results = all_routes()
-        geninv.assert_routes_agree(results, list(results.values())[0].mode, args.command)
-        x = next(iter(results.values()))
-        provenance = "all:" + ",".join(results)
-    else:
-        x = one_route(args.route)
-        provenance = args.route
+def _run_routed(args, family, checker, *operands, tail=None):
+    """Compute args.route of `family`, its --check report and the `tail`
+    lines of the result, then print them: a failure prints nothing."""
+    x, provenance = geninv._dispatch(family, args.route, *operands)
+    report = checker(*operands, x, provenance=provenance) if args.check else None
+    lines = tail(x) if tail else []
     _emit_matrix(x, args)
-    if args.check:
-        report = checker(x, provenance)
+    if report is not None:
         _emit_report(report, args)
-        if not report.ok:
-            return EXIT_VERIFY, x
-    return EXIT_OK, x
+    for line in lines:
+        print(line)
+    return EXIT_VERIFY if report is not None and not report.ok else EXIT_OK
 
 
 def _cmd_mp(args):
     a = _load(args.input, args.mode)
-    return _run_routed(
-        args,
-        lambda: geninv.mp_all_routes(a),
-        lambda route: geninv.mp_inverse(a, route),
-        lambda x, prov: verify.check_penrose(a, x, provenance=prov),
-    )[0]
+    return _run_routed(args, geninv._MP, verify.check_penrose, a)
 
 
 def _cmd_drazin(args):
     a = _load(args.input, args.mode)
-    return _run_routed(
-        args,
-        lambda: geninv.drazin_all_routes(a),
-        lambda route: geninv.drazin(a, route),
-        lambda x, prov: verify.check_drazin(a, x, provenance=prov),
-    )[0]
+    return _run_routed(args, geninv._DRAZIN, verify.check_drazin, a)
+
+
+def _limit_lines(a, w, x, args):
+    """Both limit estimates at args.lam and their deviation from x."""
+    est = geninv.wdrazin_limit_estimate(a.to_float(), w.to_float(), args.lam)
+    exact = x.to_float()
+    lines = []
+    for name, mat in (("limit.via_aw", est.via_aw), ("limit.via_wa", est.via_wa)):
+        dev = max_abs_diff(mat, exact)
+        if args.emit == "kv":
+            lines.append(f"{name}.deviation = {dev!r}")
+            lines += [f"{name}.{line}" for line in _kv_matrix_lines(mat)]
+        else:
+            lines.append(f"% {name} at lambda={args.lam} (max deviation {dev:.3e}):")
+            lines += [f"% {line}" for line in format_qmat(mat).splitlines()]
+    return lines
 
 
 def _cmd_wdrazin(args):
     a = _load(args.input, args.mode)
     w = _load(args.weight, args.mode)
-    code, x = _run_routed(
-        args,
-        lambda: geninv.wdrazin_all_routes(a, w),
-        lambda route: geninv.wdrazin(a, w, route),
-        lambda x, prov: verify.check_wdrazin(a, w, x, provenance=prov),
-    )
-    if args.lam is not None:
-        af, wf = a.to_float(), w.to_float()
-        est = geninv.wdrazin_limit_estimate(af, wf, args.lam)
-        exact = x.to_float()
-        for name, mat in (("limit.via_aw", est.via_aw), ("limit.via_wa", est.via_wa)):
-            dev = max_abs_diff(mat, exact)
-            if args.emit == "kv":
-                print(f"{name}.deviation = {dev!r}")
-                for line in _kv_matrix_lines(mat):
-                    print(f"{name}.{line}")
-            else:
-                print(f"% {name} at lambda={args.lam} (max deviation {dev:.3e}):")
-                for line in format_qmat(mat).splitlines():
-                    print(f"% {line}")
-    return code
+    tail = None if args.lam is None else lambda x: _limit_lines(a, w, x, args)
+    return _run_routed(args, geninv._WDRAZIN, verify.check_wdrazin, a, w, tail=tail)
 
 
 def _cmd_verify(args):
@@ -404,14 +387,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         with ncdet._scoped_guard(_resolve_guard(args)):
             return _COMMANDS[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"qdet: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:
         print(f"qdet: parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"qdet: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RouteDisagreementError, InternalInvariantError) as exc:
         print(f"qdet: verification failure: {exc}", file=sys.stderr)
@@ -424,6 +404,7 @@ def main(argv=None) -> int:
         ShapeError,
         SingularError,
         ZeroDivisionError,
+        OverflowError,
     ) as exc:
         print(f"qdet: refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED

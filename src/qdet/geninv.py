@@ -56,15 +56,20 @@ V, k, rank(W).  Every route of the call reads them, so no kernel pass
 runs twice in a call: ``mp_composition`` reads the pass of ``cdet``, and
 ``mp_route_U`` that of ``via_drazin_U`` when Ind U = k.  Rank 0 needs no
 branch: the kernels' order-0 case (Y = 0, d = 1) gives the zero inverse.
-One refusal function per family states the route preconditions and
-returns the typed error or None: a single-route call raises it,
-``route="all"`` skips the route.
+Routes are data: each family has one table mapping a route name to its
+refusal, which returns the typed error or None, and its builder, which
+reads the call's analysis; the route tuples are the tables' keys.  One
+dispatcher serves every call: it rejects an unknown name before
+analysing anything, builds the analysis once, runs the named route
+(raising its refusal) or, under ``route="all"``, every route whose
+refusal is None, checks that the results agree and returns the result
+with its provenance, ``"cdet"`` or ``"all:cdet,rdet"``.
 
 In exact mode agreement and all defining equations hold as equalities;
 float mode exists for the numeric oracles and the limit-based estimate.
 """
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import (
     ModeError,
@@ -84,17 +89,6 @@ from .ncdet import _bordered_cofactors, _scoped_guard
 from .matrix import mat_pow  # noqa: F401
 from .ncdet import cdet, rdet  # noqa: F401
 from .scalar import EXACT, FLOAT
-
-MP_ROUTES = ("cdet", "rdet")
-DRAZIN_ROUTES = ("cdet", "rdet", "mp_composition", "hermitian_cdet", "hermitian_rdet")
-WDRAZIN_ROUTES = (
-    "via_drazin_U",
-    "via_drazin_V",
-    "mp_route_U",
-    "mp_route_V",
-    "hermitian_U",
-    "hermitian_V",
-)
 
 FLOAT_AGREEMENT_TOL = 1e-9
 
@@ -139,8 +133,95 @@ def _hermitian_cramer(g: QMatrix, r: int, row: bool):
 
 
 # ---------------------------------------------------------------------------
+# Route tables and their dispatcher
+# ---------------------------------------------------------------------------
+
+
+class _Family(NamedTuple):
+    """One inverse: its name in messages, the analysis its routes share and
+    the table mapping each route name to (refusal, build)."""
+
+    what: str
+    analyse: Callable
+    routes: dict
+
+
+def _no_precondition(analysis, name):
+    return None
+
+
+def _not_hermitian(matrix_of, what):
+    """The refusal of a route that requires matrix_of(analysis) to be Hermitian."""
+
+    def refusal(analysis, name):
+        if not matrix_of(analysis).is_hermitian():
+            return NotHermitianError(f"route {name!r} requires {what}")
+        return None
+
+    return refusal
+
+
+def _full_rank(u_side: bool):
+    """The refusal of the U-side (V-side) MP route: W^+ must cancel W, which
+    takes full column (row) rank."""
+
+    def refusal(p, name):
+        full, kind = (p.a.rows, "column") if u_side else (p.a.cols, "row")
+        if p.rank_w != full:
+            return PreconditionError(
+                f"route {name!r} requires rank(W) = {full} (full {kind} rank), got {p.rank_w}"
+            )
+        return None
+
+    return refusal
+
+
+def _results(family: _Family, operands: tuple, names, strict: bool = False) -> dict:
+    """{name: result} of the named routes that apply to one analysis of the
+    operands; with strict, a route that does not apply raises its refusal."""
+    analysis = family.analyse(*operands)
+    results = {}
+    for name in names:
+        refusal, build = family.routes[name]
+        error = refusal(analysis, name)
+        if error is None:
+            results[name] = build(analysis)
+        elif strict:
+            raise error
+    return results
+
+
+def _dispatch(family: _Family, route: str, *operands, max_n: int | None = None):
+    """(result, provenance) of one route or, under ``all``, of every route
+    that applies, checked to agree; the provenance names the routes run."""
+    every = route == "all"
+    if not (every or route in family.routes):
+        raise ValueError(f"unknown {family.what} route {route!r}")
+    with _scoped_guard(max_n):
+        results = _results(family, operands, family.routes if every else (route,), strict=not every)
+    provenance = "all:" + ",".join(results) if every else route
+    return assert_routes_agree(results, operands[0].mode, family.what), provenance
+
+
+# ---------------------------------------------------------------------------
 # Moore-Penrose inverse
 # ---------------------------------------------------------------------------
+
+
+def _mp_direct(p, row: bool) -> QMatrix:
+    num, d = _mp_cramer(*p, row)
+    return num / d
+
+
+_MP = _Family(
+    "Moore-Penrose",
+    lambda a: (a, rank(a)),
+    {
+        "cdet": (_no_precondition, lambda p: _mp_direct(p, row=False)),
+        "rdet": (_no_precondition, lambda p: _mp_direct(p, row=True)),
+    },
+)
+MP_ROUTES = tuple(_MP.routes)
 
 
 def mp_inverse(a: QMatrix, route: str = "cdet", max_n: int | None = None) -> QMatrix:
@@ -150,22 +231,11 @@ def mp_inverse(a: QMatrix, route: str = "cdet", max_n: int | None = None) -> QMa
     ``all`` to compute both and assert entrywise agreement.  ``max_n``
     sets the enumeration guard for this call only.
     """
-    with _scoped_guard(max_n):
-        if route == "all":
-            return assert_routes_agree(mp_all_routes(a), a.mode, "Moore-Penrose")
-        if route not in MP_ROUTES:
-            raise ValueError(f"unknown Moore-Penrose route {route!r}")
-        return _mp(a, rank(a), route)
-
-
-def _mp(a: QMatrix, r: int, route: str) -> QMatrix:
-    num, d = _mp_cramer(a, r, row=route == "rdet")
-    return num / d
+    return _dispatch(_MP, route, a, max_n=max_n)[0]
 
 
 def mp_all_routes(a: QMatrix) -> dict:
-    r = rank(a)
-    return {name: _mp(a, r, name) for name in MP_ROUTES}
+    return _results(_MP, (a,), MP_ROUTES)
 
 
 # ---------------------------------------------------------------------------
@@ -192,23 +262,37 @@ class _SquareAnalysis(Powers):
         return self._mp[e, row]
 
 
-def _drazin_refusal(s: _SquareAnalysis, route: str):
-    """The error refusing `route` on s, or None when the route applies."""
-    if route.startswith("hermitian") and not s.a.is_hermitian():
-        return NotHermitianError(f"route {route!r} requires a Hermitian matrix")
-    return None
-
-
-def _drazin(s: _SquareAnalysis, route: str) -> QMatrix:
-    k = s.k
-    ak = s[k]
-    if route.startswith("hermitian"):
-        y, d = _hermitian_cramer(s[k + 1], s.rank(k), row=route == "hermitian_rdet")
-        return (y @ ak if route == "hermitian_cdet" else ak @ y) / d
-    num, d = s.mp_cramer(k, row=route == "rdet")
-    if route == "mp_composition":
-        return ak @ (num / d) @ ak
+def _drazin_mp(s: _SquareAnalysis, row: bool) -> QMatrix:
+    ak = s[s.k]
+    num, d = s.mp_cramer(s.k, row)
     return ak @ num @ ak / d
+
+
+def _drazin_composition(s: _SquareAnalysis) -> QMatrix:
+    ak = s[s.k]
+    num, d = s.mp_cramer(s.k, row=False)
+    return ak @ (num / d) @ ak
+
+
+def _drazin_hermitian(s: _SquareAnalysis, row: bool) -> QMatrix:
+    ak = s[s.k]
+    y, d = _hermitian_cramer(s[s.k + 1], s.rank(s.k), row)
+    return (ak @ y if row else y @ ak) / d
+
+
+_hermitian_input = _not_hermitian(lambda s: s.a, "a Hermitian matrix")
+_DRAZIN = _Family(
+    "Drazin",
+    _SquareAnalysis,
+    {
+        "cdet": (_no_precondition, lambda s: _drazin_mp(s, row=False)),
+        "rdet": (_no_precondition, lambda s: _drazin_mp(s, row=True)),
+        "mp_composition": (_no_precondition, _drazin_composition),
+        "hermitian_cdet": (_hermitian_input, lambda s: _drazin_hermitian(s, row=False)),
+        "hermitian_rdet": (_hermitian_input, lambda s: _drazin_hermitian(s, row=True)),
+    },
+)
+DRAZIN_ROUTES = tuple(_DRAZIN.routes)
 
 
 def drazin(a: QMatrix, route: str = "cdet", max_n: int | None = None) -> QMatrix:
@@ -219,21 +303,11 @@ def drazin(a: QMatrix, route: str = "cdet", max_n: int | None = None) -> QMatrix
     silently substituting a general route.  ``max_n`` sets the
     enumeration guard for this call only.
     """
-    with _scoped_guard(max_n):
-        if route == "all":
-            return assert_routes_agree(drazin_all_routes(a), a.mode, "Drazin")
-        if route not in DRAZIN_ROUTES:
-            raise ValueError(f"unknown Drazin route {route!r}")
-        s = _SquareAnalysis(a)
-        error = _drazin_refusal(s, route)
-        if error is not None:
-            raise error
-        return _drazin(s, route)
+    return _dispatch(_DRAZIN, route, a, max_n=max_n)[0]
 
 
 def drazin_all_routes(a: QMatrix) -> dict:
-    s = _SquareAnalysis(a)
-    return {name: _drazin(s, name) for name in DRAZIN_ROUTES if _drazin_refusal(s, name) is None}
+    return _results(_DRAZIN, (a,), DRAZIN_ROUTES)
 
 
 # ---------------------------------------------------------------------------
@@ -256,43 +330,44 @@ class _WeightedProblem:
         self.rank_w = rank(w)
 
 
-def _wdrazin_refusal(p: _WeightedProblem, route: str):
-    """The error refusing `route` on p, or None when the route applies."""
-    u_side = route.endswith("_U")
-    if route.startswith("mp_route"):
-        full, kind = (p.a.rows, "column") if u_side else (p.a.cols, "row")
-        if p.rank_w != full:
-            return PreconditionError(
-                f"route {route!r} requires rank(W) = {full} (full {kind} rank), got {p.rank_w}"
-            )
-    if route.startswith("hermitian"):
-        product, name = (p.u.a, "W @ A") if u_side else (p.v.a, "A @ W")
-        if not product.is_hermitian():
-            return NotHermitianError(f"route {route!r} requires {name} to be Hermitian")
-    return None
+def _via_drazin(p: _WeightedProblem, u_side: bool) -> QMatrix:
+    """A (U^D)^2 or (V^D)^2 A, from the Drazin cdet route at Ind U (Ind V)."""
+    d = _drazin_mp(p.u if u_side else p.v, row=False)
+    return p.a @ (d @ d) if u_side else (d @ d) @ p.a
 
 
-def _wdrazin(p: _WeightedProblem, route: str) -> QMatrix:
-    a, w = p.a, p.w
-    if route == "via_drazin_U":
-        d = _drazin(p.u, "cdet")
-        return a @ (d @ d)
-    if route == "via_drazin_V":
-        d = _drazin(p.v, "cdet")
-        return (d @ d) @ a
-
-    # The remaining routes expand powers of U (the *_U routes) or V at k.
-    k, u_side = p.k, route.endswith("_U")
+def _mp_route(p: _WeightedProblem, u_side: bool) -> QMatrix:
+    """W^+ U^D (column family) or V^D W^+ (row family), with U^D, V^D at k."""
     side = p.u if u_side else p.v
-    sk = side[k]
-    if route.startswith("hermitian"):
-        y, d = _hermitian_cramer(side[k + 2], side.rank(k), row=u_side)
-        return ((a @ sk) @ y if u_side else y @ (sk @ a)) / d
-    # W^+ U^D (column family) or V^D W^+ (row family).
-    num_w, d_w = _mp_cramer(w, p.rank_w, row=not u_side)
-    num, d = side.mp_cramer(k, row=not u_side)
+    sk = side[p.k]
+    num_w, d_w = _mp_cramer(p.w, p.rank_w, row=not u_side)
+    num, d = side.mp_cramer(p.k, row=not u_side)
     num = sk @ num @ sk
     return (num_w @ num if u_side else num @ num_w) / (d_w * d)
+
+
+def _weighted_hermitian(p: _WeightedProblem, u_side: bool) -> QMatrix:
+    side = p.u if u_side else p.v
+    sk = side[p.k]
+    y, d = _hermitian_cramer(side[p.k + 2], side.rank(p.k), row=u_side)
+    return ((p.a @ sk) @ y if u_side else y @ (sk @ p.a)) / d
+
+
+_hermitian_u = _not_hermitian(lambda p: p.u.a, "W @ A to be Hermitian")
+_hermitian_v = _not_hermitian(lambda p: p.v.a, "A @ W to be Hermitian")
+_WDRAZIN = _Family(
+    "weighted-Drazin",
+    _WeightedProblem,
+    {
+        "via_drazin_U": (_no_precondition, lambda p: _via_drazin(p, u_side=True)),
+        "via_drazin_V": (_no_precondition, lambda p: _via_drazin(p, u_side=False)),
+        "mp_route_U": (_full_rank(u_side=True), lambda p: _mp_route(p, u_side=True)),
+        "mp_route_V": (_full_rank(u_side=False), lambda p: _mp_route(p, u_side=False)),
+        "hermitian_U": (_hermitian_u, lambda p: _weighted_hermitian(p, u_side=True)),
+        "hermitian_V": (_hermitian_v, lambda p: _weighted_hermitian(p, u_side=False)),
+    },
+)
+WDRAZIN_ROUTES = tuple(_WDRAZIN.routes)
 
 
 def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U", max_n: int | None = None) -> QMatrix:
@@ -306,21 +381,11 @@ def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U", max_n: int | No
     reduces to the Drazin inverse.  ``max_n`` sets the enumeration guard
     for this call only.
     """
-    with _scoped_guard(max_n):
-        if route == "all":
-            return assert_routes_agree(wdrazin_all_routes(a, w), a.mode, "weighted Drazin")
-        if route not in WDRAZIN_ROUTES:
-            raise ValueError(f"unknown weighted-Drazin route {route!r}")
-        p = _WeightedProblem(a, w)
-        error = _wdrazin_refusal(p, route)
-        if error is not None:
-            raise error
-        return _wdrazin(p, route)
+    return _dispatch(_WDRAZIN, route, a, w, max_n=max_n)[0]
 
 
 def wdrazin_all_routes(a: QMatrix, w: QMatrix) -> dict:
-    p = _WeightedProblem(a, w)
-    return {name: _wdrazin(p, name) for name in WDRAZIN_ROUTES if _wdrazin_refusal(p, name) is None}
+    return _results(_WDRAZIN, (a, w), WDRAZIN_ROUTES)
 
 
 class WdrazinLimitEstimates(NamedTuple):

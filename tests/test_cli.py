@@ -257,13 +257,13 @@ def test_wdrazin_limit_flag_computes_the_inverse_once(tmp_path, capsys, monkeypa
     calls = []
 
     def counted(f):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls.append(f.__name__)
-            return f(*args)
+            return f(*args, **kwargs)
 
         return wrapper
 
-    for name in ("wdrazin", "wdrazin_all_routes"):
+    for name in ("_dispatch", "wdrazin", "wdrazin_all_routes"):
         monkeypatch.setattr(geninv, name, counted(getattr(geninv, name)))
     for route in ("via_drazin_V", "all"):
         calls.clear()
@@ -273,6 +273,29 @@ def test_wdrazin_limit_flag_computes_the_inverse_once(tmp_path, capsys, monkeypa
         deviations = [line for line in capsys.readouterr().out.splitlines() if ".deviation = " in line]
         assert len(deviations) == 2
         assert all(float(line.split(" = ")[1]) < 1e-5 for line in deviations)
+
+
+@pytest.mark.parametrize("entry", ["1" + "0" * 400, "1/1" + "0" * 400], ids=["input", "result"])
+def test_wdrazin_limit_beyond_float_range_is_refused(entry, tmp_path, capsys):
+    # 10^400 has no float: converting the input, or the exact result
+    # 10^400 of the input 10^-400, is a refusal printed alone, not a traceback.
+    a, w = tmp_path / "a.qmat", tmp_path / "w.qmat"
+    a.write_text(f"1 1\n{entry}\n")
+    w.write_text("1 1\n1\n")
+    assert main(["wdrazin", "-i", str(a), "--weight", str(w), "--lambda", "0.1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("qdet: refused:") and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("shift", ["-1", "0", "nan"])
+def test_wdrazin_rejects_an_invalid_shift_before_printing(shift, tmp_path, capsys):
+    a = write(tmp_path, "a.qmat", golden.A_IN)
+    w = write(tmp_path, "w.qmat", golden.W_IN)
+    assert main(["wdrazin", "-i", a, "--weight", w, f"--lambda={shift}"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "shift must be positive" in out.err
 
 
 def test_wdrazin_refused_route(tmp_path, capsys):
@@ -404,10 +427,10 @@ def test_mp_of_a_rank_zero_float_input(tmp_path, capsys):
 
 
 def test_internal_invariant_exits_as_verification_failure(tmp_path, capsys, monkeypatch):
-    def broken(a, route="cdet"):
+    def broken(*args, **kwargs):
         raise InternalInvariantError("A*A minor denominator is not positive: 0")
 
-    monkeypatch.setattr(geninv, "mp_inverse", broken)
+    monkeypatch.setattr(geninv, "_dispatch", broken)
     assert main(["mp", "-i", write(tmp_path, "h.qmat", HERMITIAN)]) == 3
     assert "verification failure" in capsys.readouterr().err
 
@@ -418,10 +441,10 @@ QDET_ERRORS = [c for c in vars(errors).values() if isinstance(c, type) and issub
 @pytest.mark.parametrize("cls", QDET_ERRORS, ids=lambda cls: cls.__name__)
 def test_every_error_class_has_its_documented_exit_code(cls, tmp_path, capsys, monkeypatch):
     # 1 parse error, 3 verification failure, 2 every other refusal.
-    def raising(a, route="cdet"):
+    def raising(*args, **kwargs):
         raise cls("injected")
 
-    monkeypatch.setattr(geninv, "mp_inverse", raising)
+    monkeypatch.setattr(geninv, "_dispatch", raising)
     if issubclass(cls, ParseError):
         expected = 1
     elif issubclass(cls, (RouteDisagreementError, InternalInvariantError)):

@@ -172,14 +172,26 @@ def test_drazin_hermitian_routes_require_hermitian():
         drazin(QMatrix.zeros(2, 3))
 
 
-def test_drazin_checks_the_route_before_analysing(monkeypatch):
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda route: mp_inverse(golden.U, route), "Moore-Penrose"),
+        (lambda route: drazin(golden.U, route), "Drazin"),
+        (lambda route: drazin(QMatrix.zeros(2, 3), route), "Drazin"),
+        (lambda route: wdrazin(golden.A_IN, golden.W_IN, route), "weighted-Drazin"),
+        (lambda route: wdrazin(golden.A_IN, QMatrix.zeros(3, 3), route), "weighted-Drazin"),
+    ],
+    ids=["mp", "drazin", "drazin_nonsquare", "wdrazin", "wdrazin_misshaped"],
+)
+def test_each_family_checks_the_route_before_analysing(call, what, monkeypatch):
+    # An unknown name is a usage error, raised before any rank, index or
+    # shape check of the operands.
     calls = []
-    monkeypatch.setattr(geninv, "index_of", lambda a: calls.append(a) or index_of(a))
-    with pytest.raises(ValueError, match="unknown Drazin route"):
-        drazin(golden.U, "bogus")
+    for name in ("index_of", "rank"):
+        monkeypatch.setattr(geninv, name, lambda a, f=getattr(geninv, name): calls.append(a) or f(a))
+    with pytest.raises(ValueError, match=f"unknown {what} route 'bogus'"):
+        call("bogus")
     assert calls == []
-    with pytest.raises(ValueError, match="unknown Drazin route"):
-        drazin(QMatrix.zeros(2, 3), "bogus")
 
 
 def test_drazin_random_suite(rng):
@@ -252,6 +264,49 @@ def test_wdrazin_route_preconditions():
         wdrazin(golden.A_IN, QMatrix.zeros(3, 3))
     with pytest.raises(ValueError):
         wdrazin(golden.A_IN, golden.W_IN, "shortcut")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: drazin(golden.U, "hermitian_cdet"),
+            NotHermitianError,
+            "route 'hermitian_cdet' requires a Hermitian matrix",
+        ),
+        (
+            lambda: drazin(golden.U, "hermitian_rdet"),
+            NotHermitianError,
+            "route 'hermitian_rdet' requires a Hermitian matrix",
+        ),
+        (
+            lambda: wdrazin(golden.A_IN, golden.W_IN, "hermitian_U"),
+            NotHermitianError,
+            "route 'hermitian_U' requires W @ A to be Hermitian",
+        ),
+        (
+            lambda: wdrazin(golden.A_IN, golden.W_IN, "hermitian_V"),
+            NotHermitianError,
+            "route 'hermitian_V' requires A @ W to be Hermitian",
+        ),
+        (
+            lambda: wdrazin(golden.A_IN, golden.W_IN, "mp_route_U"),
+            PreconditionError,
+            "route 'mp_route_U' requires rank(W) = 4 (full column rank), got 3",
+        ),
+        (
+            lambda: wdrazin(golden.A_IN.H, golden.W_IN.H, "mp_route_V"),
+            PreconditionError,
+            "route 'mp_route_V' requires rank(W) = 4 (full row rank), got 3",
+        ),
+    ],
+    ids=["hermitian_cdet", "hermitian_rdet", "hermitian_U", "hermitian_V", "mp_route_U", "mp_route_V"],
+)
+def test_a_single_route_raises_its_precondition_refusal(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_wdrazin_mp_route_sides_follow_weight_rank(rng):
