@@ -8,6 +8,14 @@ mixing the two is an error.  Matrices are printed back in the same
 grammar, so outputs are re-ingestible; with ``--check`` the appended
 report lines are ``%``-prefixed to keep the output a valid matrix file.
 
+The inverses are data: `_INVERSES` has one row per inverse, holding its
+`geninv` family table, its `verify` checker, whether it takes a weight
+and its help line.  The routed subcommands, their ``--route`` help and
+default (the family's first route), ``--check``, the ``verify --kind``
+choices and the operands each kind reads all come from that row, and one
+`_cmd_routed` runs every routed subcommand.  A new route is one row in
+its `geninv` family; a new inverse is one family there and one row here.
+
 Exit codes: 0 success, 1 usage or parse error, 2 computation refusal
 (size guard, mode/shape/precondition violations, singular input, a float
 computation that broke down numerically), and 3 verification failure (a
@@ -139,13 +147,13 @@ def _emit_matrix(a: QMatrix, args):
         print(format_qmat(a), end="")
 
 
-def _emit_report(report, args):
+def _emit_report(report, args, prefix=""):
+    """The report as kv lines, or as its human lines behind `prefix`."""
     if args.emit == "kv":
-        for key, value in report.kv_items():
-            print(f"{key} = {value}")
+        lines = [f"{key} = {value}" for key, value in report.kv_items()]
     else:
-        for line in report.human().splitlines():
-            print(f"% {line}")
+        lines = [prefix + line for line in report.human().splitlines()]
+    print("\n".join(lines))
 
 
 def _emit_scalar(value, mode, args):
@@ -175,6 +183,14 @@ def _add_common(sub, weight=False):
     sub.add_argument("--emit", choices=("human", "kv"), default="human")
 
 
+# One row per inverse: (geninv family, verify checker, takes a weight, help).
+_INVERSES = {
+    "mp": (geninv._MP, verify.check_penrose, False, "Moore-Penrose inverse"),
+    "drazin": (geninv._DRAZIN, verify.check_drazin, False, "Drazin inverse"),
+    "wdrazin": (geninv._WDRAZIN, verify.check_wdrazin, True, "weighted Drazin inverse"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qdet", description="quaternion determinants and generalized inverses")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -183,31 +199,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(det)
     det.add_argument("--anchor", help="r:<row> or c:<col> (1-based); omit for ddet of a Hermitian input")
 
-    mp = subs.add_parser("mp", help="Moore-Penrose inverse")
-    _add_common(mp)
-    mp.add_argument("--route", default="cdet", help="|".join(geninv.MP_ROUTES) + " | all")
-    mp.add_argument("--check", action="store_true", help="verify the defining equations")
-
-    dr = subs.add_parser("drazin", help="Drazin inverse")
-    _add_common(dr)
-    dr.add_argument("--route", default="cdet", help="|".join(geninv.DRAZIN_ROUTES) + " | all")
-    dr.add_argument("--check", action="store_true")
-
-    wd = subs.add_parser("wdrazin", help="weighted Drazin inverse")
-    _add_common(wd, weight=True)
-    wd.add_argument("--route", default="via_drazin_U", help="|".join(geninv.WDRAZIN_ROUTES) + " | all")
-    wd.add_argument("--check", action="store_true")
-    wd.add_argument(
-        "--lambda",
-        dest="lam",
-        type=float,
-        help="also print both limit-representation estimates at this shift (float)",
-    )
+    for name, (family, _, weighted, help_) in _INVERSES.items():
+        sub = subs.add_parser(name, help=help_)
+        _add_common(sub, weight=weighted)
+        sub.add_argument("--route", default=next(iter(family.routes)), help="|".join(family.routes) + " | all")
+        sub.add_argument("--check", action="store_true", help="verify the defining equations")
+        if weighted:
+            sub.add_argument(
+                "--lambda",
+                dest="lam",
+                type=float,
+                help="also print both limit-representation estimates at this shift (float)",
+            )
 
     ver = subs.add_parser("verify", help="check a candidate inverse against the defining equations")
     _add_common(ver)
     ver.add_argument("--candidate", required=True, help="candidate matrix file")
-    ver.add_argument("--kind", required=True, choices=("mp", "drazin", "wdrazin"))
+    ver.add_argument("--kind", required=True, choices=tuple(_INVERSES))
     ver.add_argument("--weight", help="weight matrix file (wdrazin only)")
 
     info = subs.add_parser("info", help="dimensions, rank, index, Hermitian flags")
@@ -272,28 +280,16 @@ def _cmd_det(args):
     return EXIT_OK
 
 
-def _run_routed(args, family, checker, *operands, tail=None):
-    """Compute args.route of `family`, its --check report and the `tail`
-    lines of the result, then print them: a failure prints nothing."""
-    x, provenance = geninv._dispatch(family, args.route, *operands)
-    report = checker(*operands, x, provenance=provenance) if args.check else None
-    lines = tail(x) if tail else []
-    _emit_matrix(x, args)
-    if report is not None:
-        _emit_report(report, args)
-    for line in lines:
-        print(line)
-    return EXIT_VERIFY if report is not None and not report.ok else EXIT_OK
-
-
-def _cmd_mp(args):
+def _operands(args, kind):
+    """(A,) or, for a weighted kind, (A, W): a weight goes with a weighted
+    kind and with no other."""
+    weighted, weight = _INVERSES[kind][2], getattr(args, "weight", None)
+    if weighted and weight is None:
+        raise _UsageError(f"--weight is required for --kind {kind}")
+    if weight is not None and not weighted:
+        raise _UsageError(f"--weight does not apply to --kind {kind}")
     a = _load(args.input, args.mode)
-    return _run_routed(args, geninv._MP, verify.check_penrose, a)
-
-
-def _cmd_drazin(args):
-    a = _load(args.input, args.mode)
-    return _run_routed(args, geninv._DRAZIN, verify.check_drazin, a)
+    return (a, _load(weight, args.mode)) if weighted else (a,)
 
 
 def _limit_lines(a, w, x, args):
@@ -312,30 +308,28 @@ def _limit_lines(a, w, x, args):
     return lines
 
 
-def _cmd_wdrazin(args):
-    a = _load(args.input, args.mode)
-    w = _load(args.weight, args.mode)
-    tail = None if args.lam is None else lambda x: _limit_lines(a, w, x, args)
-    return _run_routed(args, geninv._WDRAZIN, verify.check_wdrazin, a, w, tail=tail)
+def _cmd_routed(args):
+    """Compute args.route of the inverse args.command, its --check report
+    and any --lambda lines, then print them: a failure prints nothing."""
+    family, checker, weighted, _ = _INVERSES[args.command]
+    operands = _operands(args, args.command)
+    x, provenance = geninv._dispatch(family, args.route, *operands)
+    report = checker(*operands, x, provenance=provenance) if args.check else None
+    lines = _limit_lines(*operands, x, args) if weighted and args.lam is not None else []
+    _emit_matrix(x, args)
+    if report is not None:
+        _emit_report(report, args, prefix="% ")
+    for line in lines:
+        print(line)
+    return EXIT_VERIFY if report is not None and not report.ok else EXIT_OK
 
 
 def _cmd_verify(args):
-    a = _load(args.input, args.mode)
+    _, checker, _, _ = _INVERSES[args.kind]
+    operands = _operands(args, args.kind)
     x = _load(args.candidate, args.mode)
-    if args.kind == "wdrazin":
-        if not args.weight:
-            raise _UsageError("--weight is required for --kind wdrazin")
-        w = _load(args.weight, args.mode)
-        report = verify.check_wdrazin(a, w, x, provenance="candidate")
-    elif args.kind == "drazin":
-        report = verify.check_drazin(a, x, provenance="candidate")
-    else:
-        report = verify.check_penrose(a, x, provenance="candidate")
-    if args.emit == "kv":
-        for key, value in report.kv_items():
-            print(f"{key} = {value}")
-    else:
-        print(report.human())
+    report = checker(*operands, x, provenance="candidate")
+    _emit_report(report, args)
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
@@ -371,14 +365,7 @@ def _cmd_info(args):
     return EXIT_OK
 
 
-_COMMANDS = {
-    "det": _cmd_det,
-    "mp": _cmd_mp,
-    "drazin": _cmd_drazin,
-    "wdrazin": _cmd_wdrazin,
-    "verify": _cmd_verify,
-    "info": _cmd_info,
-}
+_COMMANDS = {"det": _cmd_det, **dict.fromkeys(_INVERSES, _cmd_routed), "verify": _cmd_verify, "info": _cmd_info}
 
 
 def main(argv=None) -> int:

@@ -1,9 +1,9 @@
 """Dense quaternion matrices and their basic algebra.
 
 `QMatrix` is an immutable m x n array of `Quaternion` entries sharing one
-scalar mode.  Container indexing (``A[i, j]``, `row`, `col`, submatrix
-helpers) is 0-based like any Python sequence; the determinant anchors in
-`qdet.ncdet` are 1-based to match the usual notation.
+scalar mode.  Container indexing (``A[i, j]``, `row`, `col`) is 0-based
+like any Python sequence; the determinant anchors in `qdet.ncdet` are
+1-based to match the usual notation.
 
 Products and row elimination run on component 4-tuples with the
 Hamilton product written out, not on `Quaternion` objects.  In exact mode
@@ -530,42 +530,6 @@ def inverse_square(a: QMatrix) -> QMatrix:
         else:  # pivot rows were scaled by their inverse pivots
             out.append(tuple(_quaternion(t, 1, a.mode) for t in row[n:]))
     return QMatrix._trusted(tuple(out), a.mode)
-
-
-# ---------------------------------------------------------------------------
-# Row/column surgery (0-based; all functions copy)
-# ---------------------------------------------------------------------------
-
-
-def replace_col(a: QMatrix, j: int, column) -> QMatrix:
-    column = tuple(column)
-    if len(column) != a.rows:
-        raise ShapeError("replacement column has wrong length")
-    return QMatrix(
-        [
-            [column[i] if jj == j else q for jj, q in enumerate(row)]
-            for i, row in enumerate(a.entries())
-        ]
-    )
-
-
-def replace_row(a: QMatrix, i: int, row) -> QMatrix:
-    row = tuple(row)
-    if len(row) != a.cols:
-        raise ShapeError("replacement row has wrong length")
-    return QMatrix([row if ii == i else r for ii, r in enumerate(a.entries())])
-
-
-def submatrix(a: QMatrix, row_idx, col_idx) -> QMatrix:
-    row_idx = tuple(row_idx)
-    col_idx = tuple(col_idx)
-    return QMatrix([[a[i, j] for j in col_idx] for i in row_idx])
-
-
-def delete_row_col(a: QMatrix, i: int, j: int) -> QMatrix:
-    rows = [r for r in range(a.rows) if r != i]
-    cols = [c for c in range(a.cols) if c != j]
-    return submatrix(a, rows, cols)
 
 
 def max_abs_diff(a: QMatrix, b: QMatrix) -> float:

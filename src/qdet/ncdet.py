@@ -534,17 +534,6 @@ def char_poly(a: QMatrix, max_n: int | None = None) -> tuple:
     return tuple(_minor_sum(tails, n, s, den, a.mode) for s in range(1, n + 1))
 
 
-def eval_char_poly(coeffs, t):
-    """Evaluate t^n - d1 t^(n-1) + ... + (-1)^n dn at a real t."""
-    n = len(coeffs)
-    value = t**n
-    sign = -1
-    for s, d in enumerate(coeffs, start=1):
-        value = value + sign * d * t ** (n - s)
-        sign = -sign
-    return value
-
-
 def hermitian_inverse(a: QMatrix, max_n: int | None = None) -> QMatrix:
     """Inverse of a nonsingular Hermitian matrix assembled from cofactors.
 

@@ -10,7 +10,46 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from qdet import QMatrix, Quaternion, cdet, rdet
 from qdet.errors import InternalInvariantError, NumericalBreakdownError, ShapeError, SingularError
-from qdet.matrix import replace_col, replace_row, submatrix
+
+
+# Row/column surgery (0-based; all functions copy) and the characteristic
+# polynomial's value: the tests' ways of writing out a determinant
+# expansion literally.
+
+
+def replace_col(a: QMatrix, j: int, column) -> QMatrix:
+    column = tuple(column)
+    if len(column) != a.rows:
+        raise ShapeError("replacement column has wrong length")
+    return QMatrix([[column[i] if jj == j else q for jj, q in enumerate(row)] for i, row in enumerate(a.entries())])
+
+
+def replace_row(a: QMatrix, i: int, row) -> QMatrix:
+    row = tuple(row)
+    if len(row) != a.cols:
+        raise ShapeError("replacement row has wrong length")
+    return QMatrix([row if ii == i else r for ii, r in enumerate(a.entries())])
+
+
+def submatrix(a: QMatrix, row_idx, col_idx) -> QMatrix:
+    return QMatrix([[a[i, j] for j in col_idx] for i in row_idx])
+
+
+def delete_row_col(a: QMatrix, i: int, j: int) -> QMatrix:
+    rows = [r for r in range(a.rows) if r != i]
+    cols = [c for c in range(a.cols) if c != j]
+    return submatrix(a, rows, cols)
+
+
+def eval_char_poly(coeffs, t):
+    """Evaluate t^n - d1 t^(n-1) + ... + (-1)^n dn at a real t."""
+    n = len(coeffs)
+    value = t**n
+    sign = -1
+    for s, d in enumerate(coeffs, start=1):
+        value = value + sign * d * t ** (n - s)
+        sign = -sign
+    return value
 
 
 def random_quaternion(rng: random.Random, span: int = 2, sparsity: float = 0.0) -> Quaternion:

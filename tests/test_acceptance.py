@@ -13,7 +13,14 @@ from fractions import Fraction
 import numpy as np
 
 import golden
-from conftest import random_hermitian, random_qmatrix, random_quaternion, random_rank_deficient
+from conftest import (
+    random_hermitian,
+    random_qmatrix,
+    random_quaternion,
+    random_rank_deficient,
+    replace_col,
+    replace_row,
+)
 from qdet import (
     QMatrix,
     Quaternion,
@@ -39,7 +46,7 @@ from qdet import (
     wdrazin_all_routes,
     wdrazin_limit_estimate,
 )
-from qdet.matrix import max_abs_diff, replace_col, replace_row
+from qdet.matrix import max_abs_diff
 
 
 def criterion(number, description):

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import inspect
 import io
 import subprocess
 import sys
@@ -329,6 +331,64 @@ def test_verify_wdrazin_candidates(tmp_path, capsys):
     assert main(["verify", "--kind", "wdrazin", "-i", a, "--candidate", good]) == 1
 
 
+@pytest.mark.parametrize("kind", ["mp", "drazin"])
+def test_verify_refuses_a_weight_for_an_unweighted_kind(kind, tmp_path, capsys):
+    # A weight goes with --kind wdrazin only: any other kind refuses it as a
+    # usage error before reading a file, even a path that does not exist.
+    a = write(tmp_path, "u5.qmat", golden.U5)
+    for weight in (a, str(tmp_path / "missing.qmat")):
+        assert main(["verify", "--kind", kind, "-i", a, "--candidate", a, "--weight", weight]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"--weight does not apply to --kind {kind}" in out.err
+
+
+ROUTED = {
+    "mp": (geninv.mp_inverse, MP_ROUTES, golden.U5, None),
+    "drazin": (geninv.drazin, DRAZIN_ROUTES, golden.U, None),
+    "wdrazin": (geninv.wdrazin, WDRAZIN_ROUTES, golden.A_IN, golden.W_IN),
+}
+
+
+def _subcommands():
+    (subs,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices
+
+
+def _option(subcommand, dest):
+    (action,) = [a for a in subcommand._actions if a.dest == dest]
+    return action
+
+
+@pytest.mark.parametrize("command", list(ROUTED))
+def test_route_option_matches_the_library(command):
+    function, routes, _, _ = ROUTED[command]
+    route = _option(_subcommands()[command], "route")
+    assert route.default == inspect.signature(function).parameters["route"].default
+    assert route.help == "|".join(routes) + " | all"
+
+
+def test_verify_offers_exactly_the_routed_subcommands():
+    subcommands = _subcommands()
+    routed = {name for name, sub in subcommands.items() if any(a.dest == "route" for a in sub._actions)}
+    assert routed == set(ROUTED)
+    assert set(_option(subcommands["verify"], "kind").choices) == routed
+
+
+@pytest.mark.parametrize("kind", list(ROUTED))
+def test_routed_output_verifies_as_a_candidate(kind, tmp_path, capsys):
+    # The --check report and --lambda lines are % comments, so the printed
+    # file is the candidate itself.
+    _, _, a, w = ROUTED[kind]
+    a = write(tmp_path, "a.qmat", a)
+    weight = [] if w is None else ["--weight", write(tmp_path, "w.qmat", w), "--lambda", "1e-8"]
+    assert main([kind, "-i", a, *weight, "--route", "all", "--check"]) == 0
+    candidate = tmp_path / "x.qmat"
+    candidate.write_text(capsys.readouterr().out)
+    assert main(["verify", "--kind", kind, "-i", a, *weight[:2], "--candidate", str(candidate)]) == 0
+    assert "result: PASS" in capsys.readouterr().out
+
+
 def test_info_reports_shapes_ranks_indices(tmp_path, capsys):
     a = write(tmp_path, "a.qmat", golden.A_IN)
     w = write(tmp_path, "w.qmat", golden.W_IN)
@@ -486,7 +546,7 @@ def _argv(command, pick, a, w, x):
         return ["det", "-i", a] + (["--anchor", f"{'rc'[pick % 2]}:{pick % 3 + 1}"] if pick else [])
     if command == "verify":
         kind = ("mp", "drazin", "wdrazin")[pick % 3]
-        return ["verify", "--kind", kind, "-i", a, "--candidate", x, "--weight", w]
+        return ["verify", "--kind", kind, "-i", a, "--candidate", x] + (["--weight", w] if kind == "wdrazin" else [])
     if command == "info":
         return ["info", "-i", a, "--weight", w]
     routes = {"mp": MP_ROUTES, "drazin": DRAZIN_ROUTES, "wdrazin": WDRAZIN_ROUTES}[command] + ("all",)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import golden
-from conftest import bordered_sum, random_qmatrix, random_rank_deficient
+from conftest import bordered_sum, random_qmatrix, random_rank_deficient, replace_col, replace_row
 from qdet import (
     DRAZIN_ROUTES,
     MP_ROUTES,
@@ -40,7 +40,7 @@ from qdet.errors import (
     ShapeError,
 )
 from qdet import matrix
-from qdet.matrix import max_abs_diff, replace_col, replace_row
+from qdet.matrix import max_abs_diff
 from qdet.ncdet import _scoped_guard, enumeration_guard
 
 

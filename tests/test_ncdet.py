@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 import golden
 from conftest import (
     bordered_sum,
+    delete_row_col,
+    eval_char_poly,
     float_bits,
     random_hermitian,
     random_qmatrix,
@@ -19,6 +21,9 @@ from conftest import (
     reference_bordered_cofactors,
     reference_det,
     reference_minor_sums,
+    replace_col,
+    replace_row,
+    submatrix,
 )
 from qdet import (
     QMatrix,
@@ -43,13 +48,11 @@ from qdet.errors import (
     ShapeError,
     SingularError,
 )
-from qdet.matrix import delete_row_col, replace_col, replace_row, submatrix
 from qdet.ncdet import (
     DEFAULT_ENUMERATION_GUARD,
     _bordered_cofactors,
     _scoped_guard,
     enumeration_guard,
-    eval_char_poly,
 )
 
 
