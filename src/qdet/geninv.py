@@ -69,7 +69,7 @@ In exact mode agreement and all defining equations hold as equalities;
 float mode exists for the numeric oracles and the limit-based estimate.
 """
 
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .errors import (
     ModeError,
@@ -137,13 +137,9 @@ def _hermitian_cramer(g: QMatrix, r: int, row: bool):
 # ---------------------------------------------------------------------------
 
 
-class _Family(NamedTuple):
-    """One inverse: its name in messages, the analysis its routes share and
-    the table mapping each route name to (refusal, build)."""
-
-    what: str
-    analyse: Callable
-    routes: dict
+# One inverse: its name in messages, the analysis its routes share and
+# the table mapping each route name to (refusal, build).
+_Family = namedtuple("_Family", "what analyse routes")
 
 
 def _no_precondition(analysis, name):
@@ -388,11 +384,14 @@ def wdrazin_all_routes(a: QMatrix, w: QMatrix) -> dict:
     return _results(_WDRAZIN, (a, w), WDRAZIN_ROUTES)
 
 
-class WdrazinLimitEstimates(NamedTuple):
-    """Both finite-shift evaluations of the limit representations."""
+class WdrazinLimitEstimates(namedtuple("WdrazinLimitEstimates", "via_aw via_wa")):
+    """Both finite-shift evaluations of the limit representations:
 
-    via_aw: QMatrix  # (lam I_m + (AW)^(k+2))^(-1) (AW)^k A
-    via_wa: QMatrix  # A (WA)^k (lam I_n + (WA)^(k+2))^(-1)
+        via_aw = (lam I_m + (AW)^(k+2))^(-1) (AW)^k A
+        via_wa = A (WA)^k (lam I_n + (WA)^(k+2))^(-1)
+    """
+
+    __slots__ = ()
 
 
 def wdrazin_limit_estimate(a: QMatrix, w: QMatrix, lam: float) -> WdrazinLimitEstimates:

@@ -6,17 +6,24 @@ like any Python sequence; the determinant anchors in `qdet.ncdet` are
 1-based to match the usual notation.
 
 Products and row elimination run on component 4-tuples with the
-Hamilton product written out, not on `Quaternion` objects.  In exact mode
-each operand is first scaled to integers (one lcm of denominators per
-matrix for a product, one per row for elimination), so the arithmetic is
-on `int`, and a result is divided once per entry at the end, with
-components canonical as in `qdet.scalar` (`int` where integral).  Rank is
-row rank by forward elimination; exact elimination is fraction-free (see
-`_eliminate`), float elimination uses quaternionic left-division with a
-pivot tolerance, valid over a division ring.  A `Powers` table holds the
-powers of one square matrix and their ranks for one call; `mat_pow`,
-`index_of`, the Drazin routes and the checkers read powers from such a
-table instead of rebuilding them.
+Hamilton product written out, not on `Quaternion` objects.  An exact
+matrix holds its value in a second form, made at most once: int
+component rows over one denominator, ``(rows, den)``, canonical (den > 0
+and gcd(den, every int) = 1), so two exact matrices are equal exactly when
+their held forms are.  A matrix built from entries makes the form on first
+use, scaling by the lcm of its denominators; an exact product, real
+scalar multiple, conjugate transpose or cofactor table is made in that
+form alone, dividing out one gcd, and builds its `Quaternion` entries
+(components canonical as in `qdet.scalar`, `int` where integral) only
+when they are read through `entries()`, `row`, `col` or indexing.  So a
+chain of products, checks and ranks runs on `int` throughout.  Float
+matrices hold entries only and compute as `Quaternion` arithmetic does,
+bit for bit.  Rank is row rank by forward elimination; exact elimination
+is fraction-free on the held rows (see `_eliminate`), float elimination
+uses quaternionic left-division with a pivot tolerance, valid over a
+division ring.  A `Powers` table holds the powers of one square matrix and
+their ranks for one call; `mat_pow`, `index_of`, the Drazin routes and the
+checkers read powers from such a table instead of rebuilding them.
 
 The complex adjoint embedding maps each entry a + bi + cj + dk to the
 2x2 complex block
@@ -31,19 +38,20 @@ block convention is fixed project-wide because the oracle depends on it.
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import ModeError, NumericalBreakdownError, ShapeError, SingularError, invariant_error
 from .scalar import EXACT, FLOAT, Quaternion, _coerce_real_operand, _of, parse_quaternion
 
-if TYPE_CHECKING:
-    import numpy as np
-
 
 class QMatrix:
-    """Immutable dense quaternion matrix with uniform scalar mode."""
+    """Immutable dense quaternion matrix with uniform scalar mode.
 
-    __slots__ = ("rows", "cols", "mode", "_entries")
+    Its value never changes; an exact matrix fills two caches on first
+    use, its `Quaternion` entries and its held form (module docstring).
+    Either fill is idempotent, so a matrix is safe to share.
+    """
+
+    __slots__ = ("rows", "cols", "mode", "_entries", "_held")
 
     def __init__(self, entries):
         data = tuple(tuple(row) for row in entries)
@@ -64,6 +72,7 @@ class QMatrix:
         self.cols = ncols
         self.mode = mode
         self._entries = data
+        self._held = None
 
     @classmethod
     def _trusted(cls, data, mode):
@@ -74,7 +83,26 @@ class QMatrix:
         m.cols = len(data[0])
         m.mode = mode
         m._entries = data
+        m._held = None
         return m
+
+    @classmethod
+    def _exact(cls, rows, den):
+        """The exact matrix rows / den, for rows of int component tuples and
+        a positive int den, holding only its held form (gcd divided out)."""
+        m = object.__new__(cls)
+        m.rows = len(rows)
+        m.cols = len(rows[0])
+        m.mode = EXACT
+        m._entries = None
+        m._held = _reduced(rows, den)
+        return m
+
+    def _form(self):
+        """The held form (rows, den) of an exact matrix, made on first use."""
+        if self._held is None:
+            self._held = _held_form(self._entries)
+        return self._held
 
     # -- constructors -------------------------------------------------
 
@@ -92,6 +120,8 @@ class QMatrix:
     @classmethod
     def diagonal(cls, qs):
         qs = list(qs)
+        if not qs:
+            raise ShapeError("matrix must have at least one row and one column")
         z = Quaternion.zero(qs[0].mode)
         return cls([[qs[i] if i == j else z for j in range(len(qs))] for i in range(len(qs))])
 
@@ -104,15 +134,20 @@ class QMatrix:
 
     def __getitem__(self, key):
         i, j = key
-        return self._entries[i][j]
+        return self.entries()[i][j]
 
     def row(self, i):
-        return self._entries[i]
+        return self.entries()[i]
 
     def col(self, j):
-        return tuple(row[j] for row in self._entries)
+        return tuple(row[j] for row in self.entries())
 
     def entries(self):
+        """The rows of `Quaternion` entries, built from the held form on
+        first read when the matrix was made in that form."""
+        if self._entries is None:
+            rows, den = self._held
+            self._entries = tuple(tuple(_quaternion(t, den, EXACT) for t in row) for row in rows)
         return self._entries
 
     @property
@@ -137,7 +172,7 @@ class QMatrix:
         return QMatrix(
             [
                 [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._entries, other._entries)
+                for ra, rb in zip(self.entries(), other.entries())
             ]
         )
 
@@ -147,7 +182,7 @@ class QMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return QMatrix([[-q for q in row] for row in self._entries])
+        return QMatrix([[-q for q in row] for row in self.entries()])
 
     def __matmul__(self, other):
         if not isinstance(other, QMatrix):
@@ -155,27 +190,24 @@ class QMatrix:
         self._check_mode(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        arows, brows = _component_rows(self._entries), _component_rows(other._entries)
-        zero, den = 0.0, 1
-        if self.mode == EXACT:  # one lcm per operand, one division per entry
-            (arows, da), (brows, db) = _cleared(arows), _cleared(brows)
-            zero, den = 0, da * db
-        bcols = list(zip(*brows))
+        if self.mode == EXACT:
+            return _exact_product(self._form(), other._form())
+        bcols = list(zip(*_component_rows(other._entries)))
         out = []
-        for ra in arows:
+        for ra in _component_rows(self._entries):
             out_row = []
             for cb in bcols:
                 # The summation order of entrywise `acc + a * b`, so float
                 # products are bit-identical to Quaternion arithmetic.
-                s0 = s1 = s2 = s3 = zero
+                s0 = s1 = s2 = s3 = 0.0
                 for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(ra, cb):
                     s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
                     s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
                     s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
                     s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-                out_row.append(_quaternion((s0, s1, s2, s3), den, self.mode))
+                out_row.append(_of(s0, s1, s2, s3, FLOAT))
             out.append(tuple(out_row))
-        return QMatrix._trusted(tuple(out), self.mode)
+        return QMatrix._trusted(tuple(out), FLOAT)
 
     def __mul__(self, scalar):
         # Real scalar only; reals are central so the side does not matter.
@@ -187,10 +219,9 @@ class QMatrix:
         return self._scaled(scalar, divide=True)
 
     def _scaled(self, scalar, divide):
-        """self * scalar, or self / scalar when divide.  Exact entries are
-        scaled to ints by one lcm and each is divided once, so components
-        are `int` where integral; float mode multiplies by the scalar or
-        by its reciprocal, as `Quaternion` does."""
+        """self * scalar, or self / scalar when divide.  An exact result is
+        the held form times num / den, made in that form; float mode
+        multiplies by the scalar or by its reciprocal, as `Quaternion` does."""
         r = _coerce_real_operand(scalar, self.mode)
         if r is None:
             return NotImplemented
@@ -202,31 +233,33 @@ class QMatrix:
         num, den = (r.denominator, r.numerator) if divide else (r.numerator, r.denominator)
         if den < 0:
             num, den = -num, -den
-        rows, lcm = _cleared(_component_rows(self._entries))
-        return QMatrix._trusted(
-            tuple(tuple(_quaternion(tuple(c * num for c in t), den * lcm, EXACT) for t in row) for row in rows),
-            EXACT,
+        rows, lcm = self._form()
+        return QMatrix._exact(
+            tuple(tuple((a * num, b * num, c * num, d * num) for a, b, c, d in row) for row in rows), den * lcm
         )
 
     def __eq__(self, other):
         if not isinstance(other, QMatrix):
             return NotImplemented
-        return (
-            self.mode == other.mode
-            and self.shape == other.shape
-            and self._entries == other._entries
-        )
+        if self.mode != other.mode or self.shape != other.shape:
+            return False
+        if self.mode == EXACT:
+            return self._form() == other._form()
+        return self._entries == other._entries
 
     def __hash__(self):
-        return hash((self.mode, self._entries))
+        return hash((self.mode, self._form() if self.mode == EXACT else self._entries))
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(q) for q in row) for row in self._entries)
+        body = "; ".join(" ".join(str(q) for q in row) for row in self.entries())
         return f"QMatrix({self.rows}x{self.cols} {self.mode}: {body})"
 
     @property
     def H(self):
         """Hermitian adjoint: (A*)_ij = conj(A_ji); satisfies (AB)* = B*A*."""
+        if self.mode == EXACT:
+            rows, den = self._form()
+            return QMatrix._exact(tuple(tuple((a, -b, -c, -d) for a, b, c, d in col) for col in zip(*rows)), den)
         return QMatrix(
             [[self._entries[i][j].conj() for i in range(self.rows)] for j in range(self.cols)]
         )
@@ -234,18 +267,14 @@ class QMatrix:
     def is_hermitian(self):
         """Whether A equals its conjugate transpose.
 
-        Exact mode compares structurally.  Float mode allows a small
+        Exact mode compares the held forms.  Float mode allows a small
         absolute tolerance (1e-12 scaled by the largest entry)
         to absorb non-associative rounding in products like A @ A.H.
         """
         if not self.is_square():
             return False
         if self.mode == EXACT:
-            for i in range(self.rows):
-                for j in range(i, self.cols):
-                    if self._entries[i][j] != self._entries[j][i].conj():
-                        return False
-            return True
+            return self._form() == self.H._form()
         scale = max(
             (abs(c) for row in self._entries for q in row for c in q.components()),
             default=0.0,
@@ -259,12 +288,12 @@ class QMatrix:
         return True
 
     def is_zero(self):
-        return all(q.is_zero() for row in self._entries for q in row)
+        return all(q.is_zero() for row in self.entries() for q in row)
 
     def to_float(self):
         if self.mode == FLOAT:
             return self
-        return QMatrix([[q.to_float() for q in row] for row in self._entries])
+        return QMatrix([[q.to_float() for q in row] for row in self.entries()])
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +345,13 @@ def _component_rows(entries):
     return [[(q.a0, q.a1, q.a2, q.a3) for q in row] for row in entries]
 
 
-def _cleared(rows):
-    """Exact component rows scaled to ints by the lcm of their
-    denominators, and that lcm (rows of ints come back as they are)."""
+def _held_form(entries):
+    """The held form (rows, den) of exact entries: their component rows
+    scaled to ints by the lcm den of their denominators.  It is canonical:
+    each prime power that exactly divides den exactly divides the
+    denominator of some component, whose scaled numerator is then prime
+    to that prime."""
+    rows = tuple(tuple((q.a0, q.a1, q.a2, q.a3) for q in row) for row in entries)
     den, ints = 1, True
     for row in rows:
         for t in row:
@@ -327,25 +360,42 @@ def _cleared(rows):
                     den, ints = math.lcm(den, c.denominator), False
     if ints:
         return rows, 1
-    scaled = [
-        [tuple(c * den if c.__class__ is int else c.numerator * (den // c.denominator) for c in t)
-         for t in row]
+    scaled = tuple(
+        tuple(tuple(c * den if c.__class__ is int else c.numerator * (den // c.denominator) for c in t)
+              for t in row)
         for row in rows
-    ]
+    )
     return scaled, den
 
 
-def _elimination_rows(entries, exact):
-    """Component rows to eliminate: exact rows each scaled to ints by
-    their own lcm and divided by their content, as only their span counts."""
-    rows = _component_rows(entries)
-    if not exact:
-        return rows
-    out = []
+def _reduced(rows, den):
+    """The canonical (rows, den) of rows / den: both divided by their gcd."""
+    g = den
     for row in rows:
-        (scaled,), _ = _cleared([row])
-        out.append(_primitive(scaled))
-    return out
+        for t in row:
+            g = math.gcd(g, *t)
+            if g == 1:
+                return rows, den
+    return tuple(tuple((a // g, b // g, c // g, d // g) for a, b, c, d in row) for row in rows), den // g
+
+
+def _exact_product(a, b):
+    """The exact matrix product of held forms a and b, in held form only."""
+    (arows, da), (brows, db) = a, b
+    bcols = list(zip(*brows))
+    out = []
+    for ra in arows:
+        out_row = []
+        for cb in bcols:
+            s0 = s1 = s2 = s3 = 0
+            for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(ra, cb):
+                s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+                s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+                s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+                s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+            out_row.append((s0, s1, s2, s3))
+        out.append(tuple(out_row))
+    return QMatrix._exact(tuple(out), da * db)
 
 
 def _primitive(row):
@@ -477,13 +527,15 @@ def _eliminate(rows, pivot_cols, exact, jordan=False):
 def rank(a: QMatrix) -> int:
     """Row rank by forward elimination (`_eliminate`).
 
-    Exact mode eliminates fraction-free on integer rows.  In float mode a
-    pivot is accepted when its squared norm exceeds a tolerance relative
-    to the largest entry of the matrix; an entry whose squared norm is
-    not finite raises NumericalBreakdownError.
+    Exact mode eliminates fraction-free on the held rows, each divided by
+    its content, as only their span counts.  In float mode a pivot is
+    accepted when its squared norm exceeds a tolerance relative to the
+    largest entry of the matrix; an entry whose squared norm is not finite
+    raises NumericalBreakdownError.
     """
-    exact = a.mode == EXACT
-    return _eliminate(_elimination_rows(a.entries(), exact), a.cols, exact)
+    if a.mode == EXACT:
+        return _eliminate([_primitive(list(row)) for row in a._form()[0]], a.cols, True)
+    return _eliminate(_component_rows(a.entries()), a.cols, False)
 
 
 def index_of(a) -> int:
@@ -515,10 +567,13 @@ def inverse_square(a: QMatrix) -> QMatrix:
     if not a.is_square():
         raise ShapeError("inverse requires a square matrix")
     n, exact = a.rows, a.mode == EXACT
-    one = Quaternion.one(a.mode)
-    zero = Quaternion.zero(a.mode)
-    augmented = [row + tuple(one if j == i else zero for j in range(n)) for i, row in enumerate(a.entries())]
-    rows = _elimination_rows(augmented, exact)
+    if exact:  # the rows of [A | I] scaled by den, each divided by its content
+        held, den = a._form()
+        one, zero = (den, 0, 0, 0), (0, 0, 0, 0)
+        rows = [_primitive([*row, *(one if j == i else zero for j in range(n))]) for i, row in enumerate(held)]
+    else:
+        one, zero = (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)
+        rows = [row + [one if j == i else zero for j in range(n)] for i, row in enumerate(_component_rows(a.entries()))]
     if _eliminate(rows, n, exact, jordan=True) < n:
         raise SingularError("matrix is singular")
     out = []

@@ -34,12 +34,13 @@ collapse to the classical determinant on commuting entries.
 
 The subset tables hold component 4-tuples, not `Quaternion` objects: the
 Hamilton product is written out in `Quaternion.__mul__` order, and a
-`Quaternion` is made only for an output.  Exact entries are scaled once
-by the lcm den of their denominators, so every table entry is a tuple of
-`int`s.  Every term of an entry has a fixed number of factors (|Y| for a
-path over Y, |Y|+1 for a signed cycle sum over Y, |X| for the tail of X,
-r-1 for a cofactor of order r), so each output is divided once, by den to
-that power, with components canonical (`int` where integral).  Float
+`Quaternion` is made only for an output.  Exact entries are read in the
+matrix's held form, ints over one denominator den, so every table entry
+is a tuple of `int`s.  Every term of an entry has a fixed number of
+factors (|Y| for a path over Y, |Y|+1 for a signed cycle sum over Y, |X|
+for the tail of X, r-1 for a cofactor of order r), so each output is
+divided once, by den to that power, with components canonical (`int`
+where integral); the cofactor matrix Y stays in held form.  Float
 mode keeps the summation order of `Quaternion` arithmetic, so its results
 are bit-identical to it.
 
@@ -77,7 +78,6 @@ from .errors import (
 )
 from .matrix import (
     QMatrix,
-    _cleared,
     _component_rows,
     _hamilton,
     _over,
@@ -158,19 +158,18 @@ def _subsets(members: tuple, max_size: int) -> tuple:
 
 def _scaled(a: QMatrix):
     """(e, den, start): the entries of a as component tuples, exact ones
-    scaled to ints by the lcm den of their denominators (den is 1 in float
-    mode), and the start of a table sum.
+    as a's held form, ints over den (den is 1 in float mode), and the
+    start of a table sum.
 
     A float sum starts from -0.0, the identity of IEEE addition (x + -0.0
     is x, also for x = -0.0), so it equals the `Quaternion` sum seeded by
     its first term, bit for bit; +0.0 would turn a sum of -0.0 terms
     into +0.0.
     """
-    rows = _component_rows(a.entries())
     if a.mode == EXACT:
-        e, den = _cleared(rows)
+        e, den = a._form()
         return e, den, (0, 0, 0, 0)
-    return rows, 1, (-0.0, -0.0, -0.0, -0.0)
+    return _component_rows(a.entries()), 1, (-0.0, -0.0, -0.0, -0.0)
 
 
 def _extend(prev, factors, forward, start):
@@ -396,8 +395,10 @@ def _bordered_cofactors(g: QMatrix, r: int, row: bool, max_n: int | None = None)
                     cof[a][b] = (c0 - p0, c1 - p1, c2 - p2, c3 - p3)
                 else:
                     cof[a][b] = (c0 + p0, c1 + p1, c2 + p2, c3 + p3)
-    scale = den ** (r - 1)
-    y = QMatrix._trusted(tuple(tuple(_quaternion(t, scale, g.mode) for t in ys) for ys in cof), g.mode)
+    if g.mode == EXACT:
+        y = QMatrix._exact(tuple(map(tuple, cof)), den ** (r - 1))
+    else:
+        y = QMatrix._trusted(tuple(tuple(_quaternion(t, 1, g.mode) for t in ys) for ys in cof), g.mode)
     if g.mode == EXACT and not g.is_hermitian():
         return y, None
     return y, _minor_sum(tails, n, r, den, g.mode)

@@ -15,7 +15,7 @@ inverse here.  Each check reads the powers of A (of AW and WA) from one
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import ModeError, ShapeError
 from .matrix import (
@@ -31,28 +31,22 @@ from .scalar import EXACT, FLOAT
 DEFAULT_FLOAT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class EquationCheck:
-    """Verdict for one defining equation."""
+class EquationCheck(namedtuple("EquationCheck", "label passed residual", defaults=(None,))):
+    """Verdict for one defining equation: its label, whether it passed and,
+    in float mode only, its max-abs residual."""
 
-    label: str
-    passed: bool
-    residual: float | None = None  # float mode only
+    __slots__ = ()
 
     def human(self) -> str:
         tail = "" if self.residual is None else f"  (max residual {self.residual:.3e})"
         return f"{'pass' if self.passed else 'FAIL'}  {self.label}{tail}"
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    """Per-equation verdicts plus route provenance and errata notes."""
+class VerifyReport(namedtuple("VerifyReport", "kind mode provenance checks notes", defaults=((), ()))):
+    """Per-equation verdicts plus route provenance and errata notes; kind is
+    "penrose", "drazin" or "wdrazin"."""
 
-    kind: str  # "penrose" | "drazin" | "wdrazin"
-    mode: str
-    provenance: str
-    checks: tuple = ()
-    notes: tuple = field(default_factory=tuple)
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import inspect
 import io
+import os
 import subprocess
 import sys
 import tempfile
@@ -594,7 +595,12 @@ def test_every_subcommand_ends_with_an_exit_code(case, raw):
             assert code == 1
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    code = "import sys, qdet.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+def test_cli_import_loads_no_dataclasses_inspect_typing_or_numpy():
+    # -S: without site, so no .pth file adds its own imports.
+    code = "import sys, qdet.cli; print(' '.join(sorted(sys.modules)))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    loaded = set(out.stdout.split())
+    assert "qdet.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing", "numpy"}

@@ -1,5 +1,7 @@
 import inspect
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -268,6 +270,10 @@ def kernel_matrices(draw, rows, cols):
                     for i in range(rows)])
 
 
+def _entrywise(x: QMatrix, f) -> QMatrix:
+    return QMatrix([[f(q) for q in row] for row in x.entries()])
+
+
 def _bits(x: QMatrix):
     return [[tuple(c.hex() for c in q.components()) for q in row] for row in x.entries()]
 
@@ -287,16 +293,15 @@ def _inverse_or_error(inverse, a):
 
 def test_real_scalar_products_run_on_the_kernel():
     a = QMatrix.from_literals([["1/2", "3i"], ["2j-1/3k", "0"]])
-    entrywise = lambda x, f: QMatrix([[f(q) for q in row] for row in x.entries()])  # noqa: E731
     for r in (2, -3, Fraction(3, 2), Fraction(-1, 6), 0):
-        assert a * r == r * a == entrywise(a, lambda q: q * r) and _canonical(a * r)
+        assert a * r == r * a == _entrywise(a, lambda q: q * r) and _canonical(a * r)
         if r:
-            assert a / r == entrywise(a, lambda q: q / r) and _canonical(a / r)
+            assert a / r == _entrywise(a, lambda q: q / r) and _canonical(a / r)
     assert _canonical(hermitian_inverse(QMatrix.diagonal([Quaternion(4), Quaternion(1), Quaternion(1)])))
     f = a.to_float()
     for r in (3, 0.1, -7.5):
-        assert _bits(f * r) == _bits(entrywise(f, lambda q: q * r))
-        assert _bits(f / r) == _bits(entrywise(f, lambda q: q / r))
+        assert _bits(f * r) == _bits(_entrywise(f, lambda q: q * r))
+        assert _bits(f / r) == _bits(_entrywise(f, lambda q: q / r))
     for x, zero in ((a, 0), (f, 0.0), (f, -0.0)):
         with pytest.raises(ZeroDivisionError):
             x / zero
@@ -336,3 +341,103 @@ def test_kernel_matches_the_quaternion_references(data):
     expected = _inverse_or_error(reference_inverse_square, fs)
     assert inverse == expected if isinstance(expected, type) else _bits(inverse) == _bits(expected)
 
+
+
+def test_an_empty_diagonal_is_a_shape_error():
+    for empty in (lambda: QMatrix.diagonal([]), lambda: QMatrix.zeros(0, 3)):
+        with pytest.raises(ShapeError):
+            empty()
+
+
+# -- the held form: exact results made as int rows over one denominator --
+
+def _reference_adjoint(x: QMatrix) -> QMatrix:
+    return QMatrix([[x[i, j].conj() for i in range(x.rows)] for j in range(x.cols)])
+
+
+def _held_is_canonical(x: QMatrix) -> bool:
+    rows, den = x._held
+    return den > 0 and math.gcd(den, *(c for row in rows for t in row for c in t)) == 1
+
+
+scalars = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_held_form_chains_match_the_quaternion_references(data):
+    n = data.draw(st.integers(1, 4))
+    m, k = data.draw(st.sampled_from([(1, n), (n, 1), (n, n)]))
+    x = ref = data.draw(kernel_matrices(m, k))
+    for _ in range(data.draw(st.integers(1, 5))):
+        op = data.draw(st.sampled_from(["@", "gram", "H", "*", "/"]))
+        if op == "@":
+            b = data.draw(kernel_matrices(x.cols, data.draw(st.sampled_from([1, x.rows, 3]))))
+            x, ref = x @ b, reference_matmul(ref, b)
+        elif op == "gram":
+            x, ref = x @ x.H, reference_matmul(ref, _reference_adjoint(ref))
+        elif op == "H":
+            x, ref = x.H, _reference_adjoint(ref)
+        else:
+            r = data.draw(scalars.filter(lambda v: op == "*" or v != 0))
+            x, ref = (x * r, _entrywise(ref, lambda q: q * r)) if op == "*" else (x / r, _entrywise(ref, lambda q: q / r))
+        assert x._entries is None and _held_is_canonical(x)  # made in held form alone
+        twin = QMatrix(ref.entries())
+        assert x == twin and twin == x and hash(x) == hash(twin)
+        assert rank(x) == reference_rank(ref) == rank(twin)
+        square = ref.rows == ref.cols
+        materialized = square and all(ref[i, j] == ref[j, i].conj() for i in range(ref.rows) for j in range(ref.cols))
+        assert x.is_hermitian() == materialized == twin.is_hermitian()
+    assert x.entries() == ref.entries() and _canonical(x)
+
+
+def test_rank_and_equality_on_a_product_chain_build_no_entries(monkeypatch):
+    a = QMatrix.from_literals([["1/2", "3i"], ["2j-1/3k", "1"], ["0", "1/4"]])
+    built = []
+    quaternion = matrix._quaternion
+    monkeypatch.setattr(matrix, "_quaternion", lambda *args: built.append(args) or quaternion(*args))
+    g = a.H @ a
+    x = (g @ g) * Fraction(2, 3) / 5
+    y = g @ (g * Fraction(2, 15))
+    assert x == y and hash(x) == hash(y) and x != g
+    assert rank(x) == rank(a @ a.H @ a) == 2 and x.is_hermitian()
+    assert index_of(a.H @ a) == 0
+    assert built == []
+    str(x)  # reading the entries builds them, once
+    assert len(built) == 4
+    str(x)
+    assert len(built) == 4
+
+
+def test_concurrent_first_reads_agree():
+    # Threads race to fill the two caches of the same fresh matrices: the
+    # entries of a product, the held form of a matrix built from entries.
+    # Every fill must give what a lone reader gets.
+    a = QMatrix.from_literals([["1/2", "3i", "0"], ["2j-1/3k", "1", "k"], ["0", "1/4", "5"]])
+    entries = (a @ a.H * Fraction(1, 3)).entries()
+    want = (entries, hash(QMatrix(entries)), True, rank(QMatrix(entries)))
+    pairs, seen, errors = [], [], []
+    barrier = threading.Barrier(6)
+
+    def reader():
+        try:
+            for product, built in pairs:
+                barrier.wait(timeout=10)
+                seen.append((product.entries(), hash(built), product == built, rank(built)))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pairs[:] = [(a @ a.H * Fraction(1, 3), QMatrix(entries)) for _ in range(30)]
+        assert all(p._entries is None and b._held is None for p, b in pairs)
+        threads = [threading.Thread(target=reader) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert seen == [want] * (6 * 30)

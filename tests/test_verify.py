@@ -15,6 +15,7 @@ from qdet import (
 )
 from qdet.errors import ModeError, ShapeError
 from qdet import matrix
+from qdet.verify import EquationCheck, VerifyReport
 from qdet.matrix import max_abs_diff
 
 
@@ -155,3 +156,15 @@ def test_wdrazin_check_reads_each_power_from_one_table(monkeypatch):
     assert check_wdrazin(golden.A_IN, golden.W_IN, golden.ADW).ok
     # One table each for WA and AW: every power and rank is made once.
     assert (len(products), len(ranks)) == (22, 5)
+
+
+def test_reports_are_immutable_values_compared_and_shown_by_field():
+    check = EquationCheck("AXA = A", True)
+    assert check == EquationCheck("AXA = A", True, None) != EquationCheck("AXA = A", False)
+    assert repr(check) == "EquationCheck(label='AXA = A', passed=True, residual=None)"
+    report = VerifyReport("penrose", "exact", "cdet", (check,))
+    assert report.notes == () and report.ok and hash(report) == hash(VerifyReport("penrose", "exact", "cdet", (check,)))
+    assert repr(report).startswith("VerifyReport(kind='penrose', mode='exact', provenance='cdet', checks=(")
+    for value, name in ((check, "passed"), (report, "notes")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
