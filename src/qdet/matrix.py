@@ -6,23 +6,25 @@ like any Python sequence; the determinant anchors in `qdet.ncdet` are
 1-based to match the usual notation.
 
 Products and row elimination run on component 4-tuples with the
-Hamilton product written out, not on `Quaternion` objects.  An exact
-matrix holds its value in a second form, made at most once: int
-component rows over one denominator, ``(rows, den)``, canonical (den > 0
-and gcd(den, every int) = 1), so two exact matrices are equal exactly when
-their held forms are.  A matrix built from entries makes the form on first
-use, scaling by the lcm of its denominators; an exact product, real
-scalar multiple, conjugate transpose or cofactor table is made in that
-form alone, dividing out one gcd, and builds its `Quaternion` entries
-(components canonical as in `qdet.scalar`, `int` where integral) only
-when they are read through `entries()`, `row`, `col` or indexing.  So a
-chain of products, checks and ranks runs on `int` throughout.  Float
-matrices hold entries only and compute as `Quaternion` arithmetic does,
-bit for bit.  Rank is row rank by forward elimination; exact elimination
-is fraction-free on the held rows (see `_eliminate`), float elimination
-uses quaternionic left-division with a pivot tolerance, valid over a
-division ring.  A `Powers` table holds the powers of one square matrix and
-their ranks for one call; `mat_pow`, `index_of`, the Drazin routes and the
+Hamilton product written out, not on `Quaternion` objects.  Every matrix
+holds its value in a second form, made at most once: component rows over
+one denominator, ``(rows, den)``.  An exact matrix holds int components
+and a canonical den (den > 0 and gcd(den, every int) = 1), so two exact
+matrices are equal exactly when their held forms are; a float matrix
+holds float components over den = 1.  A matrix built from entries makes
+the form on first use, scaling exact rows by the lcm of their
+denominators; a product, real scalar multiple, conjugate transpose,
+inverse or cofactor table is made in that form alone, dividing out one
+gcd, and builds its `Quaternion` entries (components canonical as in
+`qdet.scalar`, `int` where integral) only when they are read through
+`entries()`, `row`, `col` or indexing.  So a chain of products, checks and
+ranks runs on `int` (or `float`) throughout.  Both modes run the same
+loops, in the summation order of `Quaternion` arithmetic, so float results
+are bit-identical to it.  Rank is row rank by forward elimination; exact
+elimination is fraction-free (see `_eliminate`), float elimination uses
+quaternionic left-division with a pivot tolerance, valid over a division
+ring.  A `Powers` table holds the powers of one square matrix and their
+ranks for one call; `mat_pow`, `index_of`, the Drazin routes and the
 checkers read powers from such a table instead of rebuilding them.
 
 The complex adjoint embedding maps each entry a + bi + cj + dk to the
@@ -46,9 +48,9 @@ from .scalar import EXACT, FLOAT, Quaternion, _coerce_real_operand, _of, parse_q
 class QMatrix:
     """Immutable dense quaternion matrix with uniform scalar mode.
 
-    Its value never changes; an exact matrix fills two caches on first
-    use, its `Quaternion` entries and its held form (module docstring).
-    Either fill is idempotent, so a matrix is safe to share.
+    Its value never changes; it fills two caches on first use, its
+    `Quaternion` entries and its held form (module docstring), in its own
+    scalar mode.  Either fill is idempotent, so a matrix is safe to share.
     """
 
     __slots__ = ("rows", "cols", "mode", "_entries", "_held")
@@ -75,31 +77,20 @@ class QMatrix:
         self._held = None
 
     @classmethod
-    def _trusted(cls, data, mode):
-        """Wrap a nonempty rectangular tuple of tuples of `mode` quaternions
-        (a kernel result) without re-validating it."""
-        m = object.__new__(cls)
-        m.rows = len(data)
-        m.cols = len(data[0])
-        m.mode = mode
-        m._entries = data
-        m._held = None
-        return m
-
-    @classmethod
-    def _exact(cls, rows, den):
-        """The exact matrix rows / den, for rows of int component tuples and
-        a positive int den, holding only its held form (gcd divided out)."""
+    def _made(cls, rows, den, mode):
+        """The `mode` matrix rows / den, holding only its held form (gcd
+        divided out): rows of component tuples, int in exact mode, float
+        in float mode with den 1."""
         m = object.__new__(cls)
         m.rows = len(rows)
         m.cols = len(rows[0])
-        m.mode = EXACT
+        m.mode = mode
         m._entries = None
         m._held = _reduced(rows, den)
         return m
 
     def _form(self):
-        """The held form (rows, den) of an exact matrix, made on first use."""
+        """The held form (rows, den), made on first use."""
         if self._held is None:
             self._held = _held_form(self._entries)
         return self._held
@@ -147,7 +138,7 @@ class QMatrix:
         first read when the matrix was made in that form."""
         if self._entries is None:
             rows, den = self._held
-            self._entries = tuple(tuple(_quaternion(t, den, EXACT) for t in row) for row in rows)
+            self._entries = tuple(tuple(_quaternion(t, den, self.mode) for t in row) for row in rows)
         return self._entries
 
     @property
@@ -190,24 +181,7 @@ class QMatrix:
         self._check_mode(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        if self.mode == EXACT:
-            return _exact_product(self._form(), other._form())
-        bcols = list(zip(*_component_rows(other._entries)))
-        out = []
-        for ra in _component_rows(self._entries):
-            out_row = []
-            for cb in bcols:
-                # The summation order of entrywise `acc + a * b`, so float
-                # products are bit-identical to Quaternion arithmetic.
-                s0 = s1 = s2 = s3 = 0.0
-                for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(ra, cb):
-                    s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-                    s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-                    s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-                    s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-                out_row.append(_of(s0, s1, s2, s3, FLOAT))
-            out.append(tuple(out_row))
-        return QMatrix._trusted(tuple(out), FLOAT)
+        return _product(self._form(), other._form(), self.mode)
 
     def __mul__(self, scalar):
         # Real scalar only; reals are central so the side does not matter.
@@ -219,23 +193,22 @@ class QMatrix:
         return self._scaled(scalar, divide=True)
 
     def _scaled(self, scalar, divide):
-        """self * scalar, or self / scalar when divide.  An exact result is
-        the held form times num / den, made in that form; float mode
-        multiplies by the scalar or by its reciprocal, as `Quaternion` does."""
+        """self * scalar, or self / scalar when divide: the held form times
+        num / den, made in that form.  A float scalar r is num with den 1,
+        and dividing multiplies by 1.0 / r, as `Quaternion` does."""
         r = _coerce_real_operand(scalar, self.mode)
         if r is None:
             return NotImplemented
-        if divide and r == 0:
-            raise ZeroDivisionError("division of quaternion by zero scalar")
-        if self.mode == FLOAT:
-            r = 1.0 / r if divide else r
-            return QMatrix._trusted(tuple(tuple(q * r for q in row) for row in self._entries), FLOAT)
-        num, den = (r.denominator, r.numerator) if divide else (r.numerator, r.denominator)
-        if den < 0:
-            num, den = -num, -den
+        if divide:
+            if r == 0:
+                raise ZeroDivisionError("division of quaternion by zero scalar")
+            r = Fraction(1) / r  # 1.0 / r for a float r
+        num, den = (r, 1) if self.mode == FLOAT else (r.numerator, r.denominator)
         rows, lcm = self._form()
-        return QMatrix._exact(
-            tuple(tuple((a * num, b * num, c * num, d * num) for a, b, c, d in row) for row in rows), den * lcm
+        return QMatrix._made(
+            tuple(tuple((a * num, b * num, c * num, d * num) for a, b, c, d in row) for row in rows),
+            den * lcm,
+            self.mode,
         )
 
     def __eq__(self, other):
@@ -243,12 +216,10 @@ class QMatrix:
             return NotImplemented
         if self.mode != other.mode or self.shape != other.shape:
             return False
-        if self.mode == EXACT:
-            return self._form() == other._form()
-        return self._entries == other._entries
+        return self._form() == other._form()
 
     def __hash__(self):
-        return hash((self.mode, self._form() if self.mode == EXACT else self._entries))
+        return hash((self.mode, self._form()))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(q) for q in row) for row in self.entries())
@@ -257,33 +228,28 @@ class QMatrix:
     @property
     def H(self):
         """Hermitian adjoint: (A*)_ij = conj(A_ji); satisfies (AB)* = B*A*."""
-        if self.mode == EXACT:
-            rows, den = self._form()
-            return QMatrix._exact(tuple(tuple((a, -b, -c, -d) for a, b, c, d in col) for col in zip(*rows)), den)
-        return QMatrix(
-            [[self._entries[i][j].conj() for i in range(self.rows)] for j in range(self.cols)]
-        )
+        rows, den = self._form()
+        return QMatrix._made(tuple(tuple((a, -b, -c, -d) for a, b, c, d in col) for col in zip(*rows)), den, self.mode)
 
     def is_hermitian(self):
         """Whether A equals its conjugate transpose.
 
-        Exact mode compares the held forms.  Float mode allows a small
-        absolute tolerance (1e-12 scaled by the largest entry)
-        to absorb non-associative rounding in products like A @ A.H.
+        Compares the held rows.  Exact mode asks for equality; float mode
+        allows a small absolute tolerance (1e-12 scaled by the largest
+        component) to absorb non-associative rounding in products like
+        A @ A.H.
         """
         if not self.is_square():
             return False
-        if self.mode == EXACT:
-            return self._form() == self.H._form()
-        scale = max(
-            (abs(c) for row in self._entries for q in row for c in q.components()),
-            default=0.0,
-        )
-        tol = 1e-12 * (1.0 + scale)
-        for i in range(self.rows):
+        rows = self._form()[0]
+        tol = 0
+        if self.mode == FLOAT:
+            tol = 1e-12 * (1.0 + max(abs(c) for row in rows for t in row for c in t))
+        for i, row in enumerate(rows):
             for j in range(i, self.cols):
-                d = self._entries[i][j] - self._entries[j][i].conj()
-                if not all(abs(c) <= tol for c in d.components()):  # NaN is never within tol
+                (a0, a1, a2, a3), (b0, b1, b2, b3) = row[j], rows[j][i]
+                # a - conj(b), tested as `not <=` since NaN is never within tol
+                if not (abs(a0 - b0) <= tol and abs(a1 + b1) <= tol and abs(a2 + b2) <= tol and abs(a3 + b3) <= tol):
                     return False
         return True
 
@@ -304,8 +270,8 @@ class QMatrix:
 class Powers:
     """The powers of one square matrix A and their ranks, for one call.
 
-    ``p[e]`` is A^e, built as A^(e-1) @ A from the identity and made at
-    most once; ``p.rank(e)`` is rank(A^e), computed at most once, with
+    ``p[e]`` is A^e: the identity, A itself, then A^(e-1) @ A, each made
+    at most once; ``p.rank(e)`` is rank(A^e), computed at most once, with
     rank(A^0) = n.  A table lives as long as the call that builds it, so
     no result is cached across calls.
     """
@@ -314,7 +280,7 @@ class Powers:
         if not a.is_square():
             raise ShapeError("powers and index are defined for square matrices only")
         self.a = a
-        self._powers = [QMatrix.identity(a.rows, a.mode)]
+        self._powers = [QMatrix.identity(a.rows, a.mode), a]
         self._ranks = {0: a.rows}
 
     def __getitem__(self, e: int) -> QMatrix:
@@ -340,25 +306,20 @@ def mat_pow(a: QMatrix, p: int) -> QMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _component_rows(entries):
-    """Rows of component 4-tuples of quaternion rows `entries`."""
-    return [[(q.a0, q.a1, q.a2, q.a3) for q in row] for row in entries]
-
-
 def _held_form(entries):
-    """The held form (rows, den) of exact entries: their component rows
-    scaled to ints by the lcm den of their denominators.  It is canonical:
-    each prime power that exactly divides den exactly divides the
-    denominator of some component, whose scaled numerator is then prime
-    to that prime."""
+    """The held form (rows, den) of entries: their component rows, scaled
+    to ints by the lcm den of their denominators if a component is a
+    `Fraction` (never in float mode).  It is canonical: each prime power
+    that exactly divides den exactly divides the denominator of some
+    component, whose scaled numerator is then prime to that prime."""
     rows = tuple(tuple((q.a0, q.a1, q.a2, q.a3) for q in row) for row in entries)
-    den, ints = 1, True
+    den, fractions = 1, False
     for row in rows:
         for t in row:
             for c in t:
-                if c.__class__ is not int:
-                    den, ints = math.lcm(den, c.denominator), False
-    if ints:
+                if c.__class__ is Fraction:
+                    den, fractions = math.lcm(den, c.denominator), True
+    if not fractions:
         return rows, 1
     scaled = tuple(
         tuple(tuple(c * den if c.__class__ is int else c.numerator * (den // c.denominator) for c in t)
@@ -369,7 +330,10 @@ def _held_form(entries):
 
 
 def _reduced(rows, den):
-    """The canonical (rows, den) of rows / den: both divided by their gcd."""
+    """The canonical (rows, den) of rows / den: both divided by their gcd.
+    den 1, and so every float form, is canonical already."""
+    if den == 1:
+        return rows, den
     g = den
     for row in rows:
         for t in row:
@@ -379,8 +343,11 @@ def _reduced(rows, den):
     return tuple(tuple((a // g, b // g, c // g, d // g) for a, b, c, d in row) for row in rows), den // g
 
 
-def _exact_product(a, b):
-    """The exact matrix product of held forms a and b, in held form only."""
+def _product(a, b, mode):
+    """The `mode` matrix product of held forms a and b, in held form only.
+    Each sum runs in the order of entrywise `acc + a * b`, from an int 0
+    that a float adds to as it adds to 0.0, so float products are
+    bit-identical to `Quaternion` arithmetic."""
     (arows, da), (brows, db) = a, b
     bcols = list(zip(*brows))
     out = []
@@ -395,7 +362,7 @@ def _exact_product(a, b):
                 s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
             out_row.append((s0, s1, s2, s3))
         out.append(tuple(out_row))
-    return QMatrix._exact(tuple(out), da * db)
+    return QMatrix._made(tuple(out), da * db, mode)
 
 
 def _primitive(row):
@@ -480,6 +447,8 @@ def _eliminate(rows, pivot_cols, exact, jordan=False):
     Gauss-Jordan first scales the pivot row by p^-1, then subtracts
     l row_p.  Both use the same pivot tolerance throughout.
     """
+    if exact:  # only the rows' span counts: divide each by its content
+        rows[:] = map(_primitive, rows)
     tol = 0 if exact else _float_pivot_tol(rows, pivot_cols)
     m, rk = len(rows), 0
     for col in range(pivot_cols):
@@ -527,15 +496,12 @@ def _eliminate(rows, pivot_cols, exact, jordan=False):
 def rank(a: QMatrix) -> int:
     """Row rank by forward elimination (`_eliminate`).
 
-    Exact mode eliminates fraction-free on the held rows, each divided by
-    its content, as only their span counts.  In float mode a pivot is
-    accepted when its squared norm exceeds a tolerance relative to the
-    largest entry of the matrix; an entry whose squared norm is not finite
-    raises NumericalBreakdownError.
+    It runs on the held rows.  Exact mode eliminates fraction-free; in
+    float mode a pivot is accepted when its squared norm exceeds a
+    tolerance relative to the largest entry of the matrix, and an entry
+    whose squared norm is not finite raises NumericalBreakdownError.
     """
-    if a.mode == EXACT:
-        return _eliminate([_primitive(list(row)) for row in a._form()[0]], a.cols, True)
-    return _eliminate(_component_rows(a.entries()), a.cols, False)
+    return _eliminate([list(row) for row in a._form()[0]], a.cols, a.mode == EXACT)
 
 
 def index_of(a) -> int:
@@ -561,30 +527,32 @@ def inverse_square(a: QMatrix) -> QMatrix:
     one-sided inverse of a square matrix is automatically two-sided.  In
     exact mode the elimination is fraction-free and leaves row i as
     [p_i e_i | R_i], so row i of the inverse is conj(p_i) R_i / N(p_i),
-    one division per entry.  Raises `SingularError` when no acceptable
-    pivot exists.
+    held over the lcm of the N(p_i).  Float elimination scales each pivot
+    row by its inverse pivot, so it leaves the inverse itself.  Raises
+    `SingularError` when no acceptable pivot exists.
     """
     if not a.is_square():
         raise ShapeError("inverse requires a square matrix")
     n, exact = a.rows, a.mode == EXACT
-    if exact:  # the rows of [A | I] scaled by den, each divided by its content
-        held, den = a._form()
-        one, zero = (den, 0, 0, 0), (0, 0, 0, 0)
-        rows = [_primitive([*row, *(one if j == i else zero for j in range(n))]) for i, row in enumerate(held)]
-    else:
-        one, zero = (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)
-        rows = [row + [one if j == i else zero for j in range(n)] for i, row in enumerate(_component_rows(a.entries()))]
+    # [A | I] scaled by den.  In float mode den is 1, and the int 0 and 1
+    # compute as 0.0 and 1.0 until scaling the pivot rows makes them floats.
+    held, den = a._form()
+    one, zero = (den, 0, 0, 0), (0, 0, 0, 0)
+    rows = [[*row, *(one if j == i else zero for j in range(n))] for i, row in enumerate(held)]
     if _eliminate(rows, n, exact, jordan=True) < n:
         raise SingularError("matrix is singular")
-    out = []
-    for i, row in enumerate(rows):
-        if exact:
-            p0, p1, p2, p3 = p = row[i]
-            pbar, norm = (p0, -p1, -p2, -p3), _norm_sq(p)
-            out.append(tuple(_quaternion(_hamilton(pbar, y), norm, a.mode) for y in row[n:]))
-        else:  # pivot rows were scaled by their inverse pivots
-            out.append(tuple(_quaternion(t, 1, a.mode) for t in row[n:]))
-    return QMatrix._trusted(tuple(out), a.mode)
+    if exact:
+        norms = [_norm_sq(row[i]) for i, row in enumerate(rows)]
+        den = math.lcm(*norms)
+        out = []
+        for i, row in enumerate(rows):
+            s = den // norms[i]
+            p0, p1, p2, p3 = row[i]
+            pbar = (p0 * s, -p1 * s, -p2 * s, -p3 * s)
+            out.append(tuple(_hamilton(pbar, y) for y in row[n:]))
+    else:
+        out = [tuple(row[n:]) for row in rows]
+    return QMatrix._made(tuple(out), den, a.mode)
 
 
 def max_abs_diff(a: QMatrix, b: QMatrix) -> float:

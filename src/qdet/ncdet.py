@@ -34,15 +34,16 @@ collapse to the classical determinant on commuting entries.
 
 The subset tables hold component 4-tuples, not `Quaternion` objects: the
 Hamilton product is written out in `Quaternion.__mul__` order, and a
-`Quaternion` is made only for an output.  Exact entries are read in the
-matrix's held form, ints over one denominator den, so every table entry
-is a tuple of `int`s.  Every term of an entry has a fixed number of
+`Quaternion` is made only for an output.  Entries are read in the
+matrix's held form, components over one denominator den: `int`s in exact
+mode, so every exact table entry is a tuple of `int`s, and `float`s over
+den = 1 in float mode.  Every term of an entry has a fixed number of
 factors (|Y| for a path over Y, |Y|+1 for a signed cycle sum over Y, |X|
 for the tail of X, r-1 for a cofactor of order r), so each output is
 divided once, by den to that power, with components canonical (`int`
-where integral); the cofactor matrix Y stays in held form.  Float
-mode keeps the summation order of `Quaternion` arithmetic, so its results
-are bit-identical to it.
+where integral); the cofactor matrix Y stays in held form.  The sums run
+in the order of `Quaternion` arithmetic, so float results are
+bit-identical to it.
 
 The same recursion serves the Hermitian offspring.  Its tail table holds,
 for every subset X, the determinant of the principal submatrix on X
@@ -76,14 +77,7 @@ from .errors import (
     ShapeError,
     SingularError,
 )
-from .matrix import (
-    QMatrix,
-    _component_rows,
-    _hamilton,
-    _over,
-    _quaternion,
-    max_abs_diff,
-)
+from .matrix import QMatrix, _hamilton, _over, _quaternion, max_abs_diff
 from .scalar import EXACT, Quaternion
 
 DEFAULT_ENUMERATION_GUARD = 8
@@ -157,19 +151,17 @@ def _subsets(members: tuple, max_size: int) -> tuple:
 
 
 def _scaled(a: QMatrix):
-    """(e, den, start): the entries of a as component tuples, exact ones
-    as a's held form, ints over den (den is 1 in float mode), and the
-    start of a table sum.
+    """(e, den, start): a's held form, rows of component tuples over den
+    (ints in exact mode, floats over den 1 in float mode), and the start
+    of a table sum.
 
-    A float sum starts from -0.0, the identity of IEEE addition (x + -0.0
-    is x, also for x = -0.0), so it equals the `Quaternion` sum seeded by
-    its first term, bit for bit; +0.0 would turn a sum of -0.0 terms
-    into +0.0.
+    An exact sum starts from 0.  A float sum starts from -0.0, the
+    identity of IEEE addition (x + -0.0 is x, also for x = -0.0), so it
+    equals the `Quaternion` sum seeded by its first term, bit for bit;
+    +0.0 would turn a sum of -0.0 terms into +0.0.
     """
-    if a.mode == EXACT:
-        e, den = a._form()
-        return e, den, (0, 0, 0, 0)
-    return _component_rows(a.entries()), 1, (-0.0, -0.0, -0.0, -0.0)
+    e, den = a._form()
+    return e, den, (0, 0, 0, 0) if a.mode == EXACT else (-0.0, -0.0, -0.0, -0.0)
 
 
 def _extend(prev, factors, forward, start):
@@ -395,10 +387,7 @@ def _bordered_cofactors(g: QMatrix, r: int, row: bool, max_n: int | None = None)
                     cof[a][b] = (c0 - p0, c1 - p1, c2 - p2, c3 - p3)
                 else:
                     cof[a][b] = (c0 + p0, c1 + p1, c2 + p2, c3 + p3)
-    if g.mode == EXACT:
-        y = QMatrix._exact(tuple(map(tuple, cof)), den ** (r - 1))
-    else:
-        y = QMatrix._trusted(tuple(tuple(_quaternion(t, 1, g.mode) for t in ys) for ys in cof), g.mode)
+    y = QMatrix._made(tuple(map(tuple, cof)), den ** (r - 1), g.mode)
     if g.mode == EXACT and not g.is_hermitian():
         return y, None
     return y, _minor_sum(tails, n, r, den, g.mode)

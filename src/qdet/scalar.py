@@ -38,21 +38,23 @@ _MODES = (EXACT, FLOAT)
 def _coerce(value, mode):
     """Coerce a real number into the component type of `mode`.
 
-    Integers are mode-neutral.  Fractions are exact-only, floats are
-    float-only; anything else is rejected.  Exact mode keeps integers as
+    Integers are mode-neutral.  Fractions are exact-only (ModeError in
+    float mode), floats are float-only; any other type, a string or a
+    `Decimal` included, is a TypeError.  Exact mode keeps integers as
     `int` (an integral `Fraction` becomes its numerator), because integer
     arithmetic is far cheaper than `Fraction` arithmetic.
     """
-    if mode == EXACT:
-        if isinstance(value, float):
-            raise ModeError(f"float component {value!r} not allowed in exact mode")
-        if isinstance(value, int):
-            return int(value)
-        value = Fraction(value)
-        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):
+        return int(value) if mode == EXACT else float(value)
     if isinstance(value, Fraction):
-        raise ModeError(f"Fraction component {value!r} not allowed in float mode")
-    return float(value)
+        if mode == FLOAT:
+            raise ModeError(f"Fraction component {value!r} not allowed in float mode")
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, float):
+        if mode == EXACT:
+            raise ModeError(f"float component {value!r} not allowed in exact mode")
+        return float(value)
+    raise TypeError(f"quaternion components must be int, Fraction or float, got {type(value).__name__}")
 
 
 def _coerce_real_operand(value, mode):

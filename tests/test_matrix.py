@@ -137,7 +137,7 @@ def test_each_power_is_one_product_from_the_last(monkeypatch):
     monkeypatch.setattr(QMatrix, "__matmul__", lambda x, y: products.append(1) or matmul(x, y))
     p[2]
     p[5]
-    assert len(products) == 5
+    assert len(products) == 4  # A^1 is A itself
     monkeypatch.undo()
     assert [p[e] for e in range(6)] == [mat_pow(golden.U, e) for e in range(6)]
 
@@ -151,10 +151,10 @@ def test_index_of_leaves_its_powers_and_ranks_in_the_table(monkeypatch):
     monkeypatch.setattr(QMatrix, "__matmul__", lambda x, y: products.append(1) or matmul(x, y))
     assert p.rank(0) == 4 and ranks == []  # rank(A^0) = n without elimination
     assert index_of(p) == golden.IND_V
-    assert (len(ranks), len(products)) == (3, 3)  # V, V^2, V^3, each once
+    assert (len(ranks), len(products)) == (3, 2)  # ranks of V, V^2, V^3; products V^2, V^3
     assert (p.rank(2), p.rank(3)) == (golden.RANK_V2, golden.RANK_V3)
     p[2], p[3], index_of(p)
-    assert (len(ranks), len(products)) == (3, 3)
+    assert (len(ranks), len(products)) == (3, 2)
 
 
 def test_operator_aliases_are_gone():
@@ -363,16 +363,24 @@ def _held_is_canonical(x: QMatrix) -> bool:
 scalars = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=6))
 
 
+def _to_float(x: QMatrix, rnd) -> QMatrix:
+    """x.to_float() with the sign of some zero components flipped to -0.0."""
+    flip = lambda c: -c if c == 0 and rnd.random() < 0.5 else c  # noqa: E731
+    return _entrywise(x.to_float(), lambda q: Quaternion(*map(flip, q.components()), mode=q.mode))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_held_form_chains_match_the_quaternion_references(data):
     n = data.draw(st.integers(1, 4))
     m, k = data.draw(st.sampled_from([(1, n), (n, 1), (n, n)]))
-    x = ref = data.draw(kernel_matrices(m, k))
+    exact, rnd = data.draw(st.booleans()), data.draw(st.randoms(use_true_random=False))
+    drawn = lambda y: y if exact else _to_float(y, rnd)  # noqa: E731
+    x = ref = drawn(data.draw(kernel_matrices(m, k)))
     for _ in range(data.draw(st.integers(1, 5))):
         op = data.draw(st.sampled_from(["@", "gram", "H", "*", "/"]))
         if op == "@":
-            b = data.draw(kernel_matrices(x.cols, data.draw(st.sampled_from([1, x.rows, 3]))))
+            b = drawn(data.draw(kernel_matrices(x.cols, data.draw(st.sampled_from([1, x.rows, 3])))))
             x, ref = x @ b, reference_matmul(ref, b)
         elif op == "gram":
             x, ref = x @ x.H, reference_matmul(ref, _reference_adjoint(ref))
@@ -380,15 +388,22 @@ def test_held_form_chains_match_the_quaternion_references(data):
             x, ref = x.H, _reference_adjoint(ref)
         else:
             r = data.draw(scalars.filter(lambda v: op == "*" or v != 0))
+            r = r if exact else data.draw(st.sampled_from([1.0, -1.0])) * float(r)  # -0.0 too
             x, ref = (x * r, _entrywise(ref, lambda q: q * r)) if op == "*" else (x / r, _entrywise(ref, lambda q: q / r))
-        assert x._entries is None and _held_is_canonical(x)  # made in held form alone
+        assert x._entries is None and (not exact or _held_is_canonical(x))  # made in held form alone
         twin = QMatrix(ref.entries())
         assert x == twin and twin == x and hash(x) == hash(twin)
         assert rank(x) == reference_rank(ref) == rank(twin)
         square = ref.rows == ref.cols
         materialized = square and all(ref[i, j] == ref[j, i].conj() for i in range(ref.rows) for j in range(ref.cols))
-        assert x.is_hermitian() == materialized == twin.is_hermitian()
-    assert x.entries() == ref.entries() and _canonical(x)
+        hermitian = x.is_hermitian()
+        assert hermitian == twin.is_hermitian()
+        # Float mode's tolerance may also accept a near-Hermitian x.
+        assert hermitian == materialized if exact else hermitian >= materialized
+    if exact:
+        assert x.entries() == ref.entries() and _canonical(x)
+    else:
+        assert _bits(x) == _bits(ref)
 
 
 def test_rank_and_equality_on_a_product_chain_build_no_entries(monkeypatch):

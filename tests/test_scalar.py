@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,16 @@ def test_mode_mixing_rejected():
         Quaternion(0.5)
     with pytest.raises(ModeError):
         Quaternion(Fraction(1, 2), mode=FLOAT)
+
+
+@pytest.mark.parametrize("component", ["0.1", "nan", "1e400", Decimal("0.1"), None, 1j])
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_a_component_of_another_type_is_a_type_error(component, mode):
+    # parse_quaternion is the way in from text; a string is not a number.
+    with pytest.raises(TypeError):
+        Quaternion(component, mode=mode)
+    with pytest.raises(TypeError):
+        Quaternion(0, 0, 0, component, mode=mode)
 
 
 def test_mode_not_component_type_is_the_contract():
