@@ -99,18 +99,9 @@ def parse_qmat(text: str) -> QMatrix:
     for row in tokens:
         for lineno, col, text_ in row:
             try:
-                this = literal_mode(text_)
-            except ParseError as exc:
+                mode = literal_mode(text_, mode)
+            except (ParseError, ModeError) as exc:
                 raise ParseError(str(exc), line=lineno, col=col) from None
-            if this is None:
-                continue
-            if mode is not None and mode != this:
-                raise ParseError(
-                    f"mixed-mode literals: file already {mode}, {text_!r} is {this}",
-                    line=lineno,
-                    col=col,
-                )
-            mode = this
     mode = mode or EXACT
 
     rows = []

@@ -5,27 +5,28 @@ scalar mode.  Container indexing (``A[i, j]``, `row`, `col`) is 0-based
 like any Python sequence; the determinant anchors in `qdet.ncdet` are
 1-based to match the usual notation.
 
-Products and row elimination run on component 4-tuples with the
-Hamilton product written out, not on `Quaternion` objects.  Every matrix
-holds its value in a second form, made at most once: component rows over
-one denominator, ``(rows, den)``.  An exact matrix holds int components
-and a canonical den (den > 0 and gcd(den, every int) = 1), so two exact
-matrices are equal exactly when their held forms are; a float matrix
-holds float components over den = 1.  A matrix built from entries makes
-the form on first use, scaling exact rows by the lcm of their
-denominators; a product, real scalar multiple, conjugate transpose,
-inverse or cofactor table is made in that form alone, dividing out one
-gcd, and builds its `Quaternion` entries (components canonical as in
-`qdet.scalar`, `int` where integral) only when they are read through
-`entries()`, `row`, `col` or indexing.  So a chain of products, checks and
-ranks runs on `int` (or `float`) throughout.  Both modes run the same
-loops, in the summation order of `Quaternion` arithmetic, so float results
-are bit-identical to it.  Rank is row rank by forward elimination; exact
-elimination is fraction-free (see `_eliminate`), float elimination uses
-quaternionic left-division with a pivot tolerance, valid over a division
-ring.  A `Powers` table holds the powers of one square matrix and their
-ranks for one call; `mat_pow`, `index_of`, the Drazin routes and the
-checkers read powers from such a table instead of rebuilding them.
+Every operation runs on component 4-tuples with the Hamilton product
+written out, not on `Quaternion` objects.  A matrix's one state is its
+held form: component rows over one denominator, ``(rows, den)``.  An
+exact matrix holds int components and a canonical den (den > 0 and
+gcd(den, every int) = 1), so two exact matrices are equal exactly when
+their held forms are; a float matrix holds float components over den = 1.
+The constructor makes the form from the given entries, scaling exact
+rows by the lcm of their denominators; every other matrix (a sum,
+difference, product, real scalar multiple, conjugate transpose, float
+copy, inverse or cofactor table) is made in that form alone, dividing
+out one gcd.  `Quaternion` entries (components canonical as in
+`qdet.scalar`, `int` where integral) are only a view: the given ones, or
+ones built from the held form on first read through `entries()`, `row`,
+`col` or indexing.  So a chain of operations runs on `int` (or `float`)
+throughout.  Both modes run the same loops, in the summation order of
+`Quaternion` arithmetic, so float results are bit-identical to it.  Rank
+is row rank by forward elimination; exact elimination is fraction-free
+(see `_eliminate`), float elimination uses quaternionic left-division
+with a pivot tolerance, valid over a division ring.  A `Powers` table
+holds the powers of one square matrix and their ranks for one call;
+`mat_pow`, `index_of`, the Drazin routes and the checkers read powers
+from such a table instead of rebuilding them.
 
 The complex adjoint embedding maps each entry a + bi + cj + dk to the
 2x2 complex block
@@ -42,15 +43,16 @@ import math
 from fractions import Fraction
 
 from .errors import ModeError, NumericalBreakdownError, ShapeError, SingularError, invariant_error
-from .scalar import EXACT, FLOAT, Quaternion, _coerce_real_operand, _of, parse_quaternion
+from .scalar import EXACT, FLOAT, Quaternion, _coerce_real_operand, _of, literal_mode, parse_quaternion
 
 
 class QMatrix:
     """Immutable dense quaternion matrix with uniform scalar mode.
 
-    Its value never changes; it fills two caches on first use, its
-    `Quaternion` entries and its held form (module docstring), in its own
-    scalar mode.  Either fill is idempotent, so a matrix is safe to share.
+    Its value never changes.  Its state is the held form (module
+    docstring); its `Quaternion` entries are a cache, filled on first read
+    when the matrix was not built from them.  The fill is idempotent, so
+    a matrix is safe to share.
     """
 
     __slots__ = ("rows", "cols", "mode", "_entries", "_held")
@@ -74,7 +76,7 @@ class QMatrix:
         self.cols = ncols
         self.mode = mode
         self._entries = data
-        self._held = None
+        self._held = _held_form(data)
 
     @classmethod
     def _made(cls, rows, den, mode):
@@ -89,24 +91,23 @@ class QMatrix:
         m._held = _reduced(rows, den)
         return m
 
-    def _form(self):
-        """The held form (rows, den), made on first use."""
-        if self._held is None:
-            self._held = _held_form(self._entries)
-        return self._held
-
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zeros(cls, rows, cols, mode=EXACT):
-        z = Quaternion.zero(mode)
-        return cls([[z] * cols for _ in range(rows)])
+        return cls._filled(rows, cols, Quaternion.zero(mode))
 
     @classmethod
     def identity(cls, n, mode=EXACT):
-        z = Quaternion.zero(mode)
-        one = Quaternion.one(mode)
-        return cls([[one if i == j else z for j in range(n)] for i in range(n)])
+        return cls._filled(n, n, Quaternion.one(mode))
+
+    @classmethod
+    def _filled(cls, rows, cols, d):
+        """The rows x cols matrix with d on its diagonal and 0 elsewhere, made in held form."""
+        if rows < 1 or cols < 1:
+            raise ShapeError("matrix must have at least one row and one column")
+        z, t = Quaternion.zero(d.mode).components(), d.components()
+        return cls._made(tuple(tuple(t if i == j else z for j in range(cols)) for i in range(rows)), 1, d.mode)
 
     @classmethod
     def diagonal(cls, qs):
@@ -118,7 +119,14 @@ class QMatrix:
 
     @classmethod
     def from_literals(cls, rows, mode=None):
-        """Build a matrix from rows of quaternion literal strings."""
+        """Build a matrix from rows of quaternion literal strings; with
+        ``mode=None``, in the one mode `literal_mode` infers from them all."""
+        rows = [list(row) for row in rows]
+        if mode is None:
+            for row in rows:
+                for s in row:
+                    mode = literal_mode(s, mode)
+            mode = mode or EXACT
         return cls([[parse_quaternion(s, mode) for s in row] for row in rows])
 
     # -- access ---------------------------------------------------------
@@ -160,12 +168,15 @@ class QMatrix:
         self._check_mode(other)
         if self.shape != other.shape:
             raise ShapeError(f"cannot add {self.shape} and {other.shape} matrices")
-        return QMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries(), other.entries())
-            ]
+        # x/da + y/db is (x db + y da)/(da db).  Float dens are 1, and
+        # x * 1 + y * 1 is x + y bit for bit, -0.0 and NaN included.
+        (ra, da), (rb, db) = self._held, other._held
+        rows = tuple(
+            tuple((x0 * db + y0 * da, x1 * db + y1 * da, x2 * db + y2 * da, x3 * db + y3 * da)
+                  for (x0, x1, x2, x3), (y0, y1, y2, y3) in zip(a, b))
+            for a, b in zip(ra, rb)
         )
+        return QMatrix._made(rows, da * db, self.mode)
 
     def __sub__(self, other):
         if not isinstance(other, QMatrix):
@@ -173,7 +184,8 @@ class QMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return QMatrix([[-q for q in row] for row in self.entries()])
+        rows, den = self._held
+        return QMatrix._made(tuple(tuple((-a, -b, -c, -d) for a, b, c, d in row) for row in rows), den, self.mode)
 
     def __matmul__(self, other):
         if not isinstance(other, QMatrix):
@@ -181,7 +193,7 @@ class QMatrix:
         self._check_mode(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        return _product(self._form(), other._form(), self.mode)
+        return _product(self._held, other._held, self.mode)
 
     def __mul__(self, scalar):
         # Real scalar only; reals are central so the side does not matter.
@@ -204,7 +216,7 @@ class QMatrix:
                 raise ZeroDivisionError("division of quaternion by zero scalar")
             r = Fraction(1) / r  # 1.0 / r for a float r
         num, den = (r, 1) if self.mode == FLOAT else (r.numerator, r.denominator)
-        rows, lcm = self._form()
+        rows, lcm = self._held
         return QMatrix._made(
             tuple(tuple((a * num, b * num, c * num, d * num) for a, b, c, d in row) for row in rows),
             den * lcm,
@@ -216,10 +228,10 @@ class QMatrix:
             return NotImplemented
         if self.mode != other.mode or self.shape != other.shape:
             return False
-        return self._form() == other._form()
+        return self._held == other._held
 
     def __hash__(self):
-        return hash((self.mode, self._form()))
+        return hash((self.mode, self._held))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(q) for q in row) for row in self.entries())
@@ -228,7 +240,7 @@ class QMatrix:
     @property
     def H(self):
         """Hermitian adjoint: (A*)_ij = conj(A_ji); satisfies (AB)* = B*A*."""
-        rows, den = self._form()
+        rows, den = self._held
         return QMatrix._made(tuple(tuple((a, -b, -c, -d) for a, b, c, d in col) for col in zip(*rows)), den, self.mode)
 
     def is_hermitian(self):
@@ -241,7 +253,7 @@ class QMatrix:
         """
         if not self.is_square():
             return False
-        rows = self._form()[0]
+        rows = self._held[0]
         tol = 0
         if self.mode == FLOAT:
             tol = 1e-12 * (1.0 + max(abs(c) for row in rows for t in row for c in t))
@@ -254,12 +266,14 @@ class QMatrix:
         return True
 
     def is_zero(self):
-        return all(q.is_zero() for row in self.entries() for q in row)
+        return not any(c for row in self._held[0] for t in row for c in t)
 
     def to_float(self):
+        """Each component c / den, rounded (or OverflowError) as float(Fraction(c, den))."""
         if self.mode == FLOAT:
             return self
-        return QMatrix([[q.to_float() for q in row] for row in self.entries()])
+        rows, den = self._held
+        return QMatrix._made(tuple(tuple((a / den, b / den, c / den, d / den) for a, b, c, d in row) for row in rows), 1, FLOAT)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +515,7 @@ def rank(a: QMatrix) -> int:
     tolerance relative to the largest entry of the matrix, and an entry
     whose squared norm is not finite raises NumericalBreakdownError.
     """
-    return _eliminate([list(row) for row in a._form()[0]], a.cols, a.mode == EXACT)
+    return _eliminate([list(row) for row in a._held[0]], a.cols, a.mode == EXACT)
 
 
 def index_of(a) -> int:
@@ -536,7 +550,7 @@ def inverse_square(a: QMatrix) -> QMatrix:
     n, exact = a.rows, a.mode == EXACT
     # [A | I] scaled by den.  In float mode den is 1, and the int 0 and 1
     # compute as 0.0 and 1.0 until scaling the pivot rows makes them floats.
-    held, den = a._form()
+    held, den = a._held
     one, zero = (den, 0, 0, 0), (0, 0, 0, 0)
     rows = [[*row, *(one if j == i else zero for j in range(n))] for i, row in enumerate(held)]
     if _eliminate(rows, n, exact, jordan=True) < n:
@@ -559,11 +573,12 @@ def max_abs_diff(a: QMatrix, b: QMatrix) -> float:
     """Largest absolute componentwise difference, as a float (NaN if any is)."""
     if a.shape != b.shape:
         raise ShapeError(f"cannot compare {a.shape} with {b.shape}")
+    (ra, da), (rb, db) = a._held, b._held
     worst = 0.0
-    for ra, rb in zip(a.entries(), b.entries()):
-        for qa, qb in zip(ra, rb):
-            for ca, cb in zip(qa.components(), qb.components()):
-                d = abs(float(ca) - float(cb))
+    for xa, xb in zip(ra, rb):
+        for ta, tb in zip(xa, xb):
+            for ca, cb in zip(ta, tb):
+                d = abs(ca / da - cb / db)  # each term is the float of a component
                 if math.isnan(d):
                     return d  # no tolerance may accept it
                 if d > worst:
@@ -585,9 +600,8 @@ def embed_complex(a: QMatrix) -> "np.ndarray":
     import numpy as np  # only the oracles need numpy; keep it off import
 
     out = np.zeros((2 * a.rows, 2 * a.cols), dtype=complex)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            w, x, y, z = (float(c) for c in a[i, j].components())
+    for i, row in enumerate(a.to_float()._held[0]):
+        for j, (w, x, y, z) in enumerate(row):
             out[2 * i, 2 * j] = complex(w, x)
             out[2 * i, 2 * j + 1] = complex(y, z)
             out[2 * i + 1, 2 * j] = complex(-y, z)
@@ -599,20 +613,21 @@ def unembed_complex(m: "np.ndarray") -> QMatrix:
     """Inverse of `embed_complex` (float mode), averaging the redundant block
     entries so numeric noise off the embedded subspace is symmetrized away."""
     rows2, cols2 = m.shape
-    if rows2 % 2 or cols2 % 2:
-        raise ShapeError("embedded matrix must have even dimensions")
+    if not (rows2 and cols2) or rows2 % 2 or cols2 % 2:
+        raise ShapeError("embedded matrix must have positive even dimensions")
+    m = m.tolist()  # Python complex entries, so the components are Python floats
     out = []
     for i in range(rows2 // 2):
         row = []
         for j in range(cols2 // 2):
-            tl = m[2 * i, 2 * j]
-            tr = m[2 * i, 2 * j + 1]
-            bl = m[2 * i + 1, 2 * j]
-            br = m[2 * i + 1, 2 * j + 1]
+            tl = m[2 * i][2 * j]
+            tr = m[2 * i][2 * j + 1]
+            bl = m[2 * i + 1][2 * j]
+            br = m[2 * i + 1][2 * j + 1]
             a = (tl.real + br.real) / 2.0
             b = (tl.imag - br.imag) / 2.0
             c = (tr.real - bl.real) / 2.0
             d = (tr.imag + bl.imag) / 2.0
-            row.append(Quaternion(a, b, c, d, FLOAT))
-        out.append(row)
-    return QMatrix(out)
+            row.append((a, b, c, d))
+        out.append(tuple(row))
+    return QMatrix._made(tuple(out), 1, FLOAT)

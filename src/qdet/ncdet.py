@@ -67,6 +67,7 @@ by `_scoped_guard`); an override below 1 is a `ValueError`.
 import contextlib
 import contextvars
 import itertools
+import math
 from functools import lru_cache
 
 from .errors import (
@@ -160,7 +161,7 @@ def _scaled(a: QMatrix):
     equals the `Quaternion` sum seeded by its first term, bit for bit;
     +0.0 would turn a sum of -0.0 terms into +0.0.
     """
-    e, den = a._form()
+    e, den = a._held
     return e, den, (0, 0, 0, 0) if a.mode == EXACT else (-0.0, -0.0, -0.0, -0.0)
 
 
@@ -286,14 +287,19 @@ def _cycle_sum_det(a: QMatrix, anchor: int, row: bool) -> Quaternion:
     The column determinant multiplies the same factors in the mirrored
     order, C(X - {m} - Y) * S_m(Y).  By distributivity this is the n!-term
     sum regrouped, at O(n**2 2**n + 3**n) products; each term has n
-    factors, so an exact result is divided by den**n.
+    factors, so an exact result is divided by den**n.  No rank decision
+    refuses an overflowing float input first, so a float result that is
+    not finite raises NumericalBreakdownError.
     """
     e, den, start = _scaled(a)
     root = anchor - 1
     others = tuple(x for x in range(a.rows) if x != root)
     tails = _tails(e, others, len(others), row, start)
     cycle_sums = _signed_cycle_sums(e, root, others, len(others), start)
-    return _quaternion(_combine(cycle_sums, tails, _mask(others), row), den**a.rows, a.mode)
+    value = _combine(cycle_sums, tails, _mask(others), row)
+    if a.mode != EXACT and not all(map(math.isfinite, value)):
+        raise NumericalBreakdownError(f"float determinant is not finite: {value}")
+    return _quaternion(value, den**a.rows, a.mode)
 
 
 def _minor_sum(tails, n, s, den, mode):
@@ -306,6 +312,8 @@ def _minor_sum(tails, n, s, den, mode):
         if mode == EXACT and (m1 or m2 or m3):
             raise InternalInvariantError("Hermitian determinant produced a non-real value")
         total = m0 if total is None else total + m0
+    if mode != EXACT and not math.isfinite(total):
+        raise NumericalBreakdownError(f"float principal minor sum is not finite: {total}")
     return _over(total, den**s) if mode == EXACT else total
 
 

@@ -266,9 +266,11 @@ def _split_terms(text):
     return terms
 
 
-def literal_mode(text: str):
+def literal_mode(text: str, among=None):
     """Classify a literal: FLOAT if any decimal coefficient, EXACT if any
-    fraction, None when only integers appear (mode-neutral)."""
+    fraction, None when only integers appear (mode-neutral).  Given the
+    mode `among` of the literals of a matrix read before it, the mode of
+    them all: literals of both kinds are a ModeError."""
     mode = None
     for _, coef, _ in _split_terms(text):
         if coef is None:
@@ -282,7 +284,9 @@ def literal_mode(text: str):
         if mode is not None and mode != this:
             raise ParseError(f"literal {text!r} mixes exact and float coefficients")
         mode = this
-    return mode
+    if None not in (mode, among) and mode != among:
+        raise ModeError(f"mixed-mode literals: {text!r} is {mode}, earlier ones are {among}")
+    return mode or among
 
 
 def parse_quaternion(text: str, mode=None) -> Quaternion:

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -180,6 +181,55 @@ def reference_index(a: QMatrix) -> int:
         power = reference_matmul(power, a)
         ranks.append(reference_rank(power))
     return k
+
+
+# Inputs of prescribed index: A = P diag(C, N) P^-1 with P and C
+# nonsingular and N the nilpotent Jordan chain of index k, so Ind A = k and
+# A^D = P diag(C^-1, 0) P^-1 are known by construction, with the
+# references above and no route or checker.
+
+
+@st.composite
+def nonsingular_matrices(draw, n: int, span: int = 1) -> QMatrix:
+    """L R with L unit lower triangular and R upper triangular with a
+    nonzero diagonal: nonsingular over the quaternions whatever is drawn."""
+    comp = st.integers(-span, span)
+    nonzero = st.tuples(comp, comp, comp, comp).filter(any)
+    z, one = Quaternion.zero(), Quaternion.one()
+
+    def entry(below, diagonal):
+        return Quaternion(*(draw(comp) for _ in range(4))) if below else diagonal
+
+    low = [[entry(i > j, one if i == j else z) for j in range(n)] for i in range(n)]
+    up = [[Quaternion(*draw(nonzero)) if i == j else entry(i < j, z) for j in range(n)] for i in range(n)]
+    return reference_matmul(QMatrix(low), QMatrix(up))
+
+
+def _core_and_chain(core, n: int, chain: bool) -> QMatrix:
+    """diag(core, J): the n x n matrix with `core` (None for an empty one)
+    in its top left corner and, when `chain`, ones just above the diagonal
+    of the rest (the Jordan chain J), zeros elsewhere."""
+    c = 0 if core is None else core.rows
+    z, one = Quaternion.zero(), Quaternion.one()
+    return QMatrix([[core[i, j] if i < c and j < c else one if chain and c <= i and j == i + 1 else z
+                     for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def prescribed_index(draw, max_core: int = 3, max_index: int = 3, span: int = 1):
+    """(A, k, A^D): A = P diag(C, N) P^-1 of index k, with a core C of
+    0..max_core rows and the Jordan chain N of k = 0..max_index rows (at
+    least one row in all), and A^D = P diag(C^-1, 0) P^-1."""
+    c = draw(st.integers(0, max_core))
+    k = draw(st.integers(0 if c else 1, max_index))
+    n = c + k
+    p = draw(nonsingular_matrices(n, span))
+    p_inv = reference_inverse_square(p)
+    core = draw(nonsingular_matrices(c, span)) if c else None
+    a = reference_matmul(reference_matmul(p, _core_and_chain(core, n, True)), p_inv)
+    core_inv = reference_inverse_square(core) if c else None
+    ad = reference_matmul(reference_matmul(p, _core_and_chain(core_inv, n, False)), p_inv)
+    return a, k, ad
 
 
 # The subset recursion of `qdet.ncdet` written in `Quaternion` operations,

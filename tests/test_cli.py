@@ -158,6 +158,16 @@ def test_det_anchors(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
+def test_det_refuses_a_non_finite_float_determinant(tmp_path, capsys):
+    # 1e308 * 1e308 - 1e308 * 1e308 is inf - inf: refused, not printed as nan.
+    path = tmp_path / "big.qmat"
+    path.write_text("2 2\n1e308 1e308\n1e308 1e308\n")
+    for anchor in (["--anchor", "c:2"], ["--anchor", "r:1"], []):
+        assert main(["det", "-i", str(path), *anchor]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("qdet: refused:")
+
+
 def test_det_requires_anchor_for_non_hermitian(tmp_path, capsys):
     path = write(tmp_path, "nh.qmat", QMatrix.from_literals([["i", "0"], ["0", "1"]]))
     assert main(["det", "-i", path]) == 1

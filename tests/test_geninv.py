@@ -6,9 +6,22 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
-from conftest import bordered_sum, float_bits, random_qmatrix, random_rank_deficient, replace_col, replace_row
+from conftest import (
+    bordered_sum,
+    float_bits,
+    nonsingular_matrices,
+    prescribed_index,
+    random_qmatrix,
+    random_rank_deficient,
+    reference_inverse_square,
+    reference_matmul,
+    replace_col,
+    replace_row,
+)
 from qdet import (
     DRAZIN_ROUTES,
     MP_ROUTES,
@@ -223,7 +236,25 @@ def test_drazin_random_suite(rng):
         assert a @ x == x @ a
 
 
+@settings(max_examples=25, deadline=None)
+@given(prescribed_index())
+def test_drazin_of_a_prescribed_index_matches_its_construction(case):
+    a, k, ad = case
+    assert index_of(a) == k
+    assert drazin(a, "all") == ad
+
+
 # -- weighted Drazin ---------------------------------------------------------
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_wdrazin_of_a_prescribed_index_matches_its_construction(data):
+    # W A = U for A = W^-1 U, so A_{d,W} = A (U^D)^2 with U^D known.
+    u, _, ud = data.draw(prescribed_index())
+    w = data.draw(nonsingular_matrices(u.rows))
+    a = reference_matmul(reference_inverse_square(w), u)
+    assert wdrazin(a, w, "all") == reference_matmul(a, reference_matmul(ud, ud))
 
 
 def test_wdrazin_reduces_to_drazin_for_identity_weight(rng):

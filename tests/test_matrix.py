@@ -85,6 +85,18 @@ def test_shape_and_mode_errors(rng):
         index_of(a)
 
 
+def test_from_literals_infers_one_mode_for_the_matrix():
+    # As for a matrix file: an integer or a bare unit takes the mode of the rest.
+    h = QMatrix.from_literals([["2.0", "i"], ["-i", "2.0"]])
+    assert h == QMatrix.from_literals([["2.0", "1.0i"], ["-1.0i", "2.0"]]) and h.mode == "float"
+    assert QMatrix.from_literals([["1e200", "0"], ["0", "1e200"]]).mode == "float"
+    assert QMatrix.from_literals([["1", "i"], ["0", "1/2"]]).mode == "exact"
+    assert QMatrix.from_literals([["1", "i"]]).mode == "exact"
+    assert QMatrix.from_literals([["1", "i"]], mode="float").mode == "float"
+    with pytest.raises(ModeError):
+        QMatrix.from_literals([["1/2", "0"], ["0", "1.5"]])
+
+
 def test_rank_examples():
     assert rank(QMatrix.zeros(3, 3)) == 0
     assert rank(QMatrix.identity(4)) == 4
@@ -378,8 +390,19 @@ def test_held_form_chains_match_the_quaternion_references(data):
     drawn = lambda y: y if exact else _to_float(y, rnd)  # noqa: E731
     x = ref = drawn(data.draw(kernel_matrices(m, k)))
     for _ in range(data.draw(st.integers(1, 5))):
-        op = data.draw(st.sampled_from(["@", "gram", "H", "*", "/"]))
-        if op == "@":
+        op = data.draw(st.sampled_from(["@", "gram", "H", "*", "/", "+", "-", "neg"] + ["to_float"] * exact))
+        if op in ("+", "-"):
+            b = bref = drawn(data.draw(kernel_matrices(x.rows, x.cols)))
+            if data.draw(st.booleans()):
+                b, bref = x, ref  # x - x: an exact zero must come out as int 0
+            x = x + b if op == "+" else x - b
+            ref = QMatrix([[p + q if op == "+" else p - q for p, q in zip(r, s)]
+                           for r, s in zip(ref.entries(), bref.entries())])
+        elif op == "neg":
+            x, ref = -x, _entrywise(ref, lambda q: -q)
+        elif op == "to_float":
+            x, ref, exact = x.to_float(), _entrywise(ref, Quaternion.to_float), False
+        elif op == "@":
             b = drawn(data.draw(kernel_matrices(x.cols, data.draw(st.sampled_from([1, x.rows, 3])))))
             x, ref = x @ b, reference_matmul(ref, b)
         elif op == "gram":
@@ -417,6 +440,11 @@ def test_rank_and_equality_on_a_product_chain_build_no_entries(monkeypatch):
     assert x == y and hash(x) == hash(y) and x != g
     assert rank(x) == rank(a @ a.H @ a) == 2 and x.is_hermitian()
     assert index_of(a.H @ a) == 0
+    i, z = QMatrix.identity(2), QMatrix.zeros(2, 2)
+    assert i._entries is None and z._entries is None  # made in held form alone
+    assert x @ i == x + z == -(-x) and (x - y).is_zero() and not (x + i).is_zero()
+    assert max_abs_diff(x.to_float(), y) == 0.0 and max_abs_diff(x, x + i) == 1.0
+    assert np.allclose(embed_complex(x), embed_complex(y.to_float()))
     assert built == []
     str(x)  # reading the entries builds them, once
     assert len(built) == 4
@@ -425,9 +453,9 @@ def test_rank_and_equality_on_a_product_chain_build_no_entries(monkeypatch):
 
 
 def test_concurrent_first_reads_agree():
-    # Threads race to fill the two caches of the same fresh matrices: the
-    # entries of a product, the held form of a matrix built from entries.
-    # Every fill must give what a lone reader gets.
+    # Threads race to fill the one cache, the entries, of the same fresh
+    # products, while they read the held form of matrices built from
+    # entries.  Every fill must give what a lone reader gets.
     a = QMatrix.from_literals([["1/2", "3i", "0"], ["2j-1/3k", "1", "k"], ["0", "1/4", "5"]])
     entries = (a @ a.H * Fraction(1, 3)).entries()
     want = (entries, hash(QMatrix(entries)), True, rank(QMatrix(entries)))
@@ -446,7 +474,7 @@ def test_concurrent_first_reads_agree():
     sys.setswitchinterval(1e-6)
     try:
         pairs[:] = [(a @ a.H * Fraction(1, 3), QMatrix(entries)) for _ in range(30)]
-        assert all(p._entries is None and b._held is None for p, b in pairs)
+        assert all(p._entries is None for p, _ in pairs)
         threads = [threading.Thread(target=reader) for _ in range(6)]
         for t in threads:
             t.start()

@@ -524,6 +524,19 @@ def test_float_mode_determinants(rng):
     assert max(abs(float(x) - y) for x, y in zip(exact.components(), approx.components())) < 1e-9
 
 
+def test_float_determinants_refuse_a_non_finite_result():
+    # No rank decision runs before a determinant, so an overflow to inf, or
+    # inf - inf = NaN, is refused here rather than returned.
+    big = QMatrix.from_literals([["1e308", "1e308"], ["1e308", "1e308"]])
+    diag = QMatrix.from_literals([["1e200", "0"], ["0", "1e200"]])
+    calls = [(rdet, 1, big), (cdet, 2, big), (ddet, big), (ddet, diag), (principal_minor_sum, diag, 2),
+             (char_poly, diag), (hermitian_inverse, diag), (_bordered_cofactors, diag, 2, False)]
+    for f, *args in calls:
+        with pytest.raises(NumericalBreakdownError):
+            f(*args)
+    assert principal_minor_sum(diag, 1) == 2e200 and rdet(1, diag * 1e-100).a0 == 1e200
+
+
 # -- the component-tuple kernel against the Quaternion-object recursion ------
 
 # Denominators 2, 3 and 7 make den = 42 on most exact draws, so an output

@@ -157,6 +157,12 @@ def test_literal_mode_classification():
     assert literal_mode("2.5i") == FLOAT
     with pytest.raises(ParseError):
         literal_mode("1/2+0.5i")
+    # Among the literals of a matrix: integers take the others' mode.
+    assert literal_mode("3", EXACT) == EXACT and literal_mode("-i", FLOAT) == FLOAT
+    assert literal_mode("2.5i", None) == FLOAT and literal_mode("1/2", EXACT) == EXACT
+    for text, among in (("2.5i", EXACT), ("1/2k", FLOAT)):
+        with pytest.raises(ModeError):
+            literal_mode(text, among)
 
 
 def test_parse_mode_enforcement():

@@ -1,5 +1,6 @@
 import math
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,7 +138,7 @@ def test_checkers_do_not_import_inverse_code():
     verify_mod = sys.modules["qdet.verify"]
     assert "geninv" not in verify_mod.__dict__
     assert "ncdet" not in verify_mod.__dict__
-    source = open(verify_mod.__file__).read()
+    source = Path(verify_mod.__file__).read_text()
     assert "geninv" not in source
 
 
