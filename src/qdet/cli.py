@@ -29,18 +29,7 @@ import re
 import sys
 
 from . import geninv, ncdet, verify
-from .errors import (
-    EnumerationGuardError,
-    InternalInvariantError,
-    ModeError,
-    NumericalBreakdownError,
-    ParseError,
-    PreconditionError,
-    QdetError,
-    RouteDisagreementError,
-    ShapeError,
-    SingularError,
-)
+from .errors import InternalInvariantError, ModeError, ParseError, QdetError, RouteDisagreementError
 from .matrix import Powers, QMatrix, index_of, max_abs_diff, rank
 from .scalar import EXACT, FLOAT, Quaternion, format_quaternion, literal_mode, parse_quaternion
 
@@ -359,36 +348,26 @@ def _cmd_info(args):
 _COMMANDS = {"det": _cmd_det, **dict.fromkeys(_INVERSES, _cmd_routed), "verify": _cmd_verify, "info": _cmd_info}
 
 
+# (exception types, exit code, stderr word); the first row that matches wins.
+_EXITS = (
+    ((_UsageError, ValueError), EXIT_USAGE, "error"),
+    ((ParseError,), EXIT_USAGE, "parse error"),
+    ((RouteDisagreementError, InternalInvariantError), EXIT_VERIFY, "verification failure"),
+    ((QdetError, ZeroDivisionError, OverflowError), EXIT_REFUSED, "refused"),
+)
+_CAUGHT = tuple(t for types, _, _ in _EXITS for t in types)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         with ncdet._scoped_guard(_resolve_guard(args)):
             return _COMMANDS[args.command](args)
-    except (_UsageError, ValueError) as exc:
-        print(f"qdet: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"qdet: parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (RouteDisagreementError, InternalInvariantError) as exc:
-        print(f"qdet: verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except (
-        EnumerationGuardError,
-        NumericalBreakdownError,
-        PreconditionError,
-        ModeError,
-        ShapeError,
-        SingularError,
-        ZeroDivisionError,
-        OverflowError,
-    ) as exc:
-        print(f"qdet: refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except QdetError as exc:
-        print(f"qdet: error: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
+    except _CAUGHT as exc:
+        code, word = next((code, word) for types, code, word in _EXITS if isinstance(exc, types))
+        print(f"qdet: {word}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

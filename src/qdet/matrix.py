@@ -16,17 +16,17 @@ rows by the lcm of their denominators; every other matrix (a sum,
 difference, product, real scalar multiple, conjugate transpose, float
 copy, inverse or cofactor table) is made in that form alone, dividing
 out one gcd.  `Quaternion` entries (components canonical as in
-`qdet.scalar`, `int` where integral) are only a view: the given ones, or
-ones built from the held form on first read through `entries()`, `row`,
-`col` or indexing.  So a chain of operations runs on `int` (or `float`)
-throughout.  Both modes run the same loops, in the summation order of
-`Quaternion` arithmetic, so float results are bit-identical to it.  Rank
-is row rank by forward elimination; exact elimination is fraction-free
-(see `_eliminate`), float elimination uses quaternionic left-division
-with a pivot tolerance, valid over a division ring.  A `Powers` table
-holds the powers of one square matrix and their ranks for one call;
-`mat_pow`, `index_of`, the Drazin routes and the checkers read powers
-from such a table instead of rebuilding them.
+`qdet.scalar`, `int` where integral) are only a view: each read through
+`entries()`, `row`, `col` or indexing builds the entries it returns from
+the held form, so equal matrices read alike.  A chain of operations runs
+on `int` (or `float`) throughout.  Both modes run the same loops, in the
+summation order of `Quaternion` arithmetic, so float results are
+bit-identical to it.  Rank is row rank by forward elimination; exact
+elimination is fraction-free (see `_eliminate`), float elimination uses
+quaternionic left-division with a pivot tolerance, valid over a division
+ring.  A `Powers` table holds the powers of one square matrix and their
+ranks for one call; `mat_pow`, `index_of`, the Drazin routes and the
+checkers read powers from such a table instead of rebuilding them.
 
 The complex adjoint embedding maps each entry a + bi + cj + dk to the
 2x2 complex block
@@ -49,13 +49,12 @@ from .scalar import EXACT, FLOAT, Quaternion, _coerce_real_operand, _of, literal
 class QMatrix:
     """Immutable dense quaternion matrix with uniform scalar mode.
 
-    Its value never changes.  Its state is the held form (module
-    docstring); its `Quaternion` entries are a cache, filled on first read
-    when the matrix was not built from them.  The fill is idempotent, so
-    a matrix is safe to share.
+    Its one state is the held form (module docstring), set by the
+    constructor and never changed after, so a matrix is safe to share.
+    Its `Quaternion` entries are built from that form on each read.
     """
 
-    __slots__ = ("rows", "cols", "mode", "_entries", "_held")
+    __slots__ = ("rows", "cols", "mode", "_held")
 
     def __init__(self, entries):
         data = tuple(tuple(row) for row in entries)
@@ -65,17 +64,18 @@ class QMatrix:
         for row in data:
             if len(row) != ncols:
                 raise ShapeError("rows have inconsistent lengths")
-        mode = data[0][0].mode
+        mode = None
         for row in data:
             for q in row:
                 if not isinstance(q, Quaternion):
                     raise TypeError(f"matrix entries must be Quaternion, got {type(q).__name__}")
-                if q.mode != mode:
+                if mode is None:
+                    mode = q.mode
+                elif q.mode != mode:
                     raise ModeError("matrix entries mix exact and float modes")
         self.rows = len(data)
         self.cols = ncols
         self.mode = mode
-        self._entries = data
         self._held = _held_form(data)
 
     @classmethod
@@ -87,7 +87,6 @@ class QMatrix:
         m.rows = len(rows)
         m.cols = len(rows[0])
         m.mode = mode
-        m._entries = None
         m._held = _reduced(rows, den)
         return m
 
@@ -133,21 +132,21 @@ class QMatrix:
 
     def __getitem__(self, key):
         i, j = key
-        return self.entries()[i][j]
+        rows, den = self._held
+        return _quaternion(rows[i][j], den, self.mode)
 
     def row(self, i):
-        return self.entries()[i]
+        rows, den = self._held
+        return tuple(_quaternion(t, den, self.mode) for t in rows[i])
 
     def col(self, j):
-        return tuple(row[j] for row in self.entries())
+        rows, den = self._held
+        return tuple(_quaternion(row[j], den, self.mode) for row in rows)
 
     def entries(self):
-        """The rows of `Quaternion` entries, built from the held form on
-        first read when the matrix was made in that form."""
-        if self._entries is None:
-            rows, den = self._held
-            self._entries = tuple(tuple(_quaternion(t, den, self.mode) for t in row) for row in rows)
-        return self._entries
+        """The rows of `Quaternion` entries, built from the held form."""
+        rows, den = self._held
+        return tuple(tuple(_quaternion(t, den, self.mode) for t in row) for row in rows)
 
     @property
     def shape(self):

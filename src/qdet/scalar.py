@@ -271,8 +271,13 @@ def literal_mode(text: str, among=None):
     fraction, None when only integers appear (mode-neutral).  Given the
     mode `among` of the literals of a matrix read before it, the mode of
     them all: literals of both kinds are a ModeError."""
+    return _terms_mode(text, _split_terms(text), among)
+
+
+def _terms_mode(text, terms, among=None):
+    """`literal_mode` of text, read from its split terms."""
     mode = None
-    for _, coef, _ in _split_terms(text):
+    for _, coef, _ in terms:
         if coef is None:
             continue
         if "." in coef or "e" in coef or "E" in coef:
@@ -297,21 +302,22 @@ def parse_quaternion(text: str, mode=None) -> Quaternion:
     rejects literals of the other kind, e.g. a decimal in exact mode.
     A zero denominator or a float that is not finite raises `ParseError`.
     """
-    inferred = literal_mode(text)
+    terms = _split_terms(text)
+    inferred = _terms_mode(text, terms)
     if mode is None:
         mode = inferred or EXACT
     elif inferred is not None and inferred != mode:
         raise ParseError(f"literal {text!r} is not valid in {mode} mode")
 
     comps = [Fraction(0)] * 4 if mode == EXACT else [0.0] * 4
-    for sign, coef, unit in _split_terms(text):
+    for sign, coef, unit in terms:
         try:
             if coef is None:
                 value = Fraction(1) if mode == EXACT else 1.0
             elif mode == EXACT:
                 value = Fraction(coef)
-            else:
-                value = float(Fraction(coef)) if "/" in coef else float(coef)
+            else:  # a fraction is refused in float mode above
+                value = float(coef)
         except (ArithmeticError, ValueError) as exc:  # 1/0, float overflow, digit limit
             raise ParseError(f"literal {text!r} has no {mode} value: {exc}") from None
         if sign == "-":

@@ -4,7 +4,7 @@ These are the package's independent oracles: they are written against the
 scalar/matrix layers only (no imports from the inverse computations), so
 a bug in a determinantal route cannot hide itself.  In exact mode every
 verdict is a structural equality; in float mode each check reports its
-max-abs residual against a threshold (default 1e-9).
+max-abs residual against the fixed threshold `DEFAULT_FLOAT_TOL` (1e-9).
 
 For the weighted inverse the two composition identities X W = (AW)^D and
 W X = (WA)^D are reported by checking that X W (resp. W X) satisfies the
@@ -82,13 +82,14 @@ class VerifyReport(namedtuple("VerifyReport", "kind mode provenance checks notes
 def _first_diff(a: QMatrix, b: QMatrix):
     for i in range(a.rows):
         for j in range(a.cols):
-            if a[i, j] != b[i, j]:
-                return i + 1, j + 1, a[i, j], b[i, j]
+            got, want = a[i, j], b[i, j]
+            if got != want:
+                return i + 1, j + 1, got, want
     return None
 
 
-def _equation(label, lhs, rhs, mode, tol, notes):
-    if mode == EXACT:
+def _equation(label, lhs, rhs, notes):
+    if lhs.mode == EXACT:
         passed = lhs == rhs
         if not passed:
             diff = _first_diff(lhs, rhs)
@@ -97,12 +98,10 @@ def _equation(label, lhs, rhs, mode, tol, notes):
                 notes.append(f"{label}: entry ({i},{j}) is {got}, expected {want}")
         return EquationCheck(label, passed)
     residual = max_abs_diff(lhs, rhs)
-    return EquationCheck(label, residual <= tol, residual)
+    return EquationCheck(label, residual <= DEFAULT_FLOAT_TOL, residual)
 
 
-def check_penrose(
-    a: QMatrix, x: QMatrix, tol: float = DEFAULT_FLOAT_TOL, provenance: str = ""
-) -> VerifyReport:
+def check_penrose(a: QMatrix, x: QMatrix, provenance: str = "") -> VerifyReport:
     """Check the four Penrose equations for a candidate pseudoinverse x."""
     if x.rows != a.cols or x.cols != a.rows:
         raise ShapeError(f"candidate must be {a.cols}x{a.rows}, got {x.rows}x{x.cols}")
@@ -110,35 +109,33 @@ def check_penrose(
     ax = a @ x
     xa = x @ a
     checks = (
-        _equation("AXA = A", ax @ a, a, a.mode, tol, notes),
-        _equation("XAX = X", xa @ x, x, a.mode, tol, notes),
-        _equation("(AX)* = AX", ax.H, ax, a.mode, tol, notes),
-        _equation("(XA)* = XA", xa.H, xa, a.mode, tol, notes),
+        _equation("AXA = A", ax @ a, a, notes),
+        _equation("XAX = X", xa @ x, x, notes),
+        _equation("(AX)* = AX", ax.H, ax, notes),
+        _equation("(XA)* = XA", xa.H, xa, notes),
     )
     return VerifyReport("penrose", a.mode, provenance, checks, tuple(notes))
 
 
-def _drazin_checks(p: Powers, k: int, x: QMatrix, tol, notes):
+def _drazin_checks(p: Powers, k: int, x: QMatrix, notes):
     """The Drazin equations of x for the matrix of the power table p, of index k."""
     a = p.a
     ax = a @ x
     checks = (
-        _equation("XAX = X", x @ ax, x, a.mode, tol, notes),
-        _equation("AX = XA", ax, x @ a, a.mode, tol, notes),
-        _equation(f"A^(k+1) X = A^k  [k={k}]", p[k + 1] @ x, p[k], a.mode, tol, notes),
+        _equation("XAX = X", x @ ax, x, notes),
+        _equation("AX = XA", ax, x @ a, notes),
+        _equation(f"A^(k+1) X = A^k  [k={k}]", p[k + 1] @ x, p[k], notes),
     )
     return checks
 
 
-def check_drazin(
-    a: QMatrix, x: QMatrix, tol: float = DEFAULT_FLOAT_TOL, provenance: str = ""
-) -> VerifyReport:
+def check_drazin(a: QMatrix, x: QMatrix, provenance: str = "") -> VerifyReport:
     """Check the Drazin defining equations for a candidate x."""
     if not a.is_square() or a.shape != x.shape:
         raise ShapeError("Drazin check needs square matrices of equal size")
     notes: list = []
     p = Powers(a)
-    checks = _drazin_checks(p, index_of(p), x, tol, notes)
+    checks = _drazin_checks(p, index_of(p), x, notes)
     return VerifyReport("drazin", a.mode, provenance, checks, tuple(notes))
 
 
@@ -149,9 +146,7 @@ def _combined(label, sub_checks):
     return EquationCheck(label, passed, residual)
 
 
-def check_wdrazin(
-    a: QMatrix, w: QMatrix, x: QMatrix, tol: float = DEFAULT_FLOAT_TOL, provenance: str = ""
-) -> VerifyReport:
+def check_wdrazin(a: QMatrix, w: QMatrix, x: QMatrix, provenance: str = "") -> VerifyReport:
     """Check the weighted-Drazin defining equations for a candidate x,
     plus the two composition identities against AW and WA."""
     if w.rows != a.cols or w.cols != a.rows:
@@ -165,11 +160,11 @@ def check_wdrazin(
     xw = x @ w
     wx = w @ x
     checks = [
-        _equation(f"(AW)^(k+1) X W = (AW)^k  [k={k}]", v[k + 1] @ xw, v[k], a.mode, tol, notes),
-        _equation("XWAWX = X", xw @ (a @ wx), x, a.mode, tol, notes),
-        _equation("AWX = XWA", v.a @ x, x @ u.a, a.mode, tol, notes),
-        _combined("XW satisfies the Drazin equations of AW", _drazin_checks(v, kv, xw, tol, notes)),
-        _combined("WX satisfies the Drazin equations of WA", _drazin_checks(u, ku, wx, tol, notes)),
+        _equation(f"(AW)^(k+1) X W = (AW)^k  [k={k}]", v[k + 1] @ xw, v[k], notes),
+        _equation("XWAWX = X", xw @ (a @ wx), x, notes),
+        _equation("AWX = XWA", v.a @ x, x @ u.a, notes),
+        _combined("XW satisfies the Drazin equations of AW", _drazin_checks(v, kv, xw, notes)),
+        _combined("WX satisfies the Drazin equations of WA", _drazin_checks(u, ku, wx, notes)),
     ]
     return VerifyReport("wdrazin", a.mode, provenance, tuple(checks), tuple(notes))
 

@@ -517,13 +517,13 @@ def test_every_error_class_has_its_documented_exit_code(cls, tmp_path, capsys, m
 
     monkeypatch.setattr(geninv, "_dispatch", raising)
     if issubclass(cls, ParseError):
-        expected = 1
+        expected, word = 1, "parse error"
     elif issubclass(cls, (RouteDisagreementError, InternalInvariantError)):
-        expected = 3
+        expected, word = 3, "verification failure"
     else:
-        expected = 2
+        expected, word = 2, "refused"
     assert main(["mp", "-i", write(tmp_path, "h.qmat", HERMITIAN)]) == expected
-    assert "injected" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"qdet: {word}: injected\n"
 
 
 def test_overflowing_float_input_is_refused(tmp_path, capsys):

@@ -85,6 +85,24 @@ def test_shape_and_mode_errors(rng):
         index_of(a)
 
 
+def test_constructor_refuses_a_non_quaternion_entry_with_a_type_error():
+    with pytest.raises(TypeError, match="must be Quaternion, got int"):
+        QMatrix([[1, 2]])
+    with pytest.raises(TypeError, match="got float"):
+        QMatrix([[Quaternion(1), 2.0]])
+
+
+def test_equal_matrices_read_the_same_canonical_quaternions():
+    h = Quaternion(Fraction(1, 2))
+    a = QMatrix([[h + h, h]])  # h + h holds Fraction(1, 1)
+    b = QMatrix([[h, h]]) * 2 - QMatrix([[Quaternion(0), h]])
+    assert a == b
+    for x in (a, b):
+        assert type(x[0, 0].a0) is int and x[0, 0].a0 == 1
+        assert x.entries() == ((Quaternion(1), h),) and x.row(0) == x.entries()[0]
+        assert [type(q.a0) for q in x.row(0)] == [int, Fraction] == [type(q.a0) for q in (*x.col(0), *x.col(1))]
+
+
 def test_from_literals_infers_one_mode_for_the_matrix():
     # As for a matrix file: an integer or a bare unit takes the mode of the rest.
     h = QMatrix.from_literals([["2.0", "i"], ["-i", "2.0"]])
@@ -413,7 +431,7 @@ def test_held_form_chains_match_the_quaternion_references(data):
             r = data.draw(scalars.filter(lambda v: op == "*" or v != 0))
             r = r if exact else data.draw(st.sampled_from([1.0, -1.0])) * float(r)  # -0.0 too
             x, ref = (x * r, _entrywise(ref, lambda q: q * r)) if op == "*" else (x / r, _entrywise(ref, lambda q: q / r))
-        assert x._entries is None and (not exact or _held_is_canonical(x))  # made in held form alone
+        assert not exact or _held_is_canonical(x)
         twin = QMatrix(ref.entries())
         assert x == twin and twin == x and hash(x) == hash(twin)
         assert rank(x) == reference_rank(ref) == rank(twin)
@@ -429,7 +447,7 @@ def test_held_form_chains_match_the_quaternion_references(data):
         assert _bits(x) == _bits(ref)
 
 
-def test_rank_and_equality_on_a_product_chain_build_no_entries(monkeypatch):
+def test_rank_and_equality_on_a_product_chain_build_no_quaternions(monkeypatch):
     a = QMatrix.from_literals([["1/2", "3i"], ["2j-1/3k", "1"], ["0", "1/4"]])
     built = []
     quaternion = matrix._quaternion
@@ -441,21 +459,21 @@ def test_rank_and_equality_on_a_product_chain_build_no_entries(monkeypatch):
     assert rank(x) == rank(a @ a.H @ a) == 2 and x.is_hermitian()
     assert index_of(a.H @ a) == 0
     i, z = QMatrix.identity(2), QMatrix.zeros(2, 2)
-    assert i._entries is None and z._entries is None  # made in held form alone
     assert x @ i == x + z == -(-x) and (x - y).is_zero() and not (x + i).is_zero()
     assert max_abs_diff(x.to_float(), y) == 0.0 and max_abs_diff(x, x + i) == 1.0
     assert np.allclose(embed_complex(x), embed_complex(y.to_float()))
     assert built == []
-    str(x)  # reading the entries builds them, once
+    str(x)  # each read builds the entries it reads
     assert len(built) == 4
     str(x)
-    assert len(built) == 4
+    assert len(built) == 8
 
 
 def test_concurrent_first_reads_agree():
-    # Threads race to fill the one cache, the entries, of the same fresh
-    # products, while they read the held form of matrices built from
-    # entries.  Every fill must give what a lone reader gets.
+    # Threads race to read the entries of the same fresh products, each
+    # read building them from the held form, while they read the held
+    # form of matrices built from entries.  Every read must give what a
+    # lone reader gets.
     a = QMatrix.from_literals([["1/2", "3i", "0"], ["2j-1/3k", "1", "k"], ["0", "1/4", "5"]])
     entries = (a @ a.H * Fraction(1, 3)).entries()
     want = (entries, hash(QMatrix(entries)), True, rank(QMatrix(entries)))
@@ -474,7 +492,6 @@ def test_concurrent_first_reads_agree():
     sys.setswitchinterval(1e-6)
     try:
         pairs[:] = [(a @ a.H * Fraction(1, 3), QMatrix(entries)) for _ in range(30)]
-        assert all(p._entries is None for p, _ in pairs)
         threads = [threading.Thread(target=reader) for _ in range(6)]
         for t in threads:
             t.start()
