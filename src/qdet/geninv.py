@@ -52,10 +52,11 @@ Each call analyses its problem once: a `_SquareAnalysis` is the
 `matrix.Powers` table of a square matrix, filled by `index_of`, plus its
 index and the `_mp_cramer` pass of each odd power A^(2e+1) at rank(A^e),
 made on first use; a `_WeightedProblem` holds A, W, the analyses of U and
-V, k, rank(W).  Every route of the call reads them, so no kernel pass
-runs twice in a call: ``mp_composition`` reads the pass of ``cdet``, and
-``mp_route_U`` that of ``via_drazin_U`` when Ind U = k.  Rank 0 needs no
-branch: the kernels' order-0 case (Y = 0, d = 1) gives the zero inverse.
+V, k and rank(W), made on first read.  Every route of the call reads
+them, so no kernel pass runs twice in a call: ``mp_composition`` reads
+the pass of ``cdet``, and ``mp_route_U`` that of ``via_drazin_U`` when
+Ind U = k.  Rank 0 needs no branch: the kernels' order-0 case (Y = 0,
+d = 1) gives the zero inverse.
 Routes are data: each family has one table mapping a route name to its
 refusal, which returns the typed error or None, and its builder, which
 reads the call's analysis; the route tuples are the tables' keys.  One
@@ -70,6 +71,7 @@ float mode exists for the numeric oracles and the limit-based estimate.
 """
 
 from collections import namedtuple
+from functools import cached_property
 
 from .errors import (
     ModeError,
@@ -312,7 +314,9 @@ def drazin_all_routes(a: QMatrix) -> dict:
 
 
 class _WeightedProblem:
-    """A, W, the analyses of U = WA and V = AW, k and rank(W)."""
+    """A, W, the analyses of U = WA and V = AW, k and rank(W), the last
+    made on first read: only the mp_route refusals and builders and
+    `qdet info --weight` read it."""
 
     def __init__(self, a: QMatrix, w: QMatrix):
         if w.rows != a.cols or w.cols != a.rows:
@@ -323,7 +327,10 @@ class _WeightedProblem:
         self.u = _SquareAnalysis(w @ a)
         self.v = _SquareAnalysis(a @ w)
         self.k = max(self.u.k, self.v.k)
-        self.rank_w = rank(w)
+
+    @cached_property
+    def rank_w(self) -> int:
+        return rank(self.w)
 
 
 def _via_drazin(p: _WeightedProblem, u_side: bool) -> QMatrix:

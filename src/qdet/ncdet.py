@@ -32,9 +32,10 @@ decomposes each permutation into its cycles, term by term.  Their
 bit-exact agreement on random matrices is a test gate, as is the
 collapse to the classical determinant on commuting entries.
 
-The subset tables hold component 4-tuples, not `Quaternion` objects: the
-Hamilton product is written out in `Quaternion.__mul__` order, and a
-`Quaternion` is made only for an output.  Entries are read in the
+The subset tables hold component 4-tuples, not `Quaternion` objects.
+Each table is filled by one loop with the Hamilton product written out
+in it, in `Quaternion.__mul__` order, so no table step calls a helper;
+a `Quaternion` is made only for an output.  Entries are read in the
 matrix's held form, components over one denominator den: `int`s in exact
 mode, so every exact table entry is a tuple of `int`s, and `float`s over
 den = 1 in float mode.  Every term of an entry has a fixed number of
@@ -168,29 +169,6 @@ def _scaled(a: QMatrix):
     return e, den, (0, 0, 0, 0) if a.mode == EXACT else (-0.0, -0.0, -0.0, -0.0)
 
 
-def _extend(prev, factors, forward, start):
-    """`start` plus the sum, over the paths (o, p) of the dict `prev` in
-    order, of p * factors[o] (forward) or factors[o] * p: every path
-    extended by one step.  The Hamilton product is written out, in
-    `Quaternion.__mul__` order."""
-    s0, s1, s2, s3 = start
-    if forward:
-        for o, (a0, a1, a2, a3) in prev.items():
-            b0, b1, b2, b3 = factors[o]
-            s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-            s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-            s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-            s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-    else:
-        for o, (b0, b1, b2, b3) in prev.items():
-            a0, a1, a2, a3 = factors[o]
-            s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-            s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-            s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-            s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-    return (s0, s1, s2, s3)
-
-
 def _open_paths(e, root, members, max_size, forward, start):
     """Sums of the open chains through `root` over subsets of `members`.
 
@@ -201,17 +179,32 @@ def _open_paths(e, root, members, max_size, forward, start):
         e[root][y1] * e[y1][y2] * ... * e[y(p-1)][yp]     (forward, end = yp)
         e[y1][y2] * ... * e[y(p-1)][yp] * e[yp][root]     (backward, end = y1)
 
-    Held-Karp style: each end extends the chains of Y - {end} by one step,
-    so a subset costs |Y|**2 products instead of |Y|! chains.
+    and the empty set to no ends.  Held-Karp style: each end extends the
+    chains of Y - {end} by one step, in this loop, so a subset costs
+    |Y|**2 products instead of |Y|! chains.
     """
     steps = list(zip(*e)) if forward else e  # the factors a step to `end` takes
-    paths = {}
+    paths = {0: {}}
     for mask, subset in _subsets(members, max_size):
-        if len(subset) == 1:
-            (end,) = subset
-            paths[mask] = {end: e[root][end] if forward else e[end][root]}
-        else:
-            paths[mask] = {end: _extend(paths[mask ^ (1 << end)], steps[end], forward, start) for end in subset}
+        paths[mask] = ends = {}
+        for end in subset:
+            prev, step = mask ^ (1 << end), steps[end]
+            s0, s1, s2, s3 = start if prev else step[root]  # one step from root
+            if forward:
+                for o, (a0, a1, a2, a3) in paths[prev].items():
+                    b0, b1, b2, b3 = step[o]
+                    s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+                    s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+                    s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+                    s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+            else:
+                for o, (b0, b1, b2, b3) in paths[prev].items():
+                    a0, a1, a2, a3 = step[o]
+                    s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+                    s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+                    s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+                    s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+            ends[end] = (s0, s1, s2, s3)
     return paths
 
 
@@ -225,14 +218,32 @@ def _signed_cycle_sums(e, root, members, max_size, start):
 
         e[root][y1] * e[y1][y2] * ... * e[yp][root],
 
-    and H of the empty set is e[root][root]: the forward open paths of
-    `_open_paths`, each closed by its last factor.
+    and H of the empty set is e[root][root].  The loop extends the forward
+    open paths of Y as `_open_paths` does and closes each by its last
+    factor as soon as it is made.
     """
-    back = [row[root] for row in e]
-    sums = {0: e[root][root]}
-    for mask, ends in _open_paths(e, root, members, max_size, True, start).items():
-        h0, h1, h2, h3 = _extend(ends, back, True, start)
-        sums[mask] = (-h0, -h1, -h2, -h3) if mask.bit_count() % 2 else (h0, h1, h2, h3)
+    steps, back = list(zip(*e)), [row[root] for row in e]
+    # The open paths over a subset, as flat tuples (end, four components).
+    sums, paths = {0: e[root][root]}, {0: ()}
+    for mask, subset in _subsets(members, max_size):
+        h0, h1, h2, h3 = start
+        paths[mask] = ends = []
+        for end in subset:
+            prev, step = mask ^ (1 << end), steps[end]
+            a0, a1, a2, a3 = start if prev else step[root]  # one step from root
+            for o, p0, p1, p2, p3 in paths[prev]:
+                b0, b1, b2, b3 = step[o]
+                a0 += p0 * b0 - p1 * b1 - p2 * b2 - p3 * b3
+                a1 += p0 * b1 + p1 * b0 + p2 * b3 - p3 * b2
+                a2 += p0 * b2 - p1 * b3 + p2 * b0 + p3 * b1
+                a3 += p0 * b3 + p1 * b2 - p2 * b1 + p3 * b0
+            ends.append((end, a0, a1, a2, a3))
+            b0, b1, b2, b3 = back[end]
+            h0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+            h1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+            h2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+            h3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+        sums[mask] = (-h0, -h1, -h2, -h3) if len(subset) % 2 else (h0, h1, h2, h3)
     return sums
 
 
@@ -262,16 +273,37 @@ def _tails(e, universe, max_size, row, start):
     R(X) is the row determinant of the principal submatrix on X anchored
     at its first row, C(X) the column determinant anchored at its first
     column; on a Hermitian matrix both are the principal minor of X.
+    Each entry is the sum `_combine` makes, run in this loop with the
+    operand order picked once per entry, not once per term.
     """
     sums_at = {
-        m: _signed_cycle_sums(e, m, tuple(x for x in universe if x > m), max_size - 1, start)
-        for m in universe
+        m: _signed_cycle_sums(e, m, universe[k + 1 :], max_size - 1, start)
+        for k, m in enumerate(universe)  # `universe` ascends, so these are the x > m
     }
     tails = {}
     # By increasing size: every subset a tail needs is smaller, so ready.
     for mask, subset in _subsets(universe, max_size):
         low = subset[0]
-        tails[mask] = _combine(sums_at[low], tails, mask ^ (1 << low), row)
+        sums, rest = sums_at[low], mask ^ (1 << low)
+        s0, s1, s2, s3 = sums[rest]
+        y = rest
+        if row:
+            while y:
+                y = (y - 1) & rest
+                (a0, a1, a2, a3), (b0, b1, b2, b3) = sums[y], tails[rest ^ y]
+                s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+                s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+                s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+                s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+        else:
+            while y:
+                y = (y - 1) & rest
+                (b0, b1, b2, b3), (a0, a1, a2, a3) = sums[y], tails[rest ^ y]
+                s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+                s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+                s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+                s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+        tails[mask] = (s0, s1, s2, s3)
     return tails
 
 

@@ -478,6 +478,19 @@ def test_each_kernel_pass_runs_once_per_call(monkeypatch):
     assert counts == [(2, 0), (3, 1), (2, 1)]
 
 
+def test_rank_of_the_weight_is_made_only_when_read(monkeypatch):
+    # Only the mp_route refusals and builders read rank(W); a limit
+    # estimate and a single via_drazin route never do.
+    ranks, rank_of = [], geninv.rank
+    monkeypatch.setattr(geninv, "rank", lambda a: ranks.append(1) or rank_of(a))
+    a, w = golden.A_IN.to_float(), golden.W_IN.to_float()
+    wdrazin_limit_estimate(a, w, 1e-3)
+    wdrazin(golden.A_IN, golden.W_IN, "via_drazin_U")
+    assert ranks == []
+    wdrazin(A_TALL, W_WIDE, "mp_route_V")  # the refusal and the builder read one rank
+    assert ranks == [1]
+
+
 def test_rank_zero_input_has_the_zero_inverse_in_every_family():
     # A nonzero float input of float rank 0 meets the kernels' order-0 case.
     tiny = QMatrix([[Quaternion(1e-200, mode="float")]])

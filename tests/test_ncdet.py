@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import random
 import threading
 from fractions import Fraction
 
@@ -543,9 +544,10 @@ def test_float_determinants_refuse_a_non_finite_result():
 # of s factors is divided by 42**s, at every s.  A third of the entries
 # are zero, in float mode with either sign per component, so that whole
 # sums of signed zeros occur and the sign of a zero sum is exercised.
+FLOAT_COMPONENTS = [0.0, -0.0, 1.0, -1.5, 0.1, 1 / 3, -2.75, 1e-3]
 KERNEL_COMPONENTS = {
     "exact": st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 3), Fraction(5, 7), Fraction(-3, 2)]),
-    "float": st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.1, 1 / 3, -2.75, 1e-3]),
+    "float": st.sampled_from(FLOAT_COMPONENTS),
 }
 KERNEL_ZEROS = {"exact": st.just(0), "float": st.sampled_from([0.0, -0.0])}
 
@@ -630,12 +632,30 @@ SIGNED_ZERO_CASE = QMatrix(
 )
 
 
+# The benchmark runs float sums at n = 6..8, which the drawn n <= 5 do not
+# reach: matrices of this helper at n = 6 and 8, and a Gram matrix B B* of
+# one at n = 7, pin them.
+def signed_zero_case(n, seed):
+    """A float n x n matrix drawn as `kernel_matrices` draws one: a third of
+    the entries zero with a random sign per component."""
+    draw = random.Random(seed).choice
+
+    def entry():
+        components = (0.0, -0.0) if draw(range(3)) == 0 else FLOAT_COMPONENTS
+        return Quaternion(*(draw(components) for _ in range(4)), mode="float")
+
+    return QMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["exact", "float"]).flatmap(kernel_matrices))
 @example(FRACTION_CASE)
 @example(FRACTION_CASE + FRACTION_CASE.H)
 @example((FRACTION_CASE + FRACTION_CASE.H).to_float())
 @example(SIGNED_ZERO_CASE)
+@example(signed_zero_case(6, 6))
+@example(signed_zero_case(8, 8))
+@example(signed_zero_case(7, 7) @ signed_zero_case(7, 7).H)  # one seed, so B B*
 def test_tuple_kernel_matches_the_quaternion_recursion(g):
     assert_kernel_matches_reference(g)
 
