@@ -34,7 +34,6 @@ from .ncdet import (
     cdet_reference,
     char_poly,
     ddet,
-    enumeration_guard,
     hermitian_inverse,
     principal_minor_sum,
     rdet,
@@ -83,7 +82,6 @@ __all__ = [
     "principal_minor_sum",
     "char_poly",
     "hermitian_inverse",
-    "enumeration_guard",
     "mp_inverse",
     "mp_all_routes",
     "drazin",

@@ -223,7 +223,7 @@ def _load(path, mode_override):
 
 
 def _resolve_guard(args):
-    """The guard --max-n / $QDET_MAX_N asks for, or None."""
+    """The guard --max-n / $QDET_MAX_N asks for, or None; below 1 is a usage error."""
     limit = args.max_n
     if limit is None:
         env = os.environ.get(GUARD_ENV_VAR)
@@ -232,6 +232,8 @@ def _resolve_guard(args):
                 limit = int(env)
             except ValueError:
                 raise _UsageError(f"${GUARD_ENV_VAR} must be an integer, got {env!r}") from None
+    if limit is not None and limit < 1:
+        raise _UsageError(f"the guard override must be at least 1, got {limit}")
     return limit
 
 
@@ -251,12 +253,12 @@ def _cmd_det(args):
     a = _load(args.input, args.mode)
     if args.anchor:
         which, idx = _parse_anchor(args.anchor)
-        value = ncdet.rdet(idx, a) if which == "r" else ncdet.cdet(idx, a)
+        value = (ncdet.rdet if which == "r" else ncdet.cdet)(idx, a, args.max_n)
         _emit_scalar(value, a.mode, args)
         return EXIT_OK
     if not a.is_hermitian():
         raise _UsageError("--anchor is required for non-Hermitian input")
-    _emit_scalar(ncdet.ddet(a), a.mode, args)
+    _emit_scalar(ncdet.ddet(a, args.max_n), a.mode, args)
     return EXIT_OK
 
 
@@ -293,7 +295,7 @@ def _cmd_routed(args):
     and any --lambda lines, then print them: a failure prints nothing."""
     family, checker, weighted, _ = _INVERSES[args.command]
     operands = _operands(args, args.command)
-    x, provenance = geninv._dispatch(family, args.route, *operands)
+    x, provenance = geninv._dispatch(family, args.route, *operands, max_n=args.max_n)
     report = checker(*operands, x, provenance=provenance) if args.check else None
     lines = _limit_lines(*operands, x, args) if weighted and args.lam is not None else []
     _emit_matrix(x, args)
@@ -362,8 +364,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        with ncdet._scoped_guard(_resolve_guard(args)):
-            return _COMMANDS[args.command](args)
+        args.max_n = _resolve_guard(args)  # every guarded call of the run reads it
+        return _COMMANDS[args.command](args)
     except _CAUGHT as exc:
         code, word = next((code, word) for types, code, word in _EXITS if isinstance(exc, types))
         print(f"qdet: {word}: {exc}", file=sys.stderr)

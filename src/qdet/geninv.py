@@ -14,13 +14,13 @@ Notation used throughout (for an m x n input A and n x m weight W):
 
 Every determinantal route composes two Cramer kernels, as the paper
 builds its weighted representations from two earlier ones.
-`_mp_cramer(x, r, row)` is the determinantal Moore-Penrose inverse
+`_mp_cramer(x, r, row, max_n)` is the determinantal Moore-Penrose inverse
 x^+ = N / d: the bordered minor sums of the Gram matrix x*x (column
 family, ``cdet``) or x x* (row family, ``rdet``) at rank r.  Such a sum
 is linear in its replaced column (row), so `ncdet._bordered_cofactors`
 makes one cofactor pass per anchor and returns a matrix Y and the sum
 d > 0 of the r x r principal minors, and N = Y x* (x* Y).
-`_hermitian_cramer(g, r, row)` gives Y and d != 0 of a Hermitian g.  The
+`_hermitian_cramer(g, r, row, max_n)` gives Y and d != 0 of a Hermitian g.  The
 routes, each divided once, last, so exact intermediates stay integral:
 
     mp_inverse  cdet, rdet                      N / d,  x = A
@@ -36,7 +36,9 @@ holds for any k >= Ind A; with U and V at k it makes ``mp_route_U`` /
 ``mp_route_V`` W^+ U^D and V^D W^+ (N_W, d_W from x = W).  The Hermitian
 routes require the power they expand to be Hermitian.  The enumeration
 guard bounds the minor order r: a route is refused when the rank it
-expands exceeds the guard, whatever the size of the input.
+expands exceeds the guard, whatever the size of the input.  A call's
+``max_n`` is carried by its analysis, and both kernels pass it on to
+`_bordered_cofactors`.
 
 The MP composition routes are valid only when the weight's pseudoinverse
 cancels against it on the relevant side: ``mp_route_U`` equals
@@ -83,7 +85,7 @@ from .errors import (
     invariant_error,
 )
 from .matrix import Powers, QMatrix, index_of, inverse_square, max_abs_diff, rank
-from .ncdet import _bordered_cofactors, _scoped_guard
+from .ncdet import _bordered_cofactors, _override
 
 # mat_pow, cdet and rdet stay bound here, uncalled: benchmarks/layers.py
 # rebinds them in every qdet module that holds them, and its self-test
@@ -116,19 +118,19 @@ def assert_routes_agree(results: dict, mode: str, what: str) -> QMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _mp_cramer(x: QMatrix, r: int, row: bool):
+def _mp_cramer(x: QMatrix, r: int, row: bool, max_n: int | None):
     """(N, d) with x^+ = N / d, from the order-r bordered minors of x*x
     (N = Y x*) or, for the row family, of x x* (N = x* Y)."""
     xs = x.H
-    y, d = _bordered_cofactors(x @ xs if row else xs @ x, r, row=row)
+    y, d = _bordered_cofactors(x @ xs if row else xs @ x, r, row, max_n)
     if d <= 0:
         raise invariant_error(x.mode, f"Gram minor sum is not positive: {d}")
     return (xs @ y if row else y @ xs), d
 
 
-def _hermitian_cramer(g: QMatrix, r: int, row: bool):
+def _hermitian_cramer(g: QMatrix, r: int, row: bool, max_n: int | None):
     """(Y, d): the cofactor matrix and order-r minor sum of a Hermitian g."""
-    y, d = _bordered_cofactors(g, r, row=row)
+    y, d = _bordered_cofactors(g, r, row, max_n)
     if d == 0:
         raise invariant_error(g.mode, "Hermitian minor sum vanished")
     return y, d
@@ -174,10 +176,11 @@ def _full_rank(u_side: bool):
     return refusal
 
 
-def _results(family: _Family, operands: tuple, names, strict: bool = False) -> dict:
+def _results(family: _Family, operands: tuple, names, strict=False, max_n: int | None = None) -> dict:
     """{name: result} of the named routes that apply to one analysis of the
-    operands; with strict, a route that does not apply raises its refusal."""
-    analysis = family.analyse(*operands)
+    operands under the guard max_n; with strict, a route that does not
+    apply raises its refusal."""
+    analysis = family.analyse(*operands, max_n)
     results = {}
     for name in names:
         refusal, build = family.routes[name]
@@ -195,8 +198,9 @@ def _dispatch(family: _Family, route: str, *operands, max_n: int | None = None):
     every = route == "all"
     if not (every or route in family.routes):
         raise ValueError(f"unknown {family.what} route {route!r}")
-    with _scoped_guard(max_n):
-        results = _results(family, operands, family.routes if every else (route,), strict=not every)
+    if max_n is not None:
+        _override(max_n)  # an override below 1 is refused before any analysis
+    results = _results(family, operands, family.routes if every else (route,), not every, max_n)
     provenance = "all:" + ",".join(results) if every else route
     return assert_routes_agree(results, operands[0].mode, family.what), provenance
 
@@ -207,13 +211,14 @@ def _dispatch(family: _Family, route: str, *operands, max_n: int | None = None):
 
 
 def _mp_direct(p, row: bool) -> QMatrix:
-    num, d = _mp_cramer(*p, row)
+    a, r, max_n = p
+    num, d = _mp_cramer(a, r, row, max_n)
     return num / d
 
 
 _MP = _Family(
     "Moore-Penrose",
-    lambda a: (a, rank(a)),
+    lambda a, max_n: (a, rank(a), max_n),
     {
         "cdet": (_no_precondition, lambda p: _mp_direct(p, row=False)),
         "rdet": (_no_precondition, lambda p: _mp_direct(p, row=True)),
@@ -243,20 +248,22 @@ def mp_all_routes(a: QMatrix) -> dict:
 
 class _SquareAnalysis(Powers):
     """The power table of a square matrix plus its index k, computed once,
-    and the Moore-Penrose kernels of its odd powers, each made on first use."""
+    the call's guard max_n, and the Moore-Penrose kernels of its odd
+    powers, each made on first use."""
 
-    def __init__(self, a: QMatrix):
+    def __init__(self, a: QMatrix, max_n: int | None = None):
         if not a.is_square():
             raise ShapeError("Drazin inverse requires a square matrix")
         super().__init__(a)
         self.k = index_of(self)
+        self.max_n = max_n
         self._mp = {}
 
     def mp_cramer(self, e: int, row: bool):
         """(N, d) with N / d = (A^(2e+1))^+, at rank(A^e): for e >= Ind A the
         two ranks agree and A^e N A^e / d = A^D."""
         if (e, row) not in self._mp:
-            self._mp[e, row] = _mp_cramer(self[2 * e + 1], self.rank(e), row)
+            self._mp[e, row] = _mp_cramer(self[2 * e + 1], self.rank(e), row, self.max_n)
         return self._mp[e, row]
 
 
@@ -274,7 +281,7 @@ def _drazin_composition(s: _SquareAnalysis) -> QMatrix:
 
 def _drazin_hermitian(s: _SquareAnalysis, row: bool) -> QMatrix:
     ak = s[s.k]
-    y, d = _hermitian_cramer(s[s.k + 1], s.rank(s.k), row)
+    y, d = _hermitian_cramer(s[s.k + 1], s.rank(s.k), row, s.max_n)
     return (ak @ y if row else y @ ak) / d
 
 
@@ -314,18 +321,18 @@ def drazin_all_routes(a: QMatrix) -> dict:
 
 
 class _WeightedProblem:
-    """A, W, the analyses of U = WA and V = AW, k and rank(W), the last
-    made on first read: only the mp_route refusals and builders and
-    `qdet info --weight` read it."""
+    """A, W, the analyses of U = WA and V = AW under the call's guard
+    max_n, k and rank(W), the last made on first read: only the mp_route
+    refusals and builders and `qdet info --weight` read it."""
 
-    def __init__(self, a: QMatrix, w: QMatrix):
+    def __init__(self, a: QMatrix, w: QMatrix, max_n: int | None = None):
         if w.rows != a.cols or w.cols != a.rows:
             raise ShapeError(
                 f"weight must be {a.cols}x{a.rows} for a {a.rows}x{a.cols} input, got {w.rows}x{w.cols}"
             )
-        self.a, self.w = a, w
-        self.u = _SquareAnalysis(w @ a)
-        self.v = _SquareAnalysis(a @ w)
+        self.a, self.w, self.max_n = a, w, max_n
+        self.u = _SquareAnalysis(w @ a, max_n)
+        self.v = _SquareAnalysis(a @ w, max_n)
         self.k = max(self.u.k, self.v.k)
 
     @cached_property
@@ -343,7 +350,7 @@ def _mp_route(p: _WeightedProblem, u_side: bool) -> QMatrix:
     """W^+ U^D (column family) or V^D W^+ (row family), with U^D, V^D at k."""
     side = p.u if u_side else p.v
     sk = side[p.k]
-    num_w, d_w = _mp_cramer(p.w, p.rank_w, row=not u_side)
+    num_w, d_w = _mp_cramer(p.w, p.rank_w, not u_side, p.max_n)
     num, d = side.mp_cramer(p.k, row=not u_side)
     num = sk @ num @ sk
     return (num_w @ num if u_side else num @ num_w) / (d_w * d)
@@ -352,7 +359,7 @@ def _mp_route(p: _WeightedProblem, u_side: bool) -> QMatrix:
 def _weighted_hermitian(p: _WeightedProblem, u_side: bool) -> QMatrix:
     side = p.u if u_side else p.v
     sk = side[p.k]
-    y, d = _hermitian_cramer(side[p.k + 2], side.rank(p.k), row=u_side)
+    y, d = _hermitian_cramer(side[p.k + 2], side.rank(p.k), u_side, p.max_n)
     return ((p.a @ sk) @ y if u_side else y @ (sk @ p.a)) / d
 
 

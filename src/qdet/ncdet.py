@@ -61,12 +61,11 @@ rather than silently running for hours: the reference evaluators and the
 bordered minor sums stay exponential in the order of their minors.  For
 the minor sums, cofactors and inverses the guard bounds that order (the
 rank r a route expands), not the size of the matrix.  It is overridden
-for one call only, by the `max_n` of every evaluator and inverse (held
-by `_scoped_guard`); an override below 1 is a `ValueError`.
+for one call only, by the `max_n` of every evaluator and inverse, which
+travels as an argument down to the check; the module holds no guard
+state.  An override below 1 is a `ValueError`.
 """
 
-import contextlib
-import contextvars
 import itertools
 import math
 from functools import lru_cache
@@ -84,15 +83,6 @@ from .scalar import EXACT, Quaternion
 
 DEFAULT_ENUMERATION_GUARD = 8
 
-# A context variable: a guard set in one thread is not seen by another,
-# which starts from the default.
-_guard = contextvars.ContextVar("enumeration_guard", default=DEFAULT_ENUMERATION_GUARD)
-
-
-def enumeration_guard() -> int:
-    """The size guard in force in the current context (read-only)."""
-    return _guard.get()
-
 
 def _override(max_n: int) -> int:
     """max_n, checked as a guard override."""
@@ -101,22 +91,8 @@ def _override(max_n: int) -> int:
     return max_n
 
 
-@contextlib.contextmanager
-def _scoped_guard(max_n: int | None):
-    """The guard set to max_n inside the block and reset on leaving it,
-    however it is left; max_n None leaves the guard as it is."""
-    if max_n is None:
-        yield
-        return
-    token = _guard.set(_override(max_n))
-    try:
-        yield
-    finally:
-        _guard.reset(token)
-
-
 def _refuse_above_guard(n: int, max_n, what="minor order", bounds="the minor order, not the matrix size"):
-    limit = _guard.get() if max_n is None else _override(max_n)
+    limit = DEFAULT_ENUMERATION_GUARD if max_n is None else _override(max_n)
     if n > limit:
         raise EnumerationGuardError(
             f"{what} {n} exceeds the enumeration guard {limit}, which bounds {bounds}; "
@@ -494,35 +470,31 @@ def _blocks(perm, n, anchor):
     return [anchor] + mins, 1 + len(mins)
 
 
-def rdet_reference(i: int, a: QMatrix, max_n: int | None = None) -> Quaternion:
-    """Row determinant by direct summation over one-line permutations."""
-    n = _check(a, i, max_n, "the size of an n!-term reference sum")
+def _reference(anchor: int, a: QMatrix, max_n, row: bool) -> Quaternion:
+    """The row (row=True) or column determinant by direct summation over
+    one-line permutations: a term multiplies its cycle chains with the
+    anchor cycle first (rows) or last (columns)."""
+    n = _check(a, anchor, max_n, "the size of an n!-term reference sum")
     e = a.entries()
     total = Quaternion.zero(a.mode)
     for perm in itertools.permutations(range(1, n + 1)):
-        starts, r = _blocks(perm, n, i)
-        term = _orbit_product(e, perm, starts[0])
-        for s in starts[1:]:
-            term = term * _orbit_product(e, perm, s)
-        sign = -1 if (n - r) % 2 else 1
-        total = total + (term if sign > 0 else -term)
+        starts, r = _blocks(perm, n, anchor)
+        term = None
+        for s in starts if row else reversed(starts):
+            p = _orbit_product(e, perm, s)
+            term = p if term is None else term * p
+        total = total + (-term if (n - r) % 2 else term)
     return total
+
+
+def rdet_reference(i: int, a: QMatrix, max_n: int | None = None) -> Quaternion:
+    """Row determinant by direct summation over one-line permutations."""
+    return _reference(i, a, max_n, row=True)
 
 
 def cdet_reference(j: int, a: QMatrix, max_n: int | None = None) -> Quaternion:
     """Column determinant by direct summation over one-line permutations."""
-    n = _check(a, j, max_n, "the size of an n!-term reference sum")
-    e = a.entries()
-    total = Quaternion.zero(a.mode)
-    for perm in itertools.permutations(range(1, n + 1)):
-        starts, r = _blocks(perm, n, j)
-        term = None
-        for s in reversed(starts):
-            p = _orbit_product(e, perm, s)
-            term = p if term is None else term * p
-        sign = -1 if (n - r) % 2 else 1
-        total = total + (term if sign > 0 else -term)
-    return total
+    return _reference(j, a, max_n, row=False)
 
 
 # ---------------------------------------------------------------------------

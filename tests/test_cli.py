@@ -21,7 +21,6 @@ from qdet import (
     QMatrix,
     Quaternion,
     cli,
-    enumeration_guard,
     errors,
     geninv,
     parse_quaternion,
@@ -183,13 +182,12 @@ def test_det_bad_anchor_and_missing_file(tmp_path, capsys):
 
 def test_guard_exit_code(tmp_path, capsys):
     path = write(tmp_path, "h4.qmat", QMatrix.identity(4))
-    before = enumeration_guard()
     assert main(["det", "-i", path, "--anchor", "r:1", "--max-n", "3"]) == 2
     assert "guard" in capsys.readouterr().err
-    assert enumeration_guard() == before  # --max-n holds for the run only
+    # The same run without --max-n runs at the default guard.
+    assert main(["det", "-i", path, "--anchor", "r:1"]) == 0
     assert main(["det", "-i", path, "--anchor", "r:1", "--max-n", "4"]) == 0
     assert main(["det", "-i", path, "--anchor", "r:1", "--max-n", "0"]) == 1
-    assert enumeration_guard() == before
 
 
 def test_default_guard_refuses_nine_by_nine(tmp_path, capsys):
@@ -208,6 +206,27 @@ def test_guard_env_override(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     monkeypatch.setenv("QDET_MAX_N", "garbage")
     assert main(["det", "-i", path, "--anchor", "r:1"]) == 1
+
+
+def test_an_override_below_one_is_refused_on_every_subcommand(tmp_path, capsys, monkeypatch):
+    # info and verify make no guarded call, but an invalid guard is still a
+    # usage error there, from the flag and from the variable alike.
+    path = write(tmp_path, "h.qmat", HERMITIAN)
+    inverse = write(tmp_path, "x.qmat", geninv.mp_inverse(HERMITIAN))
+    commands = {
+        "info": ["info", "-i", path],
+        "verify": ["verify", "-i", path, "--candidate", inverse, "--kind", "mp"],
+        "det": ["det", "-i", path, "--anchor", "r:1"],
+        "mp": ["mp", "-i", path],
+    }
+    for name, argv in commands.items():
+        assert main(argv) == 0, name
+        assert main(argv + ["--max-n", "0"]) == 1, name
+        assert "at least 1" in capsys.readouterr().err, name
+        monkeypatch.setenv("QDET_MAX_N", "0")
+        assert main(argv) == 1, name
+        assert "at least 1" in capsys.readouterr().err, name
+        monkeypatch.delenv("QDET_MAX_N")
 
 
 def test_usage_errors(capsys):

@@ -59,7 +59,6 @@ from qdet.errors import (
 )
 from qdet import matrix
 from qdet.matrix import max_abs_diff
-from qdet.ncdet import _scoped_guard, enumeration_guard
 
 
 # -- Moore-Penrose -----------------------------------------------------------
@@ -139,16 +138,12 @@ def test_inverse_routes_take_a_per_call_guard():
         "drazin": (lambda max_n: drazin(a, "all", max_n=max_n), check_drazin),
         "wdrazin": (lambda max_n: wdrazin(a, w, "all", max_n=max_n), lambda a, x: check_wdrazin(a, w, x)),
     }
-    before = enumeration_guard()
     for name, (call, check) in calls.items():
         with pytest.raises(EnumerationGuardError):
             call(2)
-        assert enumeration_guard() == before, name  # a refusal does not leak the override
         assert check(a, call(3)).ok, name
-        assert enumeration_guard() == before, name
-    with _scoped_guard(2):  # the override also raises a lower context guard
-        assert mp_inverse(a, max_n=3) == mp_inverse(a, max_n=8)
-        assert enumeration_guard() == 2
+        # The same call without max_n runs at the default guard.
+        assert call(None) == call(3), name
 
 
 def test_mp_of_large_low_rank_input_stays_within_the_guard():
@@ -463,7 +458,7 @@ def test_weighted_routes_read_each_power_from_one_table(monkeypatch):
 def test_each_kernel_pass_runs_once_per_call(monkeypatch):
     passes, ranks = [], []
     bordered, rank_of = geninv._bordered_cofactors, geninv.rank
-    monkeypatch.setattr(geninv, "_bordered_cofactors", lambda g, r, row: passes.append(1) or bordered(g, r, row))
+    monkeypatch.setattr(geninv, "_bordered_cofactors", lambda g, r, row, max_n: passes.append(1) or bordered(g, r, row, max_n))
     monkeypatch.setattr(geninv, "rank", lambda a: ranks.append(1) or rank_of(a))
     counts = []
     for call in (
@@ -508,7 +503,7 @@ def test_kernels_refuse_a_broken_minor_sum(monkeypatch, mode, error):
     # Gram minor sums must be positive, Hermitian ones nonzero.
     bordered = geninv._bordered_cofactors
     d = [0]
-    monkeypatch.setattr(geninv, "_bordered_cofactors", lambda g, r, row: (bordered(g, r, row)[0], d[0]))
+    monkeypatch.setattr(geninv, "_bordered_cofactors", lambda g, r, row, max_n: (bordered(g, r, row, max_n)[0], d[0]))
     h = QMatrix.from_literals([["2", "i"], ["-i", "2"]])
     h = h.to_float() if mode == "float" else h
     for route in ("cdet", "rdet"):

@@ -190,7 +190,7 @@ def test_index_of_leaves_its_powers_and_ranks_in_the_table(monkeypatch):
 def test_operator_aliases_are_gone():
     assert not any(hasattr(QMatrix, name) for name in ("rank", "index_of", "__pow__", "conj_transpose"))
     assert not hasattr(Quaternion, "parse")
-    for name in ("CycleForm", "cycle_forms", "set_enumeration_guard"):
+    for name in ("CycleForm", "cycle_forms", "set_enumeration_guard", "enumeration_guard", "_scoped_guard"):
         assert not hasattr(qdet, name) and not hasattr(ncdet, name), name
     assert list(inspect.signature(QMatrix.is_hermitian).parameters) == ["self"]
     assert all(hasattr(qdet, name) for name in qdet.__all__)

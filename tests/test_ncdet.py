@@ -49,12 +49,7 @@ from qdet.errors import (
     ShapeError,
     SingularError,
 )
-from qdet.ncdet import (
-    DEFAULT_ENUMERATION_GUARD,
-    _bordered_cofactors,
-    _scoped_guard,
-    enumeration_guard,
-)
+from qdet.ncdet import _bordered_cofactors
 
 
 # -- determinants: examples from first principles ---------------------------
@@ -456,15 +451,27 @@ def test_guard_refuses_oversized_input():
 
 
 def test_guard_set_in_one_thread_is_not_seen_by_another():
-    with _scoped_guard(3):
-        seen = []
-        worker = threading.Thread(target=lambda: seen.append(enumeration_guard()))
-        worker.start()
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert seen == [DEFAULT_ENUMERATION_GUARD]
-        assert enumeration_guard() == 3
-    assert enumeration_guard() == DEFAULT_ENUMERATION_GUARD
+    # A worker's override admits its own 9x9 calls only: while they run, the
+    # same call here, without max_n, is refused at the default guard.
+    big, started, done, seen = QMatrix.identity(9), threading.Event(), threading.Event(), []
+
+    def work():
+        while not done.is_set():
+            seen.append(rdet(1, big, max_n=9))
+            started.set()
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        assert started.wait(timeout=10)
+        for _ in range(3):
+            with pytest.raises(EnumerationGuardError):
+                rdet(1, big)
+    finally:
+        done.set()
+        worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert seen and all(x == Quaternion.one() for x in seen)
 
 
 # Every public function that takes a per-call guard override, called on a
@@ -500,8 +507,8 @@ def test_an_override_below_one_is_a_value_error(name, max_n):
     call = GUARDED_CALLS[name]
     with pytest.raises(ValueError, match="at least 1"):
         call(max_n)
-    assert enumeration_guard() == DEFAULT_ENUMERATION_GUARD
-    call(2)  # the same call runs under a valid override
+    call(None)  # the same call without max_n runs at the default guard
+    call(2)  # and under a valid override
 
 
 def test_anchor_validation(rng):
