@@ -13,6 +13,7 @@ from .geninv import (
     WDRAZIN_ROUTES,
     drazin,
     drazin_all_routes,
+    inverse,
     mp_all_routes,
     mp_inverse,
     wdrazin,
@@ -82,6 +83,7 @@ __all__ = [
     "principal_minor_sum",
     "char_poly",
     "hermitian_inverse",
+    "inverse",
     "mp_inverse",
     "mp_all_routes",
     "drazin",

@@ -9,12 +9,12 @@ grammar, so outputs are re-ingestible; with ``--check`` the appended
 report lines are ``%``-prefixed to keep the output a valid matrix file.
 
 The inverses are data: `_INVERSES` has one row per inverse, holding its
-`geninv` family table, its `verify` checker, whether it takes a weight
+`geninv` route tuple, its `verify` checker, whether it takes a weight
 and its help line.  The routed subcommands, their ``--route`` help and
-default (the family's first route), ``--check``, the ``verify --kind``
-choices and the operands each kind reads all come from that row, and one
-`_cmd_routed` runs every routed subcommand.  A new route is one row in
-its `geninv` family; a new inverse is one family there and one row here.
+default (the first route), ``--check``, the ``verify --kind`` choices
+and the operands each kind reads all come from that row, and one
+`_cmd_routed` runs each through `geninv.inverse`.  A new route is a row
+in its `geninv` family, a new inverse a family there and a row here.
 
 Exit codes: 0 success, 1 usage or parse error, 2 computation refusal
 (size guard, mode/shape/precondition violations, singular input, a float
@@ -163,11 +163,11 @@ def _add_common(sub, weight=False):
     sub.add_argument("--emit", choices=("human", "kv"), default="human")
 
 
-# One row per inverse: (geninv family, verify checker, takes a weight, help).
+# One row per inverse: (geninv routes, verify checker, takes a weight, help).
 _INVERSES = {
-    "mp": (geninv._MP, verify.check_penrose, False, "Moore-Penrose inverse"),
-    "drazin": (geninv._DRAZIN, verify.check_drazin, False, "Drazin inverse"),
-    "wdrazin": (geninv._WDRAZIN, verify.check_wdrazin, True, "weighted Drazin inverse"),
+    "mp": (geninv.MP_ROUTES, verify.check_penrose, False, "Moore-Penrose inverse"),
+    "drazin": (geninv.DRAZIN_ROUTES, verify.check_drazin, False, "Drazin inverse"),
+    "wdrazin": (geninv.WDRAZIN_ROUTES, verify.check_wdrazin, True, "weighted Drazin inverse"),
 }
 
 
@@ -179,10 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(det)
     det.add_argument("--anchor", help="r:<row> or c:<col> (1-based); omit for ddet of a Hermitian input")
 
-    for name, (family, _, weighted, help_) in _INVERSES.items():
+    for name, (routes, _, weighted, help_) in _INVERSES.items():
         sub = subs.add_parser(name, help=help_)
         _add_common(sub, weight=weighted)
-        sub.add_argument("--route", default=next(iter(family.routes)), help="|".join(family.routes) + " | all")
+        sub.add_argument("--route", default=routes[0], help="|".join(routes) + " | all")
         sub.add_argument("--check", action="store_true", help="verify the defining equations")
         if weighted:
             sub.add_argument(
@@ -293,9 +293,9 @@ def _limit_lines(a, w, x, args):
 def _cmd_routed(args):
     """Compute args.route of the inverse args.command, its --check report
     and any --lambda lines, then print them: a failure prints nothing."""
-    family, checker, weighted, _ = _INVERSES[args.command]
+    _, checker, weighted, _ = _INVERSES[args.command]
     operands = _operands(args, args.command)
-    x, provenance = geninv._dispatch(family, args.route, *operands, max_n=args.max_n)
+    x, provenance = geninv.inverse(args.command, args.route, *operands, max_n=args.max_n)
     report = checker(*operands, x, provenance=provenance) if args.check else None
     lines = _limit_lines(*operands, x, args) if weighted and args.lam is not None else []
     _emit_matrix(x, args)
@@ -315,34 +315,31 @@ def _cmd_verify(args):
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
-def _describe(name, a, r, k=None):
-    """Info lines of a with its rank r and, for a square a, its index k."""
-    lines = [
+def _describe(name, a, lines):
+    """Append a's info lines to lines; return its index (None unless square)."""
+    p = Powers(a) if a.is_square() else None
+    k = None if p is None else index_of(p)
+    lines += [
         f"{name}.rows = {a.rows}",
         f"{name}.cols = {a.cols}",
         f"{name}.mode = {a.mode}",
-        f"{name}.rank = {r}",
+        f"{name}.rank = {rank(a) if p is None else p.rank(1)}",
         f"{name}.hermitian = {'true' if a.is_hermitian() else 'false'}",
     ]
     if k is not None:
         lines.append(f"{name}.index = {k}")
-    return lines
+    return k
 
 
 def _cmd_info(args):
-    a = _load(args.input, args.mode)
-    if a.is_square():  # rank and index from one power table
-        p = Powers(a)
-        lines = _describe("A", a, p.rank(1), index_of(p))
-    else:
-        lines = _describe("A", a, rank(a))
+    a, lines = _load(args.input, args.mode), []
+    _describe("A", a, lines)
     if args.weight:
         w = _load(args.weight, args.mode)
-        problem = geninv._WeightedProblem(a, w)
-        lines += _describe("W", w, problem.rank_w, index_of(w) if w.is_square() else None)
-        for name, side in (("WA", problem.u), ("AW", problem.v)):
-            lines += _describe(name, side.a, side.rank(1), side.k)
-        lines.append(f"k = {problem.k}")
+        wa, aw = w @ a, a @ w  # both exist iff w has the transposed shape of a
+        _describe("W", w, lines)
+        k = max(_describe("WA", wa, lines), _describe("AW", aw, lines))
+        lines.append(f"k = {k}")
     print("\n".join(lines))
     return EXIT_OK
 

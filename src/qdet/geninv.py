@@ -61,10 +61,10 @@ Ind U = k.  Rank 0 needs no branch: the kernels' order-0 case (Y = 0,
 d = 1) gives the zero inverse.
 Routes are data: each family has one table mapping a route name to its
 refusal, which returns the typed error or None, and its builder, which
-reads the call's analysis; the route tuples are the tables' keys.  One
-dispatcher serves every call: it rejects an unknown name before
-analysing anything, builds the analysis once, runs the named route
-(raising its refusal) or, under ``route="all"``, every route whose
+reads the call's analysis; the route tuples are the tables' keys.  The
+public `inverse(kind, route, ...)` serves every call: it rejects an
+unknown kind or route first, builds the analysis once, runs the named
+route (raising its refusal) or, under ``route="all"``, every route whose
 refusal is None, checks that the results agree and returns the result
 with its provenance, ``"cdet"`` or ``"all:cdet,rdet"``.
 
@@ -192,10 +192,13 @@ def _results(family: _Family, operands: tuple, names, strict=False, max_n: int |
     return results
 
 
-def _dispatch(family: _Family, route: str, *operands, max_n: int | None = None):
-    """(result, provenance) of one route or, under ``all``, of every route
-    that applies, checked to agree; the provenance names the routes run."""
-    every = route == "all"
+def inverse(kind: str, route: str, *operands, max_n: int | None = None):
+    """(result, provenance) of the inverse kind, ``"mp"``, ``"drazin"`` or
+    ``"wdrazin"``, by one route or, under ``all``, by every route that
+    applies, checked to agree; the provenance names the routes run."""
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown inverse kind {kind!r}")
+    family, every = _FAMILIES[kind], route == "all"
     if not (every or route in family.routes):
         raise ValueError(f"unknown {family.what} route {route!r}")
     if max_n is not None:
@@ -234,7 +237,7 @@ def mp_inverse(a: QMatrix, route: str = "cdet", max_n: int | None = None) -> QMa
     ``all`` to compute both and assert entrywise agreement.  ``max_n``
     sets the enumeration guard for this call only.
     """
-    return _dispatch(_MP, route, a, max_n=max_n)[0]
+    return inverse("mp", route, a, max_n=max_n)[0]
 
 
 def mp_all_routes(a: QMatrix) -> dict:
@@ -308,7 +311,7 @@ def drazin(a: QMatrix, route: str = "cdet", max_n: int | None = None) -> QMatrix
     silently substituting a general route.  ``max_n`` sets the
     enumeration guard for this call only.
     """
-    return _dispatch(_DRAZIN, route, a, max_n=max_n)[0]
+    return inverse("drazin", route, a, max_n=max_n)[0]
 
 
 def drazin_all_routes(a: QMatrix) -> dict:
@@ -323,7 +326,7 @@ def drazin_all_routes(a: QMatrix) -> dict:
 class _WeightedProblem:
     """A, W, the analyses of U = WA and V = AW under the call's guard
     max_n, k and rank(W), the last made on first read: only the mp_route
-    refusals and builders and `qdet info --weight` read it."""
+    refusals and builders read it."""
 
     def __init__(self, a: QMatrix, w: QMatrix, max_n: int | None = None):
         if w.rows != a.cols or w.cols != a.rows:
@@ -378,6 +381,7 @@ _WDRAZIN = _Family(
     },
 )
 WDRAZIN_ROUTES = tuple(_WDRAZIN.routes)
+_FAMILIES = {"mp": _MP, "drazin": _DRAZIN, "wdrazin": _WDRAZIN}
 
 
 def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U", max_n: int | None = None) -> QMatrix:
@@ -391,7 +395,7 @@ def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U", max_n: int | No
     reduces to the Drazin inverse.  ``max_n`` sets the enumeration guard
     for this call only.
     """
-    return _dispatch(_WDRAZIN, route, a, w, max_n=max_n)[0]
+    return inverse("wdrazin", route, a, w, max_n=max_n)[0]
 
 
 def wdrazin_all_routes(a: QMatrix, w: QMatrix) -> dict:

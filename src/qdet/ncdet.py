@@ -61,13 +61,14 @@ rather than silently running for hours: the reference evaluators and the
 bordered minor sums stay exponential in the order of their minors.  For
 the minor sums, cofactors and inverses the guard bounds that order (the
 rank r a route expands), not the size of the matrix.  It is overridden
-for one call only, by the `max_n` of every evaluator and inverse, which
-travels as an argument down to the check; the module holds no guard
-state.  An override below 1 is a `ValueError`.
+for one call only, by the `max_n` of every evaluator and inverse, passed
+as an argument down to the check; the module holds no guard state.  An
+override must be an integer of at least 1, and not a bool.
 """
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 
 from .errors import (
@@ -86,7 +87,9 @@ DEFAULT_ENUMERATION_GUARD = 8
 
 def _override(max_n: int) -> int:
     """max_n, checked as a guard override."""
-    if max_n < 1:
+    if isinstance(max_n, bool):
+        raise TypeError(f"guard override max_n must be an integer, not a bool: {max_n}")
+    if operator.index(max_n) < 1:  # a TypeError for anything that is not an integer
         raise ValueError(f"guard override max_n must be at least 1, got {max_n}")
     return max_n
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import inspect
 import io
@@ -23,6 +24,7 @@ from qdet import (
     cli,
     errors,
     geninv,
+    matrix,
     parse_quaternion,
 )
 from qdet.cli import format_qmat, main, parse_qmat
@@ -295,7 +297,7 @@ def test_wdrazin_limit_flag_computes_the_inverse_once(tmp_path, capsys, monkeypa
 
         return wrapper
 
-    for name in ("_dispatch", "wdrazin", "wdrazin_all_routes"):
+    for name in ("inverse", "wdrazin", "wdrazin_all_routes"):
         monkeypatch.setattr(geninv, name, counted(getattr(geninv, name)))
     for route in ("via_drazin_V", "all"):
         calls.clear()
@@ -459,7 +461,7 @@ k = 2
 """
 
 
-def test_info_reads_indices_from_the_weighted_analysis(tmp_path, capsys, monkeypatch):
+def test_info_searches_each_index_once(tmp_path, capsys, monkeypatch):
     calls = []
     for module in (cli, geninv):
         monkeypatch.setattr(module, "index_of", lambda a, f=module.index_of: calls.append(a) or f(a))
@@ -468,6 +470,28 @@ def test_info_reads_indices_from_the_weighted_analysis(tmp_path, capsys, monkeyp
     assert main(["info", "-i", a, "--weight", w]) == 0
     assert capsys.readouterr().out == INFO_WORKED_EXAMPLE
     assert len(calls) == 2  # WA and AW, once each
+
+
+def test_info_ranks_a_square_weight_once(tmp_path, capsys, monkeypatch):
+    # W's rank and its index come from one power table.
+    ranked = []
+    for module in (matrix, geninv, cli):
+        monkeypatch.setattr(module, "rank", lambda m, f=module.rank: ranked.append(m) or f(m))
+    a = write(tmp_path, "a.qmat", QMatrix.identity(2) * 2)
+    w = write(tmp_path, "w.qmat", HERMITIAN)
+    assert main(["info", "-i", a, "--weight", w]) == 0
+    assert ranked.count(HERMITIAN) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "k = 0"
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 3), (4, 4)], ids=lambda s: "%dx%d" % s)
+def test_info_with_a_misshaped_weight_is_refused(shape, tmp_path, capsys):
+    # A is 4x3, so W must be 3x4; a 4x4 W fails on A @ W, not on W @ A.
+    a = write(tmp_path, "a.qmat", golden.A_IN)
+    w = write(tmp_path, "w.qmat", QMatrix.zeros(*shape))
+    assert main(["info", "-i", a, "--weight", w]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("qdet: refused: ")
 
 
 def test_mode_flag(tmp_path, capsys):
@@ -520,7 +544,7 @@ def test_internal_invariant_exits_as_verification_failure(tmp_path, capsys, monk
     def broken(*args, **kwargs):
         raise InternalInvariantError("A*A minor denominator is not positive: 0")
 
-    monkeypatch.setattr(geninv, "_dispatch", broken)
+    monkeypatch.setattr(geninv, "inverse", broken)
     assert main(["mp", "-i", write(tmp_path, "h.qmat", HERMITIAN)]) == 3
     assert "verification failure" in capsys.readouterr().err
 
@@ -534,7 +558,7 @@ def test_every_error_class_has_its_documented_exit_code(cls, tmp_path, capsys, m
     def raising(*args, **kwargs):
         raise cls("injected")
 
-    monkeypatch.setattr(geninv, "_dispatch", raising)
+    monkeypatch.setattr(geninv, "inverse", raising)
     if issubclass(cls, ParseError):
         expected, word = 1, "parse error"
     elif issubclass(cls, (RouteDisagreementError, InternalInvariantError)):
@@ -633,3 +657,27 @@ def test_cli_import_loads_no_dataclasses_inspect_typing_or_numpy():
     loaded = set(out.stdout.split())
     assert "qdet.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "typing", "numpy"}
+
+
+QDET_MODULES = {"geninv", "ncdet", "verify", "matrix", "scalar", "errors"}
+
+
+def private_qdet_names(source):
+    """The underscore names that source reads from, or imports out of, a
+    qdet module other than itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in QDET_MODULES and node.attr.startswith("_"):
+                found.append(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in QDET_MODULES:
+            found += [f"{node.module}.{alias.name}" for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_cli_reads_no_private_name_of_another_qdet_module():
+    # The CLI is a client of the public library: the route tables, the
+    # dispatcher and the analyses stay behind geninv's public names.
+    assert private_qdet_names(Path(cli.__file__).read_text(encoding="utf-8")) == []
+    sample = "from .geninv import _x\nfrom . import geninv\ngeninv._y, errors.Z, cli._z"
+    assert sorted(private_qdet_names(sample)) == ["geninv._x", "geninv._y"]

@@ -38,6 +38,7 @@ from qdet import (
     geninv,
     hermitian_inverse,
     index_of,
+    inverse,
     inverse_square,
     mat_pow,
     mp_all_routes,
@@ -85,6 +86,16 @@ def test_mp_column_of_ones():
 def test_mp_unknown_route():
     with pytest.raises(ValueError):
         mp_inverse(QMatrix.identity(2), "fast")
+
+
+def test_inverse_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown inverse kind 'pinv'"):
+        inverse("pinv", "cdet", QMatrix.identity(2))
+
+
+def test_inverse_returns_the_result_with_its_provenance():
+    assert inverse("mp", "rdet", golden.U5) == (golden.U5_MP, "rdet")
+    assert inverse("drazin", "all", golden.U) == (golden.U_DRAZIN, "all:" + ",".join(DRAZIN_ROUTES[:3]))
 
 
 def test_mp_random_suite(rng):

@@ -40,7 +40,7 @@ from qdet import (
     rdet_reference,
 )
 import qdet
-from qdet import ncdet
+from qdet import geninv, matrix, ncdet
 from qdet.errors import (
     EnumerationGuardError,
     InternalInvariantError,
@@ -489,6 +489,7 @@ GUARDED_CALLS = {
     "mp_inverse": lambda max_n: qdet.mp_inverse(_H, max_n=max_n),
     "drazin": lambda max_n: qdet.drazin(_H, max_n=max_n),
     "wdrazin": lambda max_n: qdet.wdrazin(_H, _H, max_n=max_n),
+    "inverse": lambda max_n: qdet.inverse("drazin", "all", _H, max_n=max_n),
 }
 
 
@@ -509,6 +510,16 @@ def test_an_override_below_one_is_a_value_error(name, max_n):
         call(max_n)
     call(None)  # the same call without max_n runs at the default guard
     call(2)  # and under a valid override
+
+
+@pytest.mark.parametrize("max_n", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("name", sorted(GUARDED_CALLS))
+def test_an_override_that_is_not_an_integer_is_a_type_error(name, max_n, monkeypatch):
+    # Refused as the override is read, before any rank, index or minor.
+    for module in (geninv, matrix):
+        monkeypatch.setattr(module, "rank", lambda a: pytest.fail("ranked before the guard check"))
+    with pytest.raises(TypeError, match="integer"):
+        GUARDED_CALLS[name](max_n)
 
 
 def test_anchor_validation(rng):

@@ -13,4 +13,5 @@ def test_library_tour_runs_as_written(capsys):
     namespace = {}
     exec(compile(block, "README.md (Library tour)", "exec"), namespace)
     assert namespace["check_penrose"](namespace["b"], namespace["x"]).ok
+    assert namespace["how"] == "all:via_drazin_U,via_drazin_V,mp_route_V,hermitian_U,hermitian_V"
     assert "result: PASS" in capsys.readouterr().out
