@@ -150,11 +150,12 @@ def _no_precondition(analysis, name):
     return None
 
 
-def _not_hermitian(matrix_of, what):
-    """The refusal of a route that requires matrix_of(analysis) to be Hermitian."""
+def _not_hermitian(square_of, what):
+    """The refusal of a route that requires the matrix of the
+    `_SquareAnalysis` square_of(analysis) to be Hermitian."""
 
     def refusal(analysis, name):
-        if not matrix_of(analysis).is_hermitian():
+        if not square_of(analysis).hermitian:
             return NotHermitianError(f"route {name!r} requires {what}")
         return None
 
@@ -251,8 +252,8 @@ def mp_all_routes(a: QMatrix) -> dict:
 
 class _SquareAnalysis(Powers):
     """The power table of a square matrix plus its index k, computed once,
-    the call's guard max_n, and the Moore-Penrose kernels of its odd
-    powers, each made on first use."""
+    the call's guard max_n, and whether it is Hermitian and the
+    Moore-Penrose kernels of its odd powers, each made on first use."""
 
     def __init__(self, a: QMatrix, max_n: int | None = None):
         if not a.is_square():
@@ -261,6 +262,10 @@ class _SquareAnalysis(Powers):
         self.k = index_of(self)
         self.max_n = max_n
         self._mp = {}
+
+    @cached_property
+    def hermitian(self) -> bool:
+        return self.a.is_hermitian()
 
     def mp_cramer(self, e: int, row: bool):
         """(N, d) with N / d = (A^(2e+1))^+, at rank(A^e): for e >= Ind A the
@@ -288,7 +293,7 @@ def _drazin_hermitian(s: _SquareAnalysis, row: bool) -> QMatrix:
     return (ak @ y if row else y @ ak) / d
 
 
-_hermitian_input = _not_hermitian(lambda s: s.a, "a Hermitian matrix")
+_hermitian_input = _not_hermitian(lambda s: s, "a Hermitian matrix")
 _DRAZIN = _Family(
     "Drazin",
     _SquareAnalysis,
@@ -366,8 +371,8 @@ def _weighted_hermitian(p: _WeightedProblem, u_side: bool) -> QMatrix:
     return ((p.a @ sk) @ y if u_side else y @ (sk @ p.a)) / d
 
 
-_hermitian_u = _not_hermitian(lambda p: p.u.a, "W @ A to be Hermitian")
-_hermitian_v = _not_hermitian(lambda p: p.v.a, "A @ W to be Hermitian")
+_hermitian_u = _not_hermitian(lambda p: p.u, "W @ A to be Hermitian")
+_hermitian_v = _not_hermitian(lambda p: p.v, "A @ W to be Hermitian")
 _WDRAZIN = _Family(
     "weighted-Drazin",
     _WeightedProblem,

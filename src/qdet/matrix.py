@@ -358,16 +358,18 @@ def _reduced(rows, den):
 
 def _product(a, b, mode):
     """The `mode` matrix product of held forms a and b, in held form only.
-    Each sum runs in the order of entrywise `acc + a * b`, from an int 0
-    that a float adds to as it adds to 0.0, so float products are
-    bit-identical to `Quaternion` arithmetic."""
+    Each sum runs in the order of entrywise `acc + a * b`, from the mode's
+    start: 0, or 0.0 in float mode, which 0 + x computes as for every
+    float x, so float products are bit-identical to `Quaternion`
+    arithmetic."""
     (arows, da), (brows, db) = a, b
     bcols = list(zip(*brows))
+    start = 0 if mode == EXACT else 0.0
     out = []
     for ra in arows:
         out_row = []
         for cb in bcols:
-            s0 = s1 = s2 = s3 = 0
+            s0 = s1 = s2 = s3 = start
             for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(ra, cb):
                 s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
                 s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
@@ -417,7 +419,7 @@ def _norm_sq(t):
 
 
 def _float_pivot_tol(rows, ncols):
-    norms = [_norm_sq(t) for row in rows for t in row[:ncols]]
+    norms = [a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 for row in rows for a0, a1, a2, a3 in row[:ncols]]
     if not all(map(math.isfinite, norms)):
         raise NumericalBreakdownError("an entry's squared norm is not finite: no float pivot scale")
     return 1e-20 * (1.0 + max(norms))
@@ -436,7 +438,8 @@ def _pivot_row(rows, col, start, exact, tol):
         return None
     pivot_row, best = None, tol
     for r in range(start, len(rows)):
-        nn = _norm_sq(rows[r][col])
+        a0, a1, a2, a3 = rows[r][col]
+        nn = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
         if nn > best:
             best = nn
             pivot_row = r
@@ -478,27 +481,34 @@ def _eliminate(rows, pivot_cols, exact, jordan=False):
             pbar = (p0, -p1, -p2, -p3)
         else:
             s = 1.0 / n
-            pinv = (p0 * s, -p1 * s, -p2 * s, -p3 * s)
+            pinv = f0, f1, f2, f3 = (p0 * s, -p1 * s, -p2 * s, -p3 * s)
             if jordan:
-                rows[rk] = [_hamilton(pinv, y) for y in rows[rk]]
+                rows[rk] = [
+                    (f0 * y0 - f1 * y1 - f2 * y2 - f3 * y3, f0 * y1 + f1 * y0 + f2 * y3 - f3 * y2,
+                     f0 * y2 - f1 * y3 + f2 * y0 + f3 * y1, f0 * y3 + f1 * y2 - f2 * y1 + f3 * y0)
+                    for y0, y1, y2, y3 in rows[rk]
+                ]
         prow = rows[rk][lo:]
         for r in range(0 if jordan else rk + 1, m):
             row = rows[r]
             lead = row[col]
             if r == rk or not any(lead):
                 continue
+            # Each update subtracts f row_p, its products written out.
             if exact:
-                f = _hamilton(lead, pbar)
+                f0, f1, f2, f3 = _hamilton(lead, pbar)
                 new = [
-                    (n * x0 - h0, n * x1 - h1, n * x2 - h2, n * x3 - h3)
-                    for (x0, x1, x2, x3), (h0, h1, h2, h3) in zip(row[lo:], (_hamilton(f, y) for y in prow))
+                    (n * x0 - (f0 * y0 - f1 * y1 - f2 * y2 - f3 * y3), n * x1 - (f0 * y1 + f1 * y0 + f2 * y3 - f3 * y2),
+                     n * x2 - (f0 * y2 - f1 * y3 + f2 * y0 + f3 * y1), n * x3 - (f0 * y3 + f1 * y2 - f2 * y1 + f3 * y0))
+                    for (x0, x1, x2, x3), (y0, y1, y2, y3) in zip(row[lo:], prow)
                 ]
                 rows[r] = row[:lo] + _primitive(new)  # row[:lo] is zero when lo > 0
             else:
-                f = lead if jordan else _hamilton(lead, pinv)
+                f0, f1, f2, f3 = lead if jordan else _hamilton(lead, pinv)
                 rows[r] = row[:lo] + [
-                    (x0 - h0, x1 - h1, x2 - h2, x3 - h3)
-                    for (x0, x1, x2, x3), (h0, h1, h2, h3) in zip(row[lo:], (_hamilton(f, y) for y in prow))
+                    (x0 - (f0 * y0 - f1 * y1 - f2 * y2 - f3 * y3), x1 - (f0 * y1 + f1 * y0 + f2 * y3 - f3 * y2),
+                     x2 - (f0 * y2 - f1 * y3 + f2 * y0 + f3 * y1), x3 - (f0 * y3 + f1 * y2 - f2 * y1 + f3 * y0))
+                    for (x0, x1, x2, x3), (y0, y1, y2, y3) in zip(row[lo:], prow)
                 ]
         rk += 1
         if rk == m:
@@ -561,8 +571,12 @@ def inverse_square(a: QMatrix) -> QMatrix:
         for i, row in enumerate(rows):
             s = den // norms[i]
             p0, p1, p2, p3 = row[i]
-            pbar = (p0 * s, -p1 * s, -p2 * s, -p3 * s)
-            out.append(tuple(_hamilton(pbar, y) for y in row[n:]))
+            f0, f1, f2, f3 = (p0 * s, -p1 * s, -p2 * s, -p3 * s)  # conj(p_i) den / N(p_i)
+            out.append(tuple([
+                (f0 * y0 - f1 * y1 - f2 * y2 - f3 * y3, f0 * y1 + f1 * y0 + f2 * y3 - f3 * y2,
+                 f0 * y2 - f1 * y3 + f2 * y0 + f3 * y1, f0 * y3 + f1 * y2 - f2 * y1 + f3 * y0)
+                for y0, y1, y2, y3 in row[n:]
+            ]))
     else:
         out = [tuple(row[n:]) for row in rows]
     return QMatrix._made(tuple(out), den, a.mode)
@@ -575,13 +589,13 @@ def max_abs_diff(a: QMatrix, b: QMatrix) -> float:
     (ra, da), (rb, db) = a._held, b._held
     worst = 0.0
     for xa, xb in zip(ra, rb):
-        for ta, tb in zip(xa, xb):
-            for ca, cb in zip(ta, tb):
-                d = abs(ca / da - cb / db)  # each term is the float of a component
-                if math.isnan(d):
-                    return d  # no tolerance may accept it
-                if d > worst:
-                    worst = d
+        for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(xa, xb):
+            # each term is the float of a component
+            for d in (a0 / da - b0 / db, a1 / da - b1 / db, a2 / da - b2 / db, a3 / da - b3 / db):
+                if not -worst <= d <= worst:  # NaN is never within worst
+                    worst = abs(d)
+                    if worst != worst:
+                        return worst  # no tolerance may accept it
     return worst
 
 

@@ -38,13 +38,14 @@ in it, in `Quaternion.__mul__` order, so no table step calls a helper;
 a `Quaternion` is made only for an output.  Entries are read in the
 matrix's held form, components over one denominator den: `int`s in exact
 mode, so every exact table entry is a tuple of `int`s, and `float`s over
-den = 1 in float mode.  Every term of an entry has a fixed number of
-factors (|Y| for a path over Y, |Y|+1 for a signed cycle sum over Y, |X|
-for the tail of X, r-1 for a cofactor of order r), so each output is
-divided once, by den to that power, with components canonical (`int`
-where integral); the cofactor matrix Y stays in held form.  The sums run
-in the order of `Quaternion` arithmetic, so float results are
-bit-identical to it.
+den = 1 in float mode.  The tables take the transposed rows (the columns)
+as an argument, made once per call by `_scaled`, not once per table.
+Every term of an entry has a fixed number of factors (|Y| for a path
+over Y, |Y|+1 for a signed cycle sum over Y, |X| for the tail of X, r-1
+for a cofactor of order r), so each output is divided once, by den to
+that power, with components canonical (`int` where integral); the
+cofactor matrix Y stays in held form.  The sums run in the order of
+`Quaternion` arithmetic, so float results are bit-identical to it.
 
 The same recursion serves the Hermitian offspring.  Its tail table holds,
 for every subset X, the determinant of the principal submatrix on X
@@ -79,7 +80,7 @@ from .errors import (
     ShapeError,
     SingularError,
 )
-from .matrix import QMatrix, _hamilton, _over, _quaternion, max_abs_diff
+from .matrix import QMatrix, _over, _quaternion, max_abs_diff
 from .scalar import EXACT, Quaternion
 
 DEFAULT_ENUMERATION_GUARD = 8
@@ -135,9 +136,10 @@ def _subsets(members: tuple, max_size: int) -> tuple:
 
 
 def _scaled(a: QMatrix):
-    """(e, den, start): a's held form, rows of component tuples over den
-    (ints in exact mode, floats over den 1 in float mode), and the start
-    of a table sum.
+    """(e, cols, den, start): a's held form, rows e of component tuples
+    over den (ints in exact mode, floats over den 1 in float mode), its
+    columns cols (the rows of e transposed, made once per call and handed
+    to every table), and the start of a table sum.
 
     An exact sum starts from 0.  A float sum starts from -0.0, the
     identity of IEEE addition (x + -0.0 is x, also for x = -0.0), so it
@@ -145,11 +147,13 @@ def _scaled(a: QMatrix):
     +0.0 would turn a sum of -0.0 terms into +0.0.
     """
     e, den = a._held
-    return e, den, (0, 0, 0, 0) if a.mode == EXACT else (-0.0, -0.0, -0.0, -0.0)
+    return e, list(zip(*e)), den, (0, 0, 0, 0) if a.mode == EXACT else (-0.0, -0.0, -0.0, -0.0)
 
 
-def _open_paths(e, root, members, max_size, forward, start):
-    """Sums of the open chains through `root` over subsets of `members`.
+def _open_paths(steps, root, members, max_size, forward, start):
+    """Sums of the open chains through `root` over subsets of `members`,
+    of the matrix e given as `steps`: its columns (forward) or its rows,
+    so steps[end] holds the factors a step to `end` takes.
 
     Maps the bitmask of each subset Y of `members` (0-based indices, at
     most `max_size` of them) to a dict from each end of Y to the sum, over
@@ -162,7 +166,6 @@ def _open_paths(e, root, members, max_size, forward, start):
     chains of Y - {end} by one step, in this loop, so a subset costs
     |Y|**2 products instead of |Y|! chains.
     """
-    steps = list(zip(*e)) if forward else e  # the factors a step to `end` takes
     paths = {0: {}}
     for mask, subset in _subsets(members, max_size):
         paths[mask] = ends = {}
@@ -187,8 +190,9 @@ def _open_paths(e, root, members, max_size, forward, start):
     return paths
 
 
-def _signed_cycle_sums(e, root, members, max_size, start):
-    """Signed sums of the cycles through `root` over subsets of `members`.
+def _signed_cycle_sums(cols, root, members, max_size, start):
+    """Signed sums of the cycles through `root` over subsets of `members`,
+    of the matrix e with columns `cols`.
 
     Returns a dict mapping the bitmask of each subset Y of `members`
     (0-based indices) with at most `max_size` elements to
@@ -201,14 +205,14 @@ def _signed_cycle_sums(e, root, members, max_size, start):
     open paths of Y as `_open_paths` does and closes each by its last
     factor as soon as it is made.
     """
-    steps, back = list(zip(*e)), [row[root] for row in e]
+    back = cols[root]  # back[end] is e[end][root]
     # The open paths over a subset, as flat tuples (end, four components).
-    sums, paths = {0: e[root][root]}, {0: ()}
+    sums, paths = {0: back[root]}, {0: ()}
     for mask, subset in _subsets(members, max_size):
         h0, h1, h2, h3 = start
         paths[mask] = ends = []
         for end in subset:
-            prev, step = mask ^ (1 << end), steps[end]
+            prev, step = mask ^ (1 << end), cols[end]
             a0, a1, a2, a3 = start if prev else step[root]  # one step from root
             for o, p0, p1, p2, p3 in paths[prev]:
                 b0, b1, b2, b3 = step[o]
@@ -244,10 +248,10 @@ def _combine(cycle_sums, tails, rest, row):
     return (s0, s1, s2, s3)
 
 
-def _tails(e, universe, max_size, row, start):
+def _tails(cols, universe, max_size, row, start):
     """The tail table of the cycle-sum recursion, by bitmask: R(X)
     (row=True) or C(X) for every nonempty subset X of `universe` with at
-    most `max_size` elements.
+    most `max_size` elements, of the matrix with columns `cols`.
 
     R(X) is the row determinant of the principal submatrix on X anchored
     at its first row, C(X) the column determinant anchored at its first
@@ -256,7 +260,7 @@ def _tails(e, universe, max_size, row, start):
     operand order picked once per entry, not once per term.
     """
     sums_at = {
-        m: _signed_cycle_sums(e, m, universe[k + 1 :], max_size - 1, start)
+        m: _signed_cycle_sums(cols, m, universe[k + 1 :], max_size - 1, start)
         for k, m in enumerate(universe)  # `universe` ascends, so these are the x > m
     }
     tails = {}
@@ -305,11 +309,11 @@ def _cycle_sum_det(a: QMatrix, anchor: int, row: bool) -> Quaternion:
     refuses an overflowing float input first, so a float result that is
     not finite raises NumericalBreakdownError.
     """
-    e, den, start = _scaled(a)
+    _, cols, den, start = _scaled(a)
     root = anchor - 1
     others = tuple(x for x in range(a.rows) if x != root)
-    tails = _tails(e, others, len(others), row, start)
-    cycle_sums = _signed_cycle_sums(e, root, others, len(others), start)
+    tails = _tails(cols, others, len(others), row, start)
+    cycle_sums = _signed_cycle_sums(cols, root, others, len(others), start)
     value = _combine(cycle_sums, tails, _mask(others), row)
     if a.mode != EXACT and not all(map(math.isfinite, value)):
         raise NumericalBreakdownError(f"float determinant is not finite: {value}")
@@ -385,24 +389,30 @@ def _bordered_cofactors(g: QMatrix, r: int, row: bool, max_n: int | None = None)
     n = g.rows
     if r == 0:  # no order-0 set holds an anchor; the one empty minor is 1
         return QMatrix.zeros(n, n, g.mode), 1
-    e, den, start = _scaled(g)
-    tails = _tails(e, tuple(range(n)), r, row, start)
+    e, cols, den, start = _scaled(g)
+    tails = _tails(cols, tuple(range(n)), r, row, start)
     fills = _leftover_tails(tails, n, r, start)
     # Each entry of Y is a sum started from Quaternion.zero (+0.0 in float
     # mode), as the Quaternion recursion started it.
-    zero, one = Quaternion.zero(g.mode).components(), Quaternion.one(g.mode).components()
+    zero, one = ((0, 0, 0, 0), (1, 0, 0, 0)) if g.mode == EXACT else ((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
     cof = [[zero] * n for _ in range(n)]
     for i in range(n):
         # The term without a path: the tails that fill {i} up to r, or 1.
         t0, t1, t2, t3 = fills.get(1 << i, one)
         cof[i][i] = (zero[0] + t0, zero[1] + t1, zero[2] + t2, zero[3] + t3)
-        paths = _open_paths(e, i, tuple(x for x in range(n) if x != i), r - 1, not row, start)
+        paths = _open_paths(e if row else cols, i, tuple(x for x in range(n) if x != i), r - 1, not row, start)
         for mask, ends in paths.items():
             t = fills.get(mask | 1 << i)  # None when the path fills beta
             odd = mask.bit_count() % 2
             for end, path in ends.items():
-                if t is not None:
-                    path = _hamilton(path, t) if row else _hamilton(t, path)
+                if t is not None:  # path t (rows) or t path, written out
+                    (a0, a1, a2, a3), (b0, b1, b2, b3) = (path, t) if row else (t, path)
+                    path = (
+                        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+                    )
                 a, b = (end, i) if row else (i, end)
                 (c0, c1, c2, c3), (p0, p1, p2, p3) = cof[a][b], path
                 if odd:  # c - p is c + (-p) in IEEE arithmetic too
@@ -525,8 +535,8 @@ def principal_minor_sum(a: QMatrix, s: int, max_n: int | None = None):
     if not 1 <= s <= a.rows:
         raise ValueError(f"minor order {s} out of range 1..{a.rows}")
     _refuse_above_guard(s, max_n)
-    e, den, start = _scaled(a)
-    return _minor_sum(_tails(e, tuple(range(a.rows)), s, True, start), a.rows, s, den, a.mode)
+    _, cols, den, start = _scaled(a)
+    return _minor_sum(_tails(cols, tuple(range(a.rows)), s, True, start), a.rows, s, den, a.mode)
 
 
 def char_poly(a: QMatrix, max_n: int | None = None) -> tuple:
@@ -541,8 +551,8 @@ def char_poly(a: QMatrix, max_n: int | None = None) -> tuple:
         raise NotHermitianError("characteristic polynomial requires a Hermitian matrix")
     n = a.rows
     _refuse_above_guard(n, max_n)
-    e, den, start = _scaled(a)
-    tails = _tails(e, tuple(range(n)), n, True, start)
+    _, cols, den, start = _scaled(a)
+    tails = _tails(cols, tuple(range(n)), n, True, start)
     return tuple(_minor_sum(tails, n, s, den, a.mode) for s in range(1, n + 1))
 
 

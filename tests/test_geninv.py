@@ -497,6 +497,16 @@ def test_rank_of_the_weight_is_made_only_when_read(monkeypatch):
     assert ranks == [1]
 
 
+def test_the_hermitian_verdict_is_made_once_per_analysis(monkeypatch):
+    # Both Hermitian routes of route="all" refuse on one verdict on A.
+    a, is_hermitian = golden.U.to_float(), QMatrix.is_hermitian
+    assert not is_hermitian(a)
+    verdicts = []
+    monkeypatch.setattr(QMatrix, "is_hermitian", lambda x: verdicts.append(1) or is_hermitian(x))
+    drazin(a, "all")
+    assert verdicts == [1]
+
+
 def test_rank_zero_input_has_the_zero_inverse_in_every_family():
     # A nonzero float input of float rank 0 meets the kernels' order-0 case.
     tiny = QMatrix([[Quaternion(1e-200, mode="float")]])

@@ -204,6 +204,38 @@ def test_max_abs_diff_propagates_nan():
     assert max_abs_diff(QMatrix([[big]]), QMatrix([[zero]])) == 5.0
 
 
+special_floats = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -2.5])
+
+
+@st.composite
+def diff_operands(draw, rows, cols):
+    """A float matrix with NaN, +-inf and +-0.0 components, or an exact one
+    held over a denominator above 1."""
+    if draw(st.booleans()):
+        comps = st.one_of(special_floats, st.floats())
+        return QMatrix([[Quaternion(*draw(st.tuples(comps, comps, comps, comps)), mode="float")
+                         for _ in range(cols)] for _ in range(rows)])
+    comps = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    entries = [[Quaternion(*draw(st.tuples(comps, comps, comps, comps))) for _ in range(cols)] for _ in range(rows)]
+    entries[0][0] += Fraction(1, draw(st.integers(2, 9)))
+    return QMatrix(entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_max_abs_diff_matches_a_reference(data):
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    a, b = data.draw(diff_operands(rows, cols)), data.draw(diff_operands(rows, cols))
+    assert a.mode == "float" or a._held[1] > 1
+    diffs = [float(x) - float(y) for p, q in zip(a.entries(), b.entries()) for s, t in zip(p, q)
+             for x, y in zip(s.components(), t.components())]
+    got = max_abs_diff(a, b)
+    if any(map(math.isnan, diffs)):
+        assert math.isnan(got)
+    else:
+        assert got.hex() == max(map(abs, diffs)).hex()
+
+
 def test_float_rank_refuses_an_overflowing_scale():
     # A squared norm beyond the float range leaves no pivot scale: refuse
     # rather than reject every pivot.
@@ -363,7 +395,8 @@ def test_kernel_matches_the_quaternion_references(data):
     assert inverse == _inverse_or_error(reference_inverse_square, s)
     assert isinstance(inverse, type) or _canonical(inverse)
 
-    fa, fb, fs = a.to_float(), b.to_float(), s.to_float()
+    rnd = data.draw(st.randoms(use_true_random=False))
+    fa, fb, fs = (_to_float(x, rnd) for x in (a, b, s))  # signed zeros too
     assert _bits(fa @ fb) == _bits(reference_matmul(fa, fb))
     for x in (fa, fa @ fb, fs):
         assert rank(x) == reference_rank(x)
