@@ -16,6 +16,11 @@ and the operands each kind reads all come from that row, and one
 `_cmd_routed` runs each through `geninv.inverse`.  A new route is a row
 in its `geninv` family, a new inverse a family there and a row here.
 
+An option appears only where it changes the run.  ``--max-n``, passed to
+the library unchecked, is on `det` and the routed subcommands, the ones
+that make a guarded call; ``--emit`` is on all but `info`, whose lines
+are always ``key = value``.
+
 Exit codes: 0 success, 1 usage or parse error, 2 computation refusal
 (size guard, mode/shape/precondition violations, singular input, a float
 computation that broke down numerically), and 3 verification failure (a
@@ -24,7 +29,6 @@ invariant fails).
 """
 
 import argparse
-import os
 import re
 import sys
 
@@ -37,8 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REFUSED = 2
 EXIT_VERIFY = 3
-
-GUARD_ENV_VAR = "QDET_MAX_N"
 
 
 class _UsageError(Exception):
@@ -159,8 +161,6 @@ def _add_common(sub, weight=False):
     if weight:
         sub.add_argument("--weight", required=True, help="weight matrix file")
     sub.add_argument("--mode", choices=(EXACT, FLOAT), help="force scalar mode")
-    sub.add_argument("--max-n", type=int, help=f"enumeration guard override (or ${GUARD_ENV_VAR})")
-    sub.add_argument("--emit", choices=("human", "kv"), default="human")
 
 
 # One row per inverse: (geninv routes, verify checker, takes a weight, help).
@@ -179,8 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(det)
     det.add_argument("--anchor", help="r:<row> or c:<col> (1-based); omit for ddet of a Hermitian input")
 
+    guarded = [det]
     for name, (routes, _, weighted, help_) in _INVERSES.items():
         sub = subs.add_parser(name, help=help_)
+        guarded.append(sub)
         _add_common(sub, weight=weighted)
         sub.add_argument("--route", default=routes[0], help="|".join(routes) + " | all")
         sub.add_argument("--check", action="store_true", help="verify the defining equations")
@@ -202,6 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(info)
     info.add_argument("--weight", help="optional weight matrix file")
 
+    for sub in guarded:
+        sub.add_argument("--max-n", type=int, help="enumeration guard override for this run")
+    for sub in (*guarded, ver):
+        sub.add_argument("--emit", choices=("human", "kv"), default="human")
     return parser
 
 
@@ -220,21 +226,6 @@ def _load(path, mode_override):
     if mode_override == EXACT and a.mode == FLOAT:
         raise _UsageError("cannot reinterpret a float file in exact mode")
     return a
-
-
-def _resolve_guard(args):
-    """The guard --max-n / $QDET_MAX_N asks for, or None; below 1 is a usage error."""
-    limit = args.max_n
-    if limit is None:
-        env = os.environ.get(GUARD_ENV_VAR)
-        if env:
-            try:
-                limit = int(env)
-            except ValueError:
-                raise _UsageError(f"${GUARD_ENV_VAR} must be an integer, got {env!r}") from None
-    if limit is not None and limit < 1:
-        raise _UsageError(f"the guard override must be at least 1, got {limit}")
-    return limit
 
 
 def _parse_anchor(text):
@@ -361,7 +352,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.max_n = _resolve_guard(args)  # every guarded call of the run reads it
         return _COMMANDS[args.command](args)
     except _CAUGHT as exc:
         code, word = next((code, word) for types, code, word in _EXITS if isinstance(exc, types))

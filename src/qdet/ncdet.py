@@ -64,7 +64,11 @@ the minor sums, cofactors and inverses the guard bounds that order (the
 rank r a route expands), not the size of the matrix.  It is overridden
 for one call only, by the `max_n` of every evaluator and inverse, passed
 as an argument down to the check; the module holds no guard state.  An
-override must be an integer of at least 1, and not a bool.
+override must be an integer of at least 1, and not a bool.  The row and
+column determinants and their references check it before they look at
+the matrix, as `geninv.inverse` does, so an invalid override is refused
+whatever the input; `ddet` and the Hermitian offspring check it after
+their Hermitian test.
 """
 
 import itertools
@@ -105,6 +109,8 @@ def _refuse_above_guard(n: int, max_n, what="minor order", bounds="the minor ord
 
 
 def _check(a: QMatrix, anchor: int, max_n, bounds="the determinant size (2^n index subsets summed)"):
+    if max_n is not None:
+        _override(max_n)  # an invalid override is refused before the input is looked at
     if not a.is_square():
         raise ShapeError("row/column determinants require a square matrix")
     n = a.rows

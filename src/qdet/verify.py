@@ -79,23 +79,12 @@ class VerifyReport(namedtuple("VerifyReport", "kind mode provenance checks notes
         return items
 
 
-def _first_diff(a: QMatrix, b: QMatrix):
-    for i in range(a.rows):
-        for j in range(a.cols):
-            got, want = a[i, j], b[i, j]
-            if got != want:
-                return i + 1, j + 1, got, want
-    return None
-
-
 def _equation(label, lhs, rhs, notes):
     if lhs.mode == EXACT:
         passed = lhs == rhs
-        if not passed:
-            diff = _first_diff(lhs, rhs)
-            if diff is not None:
-                i, j, got, want = diff
-                notes.append(f"{label}: entry ({i},{j}) is {got}, expected {want}")
+        if not passed:  # held forms are canonical: unequal matrices differ in an entry
+            i, j = next((i, j) for i in range(lhs.rows) for j in range(lhs.cols) if lhs[i, j] != rhs[i, j])
+            notes.append(f"{label}: entry ({i + 1},{j + 1}) is {lhs[i, j]}, expected {rhs[i, j]}")
         return EquationCheck(label, passed)
     residual = max_abs_diff(lhs, rhs)
     return EquationCheck(label, residual <= DEFAULT_FLOAT_TOL, residual)

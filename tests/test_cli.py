@@ -86,6 +86,13 @@ def test_parse_wrong_row_count():
         parse_qmat("1 1\n1\n2\n")
 
 
+def test_main_refuses_a_header_without_positive_dimensions(tmp_path, capsys):
+    path = tmp_path / "empty.qmat"
+    path.write_text("0 2\n")
+    assert main(["info", "-i", str(path)]) == 1
+    assert capsys.readouterr().err == "qdet: parse error: line 1: dimensions must be positive\n"
+
+
 def test_parse_refuses_zero_denominators_and_float_overflow():
     # A zero denominator and a float beyond the float range have no value.
     for literal in ("1/0", "2-3/0k", "1e999", "1e308+1e308"):
@@ -196,23 +203,37 @@ def test_default_guard_refuses_nine_by_nine(tmp_path, capsys):
     path = write(tmp_path, "big9.qmat", QMatrix.identity(9))
     assert main(["det", "-i", path, "--anchor", "r:1"]) == 2
     assert "guard" in capsys.readouterr().err
-    # main() restores the global guard, so a follow-up small run still works
+    # a refusal leaves nothing behind: a follow-up small run still works
     small = write(tmp_path, "h.qmat", HERMITIAN)
     assert main(["det", "-i", small, "--anchor", "r:1"]) == 0
 
 
-def test_guard_env_override(tmp_path, capsys, monkeypatch):
+def test_guarded_subcommands_honour_the_flag_on_nine_by_nine(tmp_path, capsys):
+    eye = write(tmp_path, "eye9.qmat", QMatrix.identity(9))
+    for argv in (
+        ["det", "-i", eye, "--anchor", "r:1"],
+        ["mp", "-i", eye],
+        ["drazin", "-i", eye],
+        ["wdrazin", "-i", eye, "--weight", eye],
+    ):
+        assert main(argv) == 2, argv
+        assert "guard" in capsys.readouterr().err
+        assert main(argv + ["--max-n", "9"]) == 0, argv
+        capsys.readouterr()
+
+
+def test_the_guard_is_read_from_the_flag_alone(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "h4.qmat", QMatrix.identity(4))
     monkeypatch.setenv("QDET_MAX_N", "3")
-    assert main(["det", "-i", path, "--anchor", "r:1"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("QDET_MAX_N", "garbage")
-    assert main(["det", "-i", path, "--anchor", "r:1"]) == 1
+    assert main(["det", "-i", path, "--anchor", "r:1"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    for source in Path(cli.__file__).parent.glob("*.py"):
+        assert "environ" not in source.read_text(encoding="utf-8"), source.name
 
 
-def test_an_override_below_one_is_refused_on_every_subcommand(tmp_path, capsys, monkeypatch):
-    # info and verify make no guarded call, but an invalid guard is still a
-    # usage error there, from the flag and from the variable alike.
+def test_an_override_below_one_is_refused_on_every_subcommand(tmp_path, capsys):
+    # The guarded subcommands pass it to the library, which refuses it;
+    # info and verify make no guarded call and do not offer --max-n.
     path = write(tmp_path, "h.qmat", HERMITIAN)
     inverse = write(tmp_path, "x.qmat", geninv.mp_inverse(HERMITIAN))
     commands = {
@@ -220,15 +241,36 @@ def test_an_override_below_one_is_refused_on_every_subcommand(tmp_path, capsys, 
         "verify": ["verify", "-i", path, "--candidate", inverse, "--kind", "mp"],
         "det": ["det", "-i", path, "--anchor", "r:1"],
         "mp": ["mp", "-i", path],
+        "drazin": ["drazin", "-i", path],
+        "wdrazin": ["wdrazin", "-i", path, "--weight", path],
     }
     for name, argv in commands.items():
         assert main(argv) == 0, name
         assert main(argv + ["--max-n", "0"]) == 1, name
-        assert "at least 1" in capsys.readouterr().err, name
-        monkeypatch.setenv("QDET_MAX_N", "0")
-        assert main(argv) == 1, name
-        assert "at least 1" in capsys.readouterr().err, name
-        monkeypatch.delenv("QDET_MAX_N")
+        expected = "unrecognized arguments" if name in ("info", "verify") else "at least 1"
+        assert expected in capsys.readouterr().err, name
+
+
+def test_an_override_below_one_is_refused_before_the_input(tmp_path, capsys):
+    # A 2x3 file has no determinant (exit 2), but the invalid override is
+    # named first.
+    path = write(tmp_path, "a23.qmat", QMatrix.from_literals([["1", "i", "0"], ["j", "1", "k"]]))
+    argv = ["det", "-i", path, "--anchor", "r:1"]
+    assert main(argv) == 2
+    assert "refused" in capsys.readouterr().err
+    assert main(argv + ["--max-n", "0"]) == 1
+    assert "at least 1" in capsys.readouterr().err
+
+
+def test_options_appear_only_where_they_change_the_run(tmp_path, capsys):
+    path = write(tmp_path, "h.qmat", HERMITIAN)
+    inverse = write(tmp_path, "x.qmat", geninv.mp_inverse(HERMITIAN))
+    for argv in (
+        ["info", "-i", path, "--emit", "kv"],
+        ["verify", "-i", path, "--candidate", inverse, "--kind", "mp", "--max-n", "3"],
+    ):
+        assert main(argv) == 1, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_usage_errors(capsys):
@@ -273,6 +315,22 @@ def test_wdrazin_kv_emit(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "entry.1.2 = -i" in out
     assert "report.ok = true" in out
+
+
+def test_det_kv_emit(tmp_path, capsys):
+    path = write(tmp_path, "h.qmat", HERMITIAN)
+    for anchor in (["--anchor", "r:1"], []):  # an anchored determinant and ddet
+        assert main(["det", "-i", path, *anchor, "--emit", "kv"]) == 0
+        assert capsys.readouterr().out == "value = 3\n"
+
+
+def test_float_check_kv_emit_reports_residuals(tmp_path, capsys):
+    path = write(tmp_path, "h.qmat", HERMITIAN.to_float())
+    assert main(["mp", "-i", path, "--check", "--emit", "kv"]) == 0
+    kv = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+    residuals = [float(kv[f"report.check.{n}.residual"]) for n in range(1, 5)]
+    assert all(0 <= r <= 1e-9 for r in residuals)
+    assert kv["report.ok"] == "true" and kv["report.mode"] == "float"
 
 
 def test_wdrazin_limit_flag(tmp_path, capsys):

@@ -56,9 +56,11 @@ from qdet.errors import (
     NotHermitianError,
     NumericalBreakdownError,
     PreconditionError,
+    RouteDisagreementError,
     ShapeError,
 )
 from qdet import matrix
+from qdet.cli import format_qmat, main
 from qdet.matrix import max_abs_diff
 
 
@@ -441,6 +443,46 @@ def test_all_routes_run_exactly_the_routes_that_do_not_refuse():
                 assert routes[name] == x
                 ran.add(("wdrazin", name))
     assert ran == {("drazin", r) for r in DRAZIN_ROUTES} | {("wdrazin", r) for r in WDRAZIN_ROUTES}
+
+
+def _perturb_drazin_rdet(monkeypatch, eps):
+    """Make the Drazin rdet route return its result plus eps * I."""
+    refusal, build = geninv._DRAZIN.routes["rdet"]
+
+    def perturbed(s):
+        x = build(s)
+        return x + QMatrix.identity(x.rows, x.mode) * eps
+
+    monkeypatch.setitem(geninv._DRAZIN.routes, "rdet", (refusal, perturbed))
+
+
+def test_all_refuses_routes_that_disagree_in_exact_mode(monkeypatch):
+    _perturb_drazin_rdet(monkeypatch, Fraction(1, 10**12))
+    with pytest.raises(RouteDisagreementError, match=r"Drazin routes disagree: cdet vs rdet"):
+        inverse("drazin", "all", golden.U)
+    # A single route is not compared with anything.
+    x, provenance = inverse("drazin", "rdet", golden.U)
+    assert provenance == "rdet" and x != golden.U_DRAZIN
+
+
+def test_all_compares_float_routes_within_the_agreement_tolerance(monkeypatch):
+    u = golden.U.to_float()
+    with monkeypatch.context() as m:
+        _perturb_drazin_rdet(m, 1e-10)
+        assert 1e-10 < geninv.FLOAT_AGREEMENT_TOL
+        assert inverse("drazin", "all", u)[0] == golden.U_DRAZIN.to_float()  # the first route's result
+    _perturb_drazin_rdet(monkeypatch, 1e-6)
+    with pytest.raises(RouteDisagreementError, match="cdet vs rdet"):
+        inverse("drazin", "all", u)
+
+
+def test_a_route_disagreement_exits_as_verification_failure(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "u.qmat"
+    path.write_text(format_qmat(golden.U))
+    _perturb_drazin_rdet(monkeypatch, Fraction(1, 10**12))
+    assert main(["drazin", "-i", str(path), "--route", "all"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("qdet: verification failure: Drazin routes disagree")
 
 
 def test_index_is_computed_once_per_analysed_matrix(monkeypatch):

@@ -512,6 +512,17 @@ def test_an_override_below_one_is_a_value_error(name, max_n):
     call(2)  # and under a valid override
 
 
+@pytest.mark.parametrize("evaluator", [rdet, cdet, rdet_reference, cdet_reference])
+def test_the_determinants_check_an_override_before_the_input(evaluator):
+    # A 2x3 matrix has no determinant, but the invalid override is named
+    # first, as geninv.inverse names it before any analysis.
+    a = QMatrix.from_literals([["1", "i", "0"], ["j", "1", "k"]])
+    with pytest.raises(ValueError, match="at least 1"):
+        evaluator(1, a, max_n=0)
+    with pytest.raises(ShapeError):
+        evaluator(1, a, max_n=3)
+
+
 @pytest.mark.parametrize("max_n", [2.5, True], ids=["float", "bool"])
 @pytest.mark.parametrize("name", sorted(GUARDED_CALLS))
 def test_an_override_that_is_not_an_integer_is_a_type_error(name, max_n, monkeypatch):
