@@ -202,8 +202,7 @@ def inverse(kind: str, route: str, *operands, max_n: int | None = None):
     family, every = _FAMILIES[kind], route == "all"
     if not (every or route in family.routes):
         raise ValueError(f"unknown {family.what} route {route!r}")
-    if max_n is not None:
-        _override(max_n)  # an override below 1 is refused before any analysis
+    _override(max_n)  # an invalid override is refused before any analysis
     results = _results(family, operands, family.routes if every else (route,), not every, max_n)
     provenance = "all:" + ",".join(results) if every else route
     return assert_routes_agree(results, operands[0].mode, family.what), provenance

@@ -29,7 +29,7 @@ so the n! terms regroup into sums over subsets (Held-Karp style), at
 O(n**2 2**n + 3**n) quaternion products per determinant and with no
 n!-sized table.  The reference one walks `itertools.permutations` and
 decomposes each permutation into its cycles, term by term.  Their
-bit-exact agreement on random matrices is a test gate, as is the
+exact agreement on random exact matrices is a test gate, as is the
 collapse to the classical determinant on commuting entries.
 
 The subset tables hold component 4-tuples, not `Quaternion` objects.
@@ -64,17 +64,15 @@ the minor sums, cofactors and inverses the guard bounds that order (the
 rank r a route expands), not the size of the matrix.  It is overridden
 for one call only, by the `max_n` of every evaluator and inverse, passed
 as an argument down to the check; the module holds no guard state.  An
-override must be an integer of at least 1, and not a bool.  The row and
-column determinants and their references check it before they look at
-the matrix, as `geninv.inverse` does, so an invalid override is refused
-whatever the input; `ddet` and the Hermitian offspring check it after
-their Hermitian test.
+override must be an integer of at least 1, and not a bool.  Every
+evaluator checks it before it looks at the matrix, as `geninv.inverse`
+does, so an invalid override is refused whatever the input.
 """
 
 import itertools
 import math
 import operator
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import (
     EnumerationGuardError,
@@ -90,8 +88,11 @@ from .scalar import EXACT, Quaternion
 DEFAULT_ENUMERATION_GUARD = 8
 
 
-def _override(max_n: int) -> int:
-    """max_n, checked as a guard override."""
+def _override(max_n) -> int:
+    """The guard that max_n sets: the default for None, else max_n checked
+    as an override."""
+    if max_n is None:
+        return DEFAULT_ENUMERATION_GUARD
     if isinstance(max_n, bool):
         raise TypeError(f"guard override max_n must be an integer, not a bool: {max_n}")
     if operator.index(max_n) < 1:  # a TypeError for anything that is not an integer
@@ -100,7 +101,7 @@ def _override(max_n: int) -> int:
 
 
 def _refuse_above_guard(n: int, max_n, what="minor order", bounds="the minor order, not the matrix size"):
-    limit = DEFAULT_ENUMERATION_GUARD if max_n is None else _override(max_n)
+    limit = _override(max_n)
     if n > limit:
         raise EnumerationGuardError(
             f"{what} {n} exceeds the enumeration guard {limit}, which bounds {bounds}; "
@@ -109,8 +110,7 @@ def _refuse_above_guard(n: int, max_n, what="minor order", bounds="the minor ord
 
 
 def _check(a: QMatrix, anchor: int, max_n, bounds="the determinant size (2^n index subsets summed)"):
-    if max_n is not None:
-        _override(max_n)  # an invalid override is refused before the input is looked at
+    _override(max_n)  # an invalid override is refused before the input is looked at
     if not a.is_square():
         raise ShapeError("row/column determinants require a square matrix")
     n = a.rows
@@ -449,46 +449,6 @@ def cdet(j: int, a: QMatrix, max_n: int | None = None) -> Quaternion:
 # ---------------------------------------------------------------------------
 
 
-def _orbit(perm, start):
-    # perm maps 1-based x to perm[x - 1]
-    orbit = [start]
-    cur = perm[start - 1]
-    while cur != start:
-        orbit.append(cur)
-        cur = perm[cur - 1]
-    return tuple(orbit)
-
-
-def _orbit_product(e, perm, start):
-    """The chain e[c1][c2] e[c2][c3] ... of the cycle of perm from
-    c1 = start, over the rows of entries e (perm and start 1-based)."""
-    acc = None
-    cur = start
-    while True:
-        nxt = perm[cur - 1]
-        factor = e[cur - 1][nxt - 1]
-        acc = factor if acc is None else acc * factor
-        cur = nxt
-        if cur == start:
-            return acc
-
-
-def _blocks(perm, n, anchor):
-    """Orbit starting points: the anchor, then the minima of the remaining
-    orbits ascending; also returns the total number of orbits."""
-    in_anchor_orbit = set(_orbit(perm, anchor))
-    mins = []
-    seen = set(in_anchor_orbit)
-    for x in range(1, n + 1):
-        if x in seen:
-            continue
-        orb = _orbit(perm, x)
-        seen.update(orb)
-        mins.append(min(orb))
-    mins.sort()
-    return [anchor] + mins, 1 + len(mins)
-
-
 def _reference(anchor: int, a: QMatrix, max_n, row: bool) -> Quaternion:
     """The row (row=True) or column determinant by direct summation over
     one-line permutations: a term multiplies its cycle chains with the
@@ -496,13 +456,21 @@ def _reference(anchor: int, a: QMatrix, max_n, row: bool) -> Quaternion:
     n = _check(a, anchor, max_n, "the size of an n!-term reference sum")
     e = a.entries()
     total = Quaternion.zero(a.mode)
-    for perm in itertools.permutations(range(1, n + 1)):
-        starts, r = _blocks(perm, n, anchor)
-        term = None
-        for s in starts if row else reversed(starts):
-            p = _orbit_product(e, perm, s)
-            term = p if term is None else term * p
-        total = total + (-term if (n - r) % 2 else term)
+    for perm in itertools.permutations(range(n)):
+        seen, chains = set(), []
+        # The anchor's cycle, then every other cycle from the first index
+        # an ascending scan meets, its least: the chains in rdet order.
+        for start in (anchor - 1, *range(n)):
+            chain, x = None, start
+            while x not in seen:
+                seen.add(x)
+                factor = e[x][perm[x]]
+                chain = factor if chain is None else chain * factor
+                x = perm[x]
+            if chain is not None:
+                chains.append(chain)
+        term = reduce(operator.mul, chains if row else reversed(chains))
+        total = total + (-term if (n - len(chains)) % 2 else term)
     return total
 
 
@@ -526,6 +494,7 @@ def ddet(a: QMatrix, max_n: int | None = None):
     its row and column determinants.  Returns a real scalar (int or
     Fraction in exact mode, float in float mode), computed as the row
     determinant anchored at row 1."""
+    _override(max_n)
     if not a.is_hermitian():
         raise NotHermitianError("ddet requires a Hermitian matrix")
     value = rdet(1, a, max_n)
@@ -536,6 +505,7 @@ def ddet(a: QMatrix, max_n: int | None = None):
 
 def principal_minor_sum(a: QMatrix, s: int, max_n: int | None = None):
     """Sum of the s x s principal minors of a Hermitian matrix."""
+    _override(max_n)
     if not a.is_hermitian():
         raise NotHermitianError("principal minors require a Hermitian matrix")
     if not 1 <= s <= a.rows:
@@ -553,6 +523,7 @@ def char_poly(a: QMatrix, max_n: int | None = None) -> tuple:
 
     where ds is the sum of the s x s principal minors and dn = ddet(a).
     All of them are read from one tail table over the subsets of a."""
+    _override(max_n)
     if not a.is_hermitian():
         raise NotHermitianError("characteristic polynomial requires a Hermitian matrix")
     n = a.rows
@@ -571,6 +542,7 @@ def hermitian_inverse(a: QMatrix, max_n: int | None = None) -> QMatrix:
     exact mode the undivided cofactors Y must also satisfy
     a Y = Y a = ddet(a) I before the one division.
     """
+    _override(max_n)
     if not a.is_hermitian():
         raise NotHermitianError("hermitian_inverse requires a Hermitian matrix")
     n = a.rows

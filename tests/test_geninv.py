@@ -58,6 +58,7 @@ from qdet.errors import (
     PreconditionError,
     RouteDisagreementError,
     ShapeError,
+    SingularError,
 )
 from qdet import matrix
 from qdet.cli import format_qmat, main
@@ -680,6 +681,13 @@ def test_limit_estimate_identity_weight_hermitian_inverse(rng):
     est = wdrazin_limit_estimate(a.to_float(), QMatrix.identity(2).to_float(), 1e-10)
     assert max_abs_diff(est.via_aw, inv.to_float()) < 1e-8
     assert max_abs_diff(est.via_wa, inv.to_float()) < 1e-8
+
+
+def test_limit_estimate_refuses_a_singular_shift():
+    # A = [[0, -1], [1, 0]] has A^2 = -I, so at lam = 1 the shifted matrix is 0.
+    a = QMatrix.from_literals([["0", "-1"], ["1", "0"]]).to_float()
+    with pytest.raises(SingularError, match="shifted matrix singular at lam=1.0"):
+        wdrazin_limit_estimate(a, QMatrix.identity(2).to_float(), 1.0)
 
 
 # -- float bit identity above the matrix layer --------------------------------

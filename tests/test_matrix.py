@@ -534,3 +534,36 @@ def test_concurrent_first_reads_agree():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and errors == []
     assert seen == [want] * (6 * 30)
+
+
+# -- refused inputs -----------------------------------------------------------
+
+
+_I2, _I3 = QMatrix.identity(2), QMatrix.identity(3)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: QMatrix([]), ShapeError, "at least one row and one column"),
+        (lambda: QMatrix([[Quaternion.one()] * 2, [Quaternion.one()]]), ShapeError, "inconsistent lengths"),
+        (lambda: QMatrix([[Quaternion.one(), Quaternion.one("float")]]), ModeError, "mix exact and float"),
+        (lambda: _I2 + _I3, ShapeError, r"cannot add \(2, 2\) and \(3, 3\)"),
+        (lambda: _I2 + 1, TypeError, "unsupported operand"),
+        (lambda: _I2 @ 2, TypeError, "unsupported operand"),
+        (lambda: mat_pow(_I2, -1), ValueError, "nonnegative integer"),
+        (lambda: inverse_square(QMatrix.zeros(2, 3)), ShapeError, "square matrix"),
+        (lambda: max_abs_diff(_I2, _I3), ShapeError, "cannot compare"),
+        (lambda: unembed_complex(np.zeros((3, 2))), ShapeError, "positive even dimensions"),
+    ],
+    ids=["empty", "ragged", "mixed_modes", "add_shapes", "add_int", "matmul_int", "negative_power",
+         "inverse_not_square", "diff_shapes", "unembed_odd"],
+)
+def test_matrix_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
+
+
+def test_a_matrix_equals_only_a_matrix_of_its_mode():
+    assert (_I2 == "x") is False
+    assert (_I2 == _I2.to_float()) is False

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import math
@@ -437,6 +438,45 @@ def test_float_evaluator_matches_reference_at_n6(rng):
             assert max(abs(x - y) for x, y in zip(got.components(), want.components())) <= 1e-9 * scale
 
 
+def _random_float_qmatrix(rng, n):
+    # Thirds, 1e-8-sized values and zeros of both signs, so that products
+    # make signed zeros and sums round where a reordering would move them.
+    # Half the components are drawn as zeros, so that some outputs are zero.
+    values = [k / 3 for k in range(-3, 4)] + [1e-8, -3e-8, 0.0, -0.0, -0.0]
+    zeros = [0.0, -0.0]
+
+    def entry():
+        return Quaternion(*(rng.choice(zeros if rng.random() < 0.5 else values) for _ in range(4)), mode="float")
+
+    return QMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+def _reference_digest(cases, bits):
+    h = hashlib.sha256()
+    for a in cases:
+        for anchor in range(1, a.rows + 1):
+            for evaluator in (rdet_reference, cdet_reference):
+                h.update(repr(bits(evaluator(anchor, a))).encode())
+    return h.hexdigest()[:16]
+
+
+def test_reference_values_are_pinned():
+    # Digests of both references at every anchor of seeded inputs, recorded
+    # from an earlier implementation, so that a rewrite keeps every value:
+    # exact values with their component types, float values bit for bit.
+    rng = random.Random(1729)
+    exact = [random_fraction_qmatrix(rng, n) for n in (1, 2, 3, 4, 5, 5)]
+    floats = [_random_float_qmatrix(rng, n) for n in (1, 2, 3, 3, 4, 4, 5, 5)]
+    assert _reference_digest(exact, lambda q: tuple(map(repr, q.components()))) == "b226c31567a497ed"
+    assert _reference_digest(floats, float_bits) == "dc0bdcc995cdd254"
+
+
+def test_the_reference_calls_no_subset_kernel_helper():
+    # The reference is the subset kernel's independent oracle.
+    kernel = {"_tails", "_signed_cycle_sums", "_open_paths", "_combine", "_subsets", "_scaled", "_cycle_sum_det"}
+    assert not kernel & set(ncdet._reference.__code__.co_names)
+
+
 def test_guard_refuses_oversized_input():
     big = QMatrix.identity(9)
     with pytest.raises(EnumerationGuardError):
@@ -493,6 +533,23 @@ GUARDED_CALLS = {
 }
 
 
+_NOT_HERMITIAN = QMatrix.from_literals([["i", "0"], ["0", "1"]])
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: principal_minor_sum(_NOT_HERMITIAN, 1), NotHermitianError, "principal minors require"),
+        (lambda: principal_minor_sum(_H, 3), ValueError, r"minor order 3 out of range 1\.\.2"),
+        (lambda: char_poly(_NOT_HERMITIAN), NotHermitianError, "characteristic polynomial requires"),
+    ],
+    ids=["minor_sum_not_hermitian", "minor_order", "char_poly_not_hermitian"],
+)
+def test_hermitian_offspring_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
+
+
 def test_guarded_calls_cover_every_public_max_n():
     takes = {
         name
@@ -512,14 +569,28 @@ def test_an_override_below_one_is_a_value_error(name, max_n):
     call(2)  # and under a valid override
 
 
-@pytest.mark.parametrize("evaluator", [rdet, cdet, rdet_reference, cdet_reference])
-def test_the_determinants_check_an_override_before_the_input(evaluator):
+@pytest.mark.parametrize(
+    "evaluator, error",
+    [
+        (rdet, ShapeError),
+        (cdet, ShapeError),
+        (rdet_reference, ShapeError),
+        (cdet_reference, ShapeError),
+        (lambda _, a, max_n: ddet(a, max_n=max_n), NotHermitianError),
+        (lambda s, a, max_n: principal_minor_sum(a, s, max_n=max_n), NotHermitianError),
+        (lambda _, a, max_n: char_poly(a, max_n=max_n), NotHermitianError),
+        (lambda _, a, max_n: hermitian_inverse(a, max_n=max_n), NotHermitianError),
+    ],
+    ids=["rdet", "cdet", "rdet_reference", "cdet_reference", "ddet", "principal_minor_sum", "char_poly",
+         "hermitian_inverse"],
+)
+def test_the_determinants_check_an_override_before_the_input(evaluator, error):
     # A 2x3 matrix has no determinant, but the invalid override is named
     # first, as geninv.inverse names it before any analysis.
     a = QMatrix.from_literals([["1", "i", "0"], ["j", "1", "k"]])
     with pytest.raises(ValueError, match="at least 1"):
         evaluator(1, a, max_n=0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(error):
         evaluator(1, a, max_n=3)
 
 

@@ -184,3 +184,34 @@ def test_format_float_round_trip_keeps_mode():
     assert back.mode == FLOAT and back == q
     zero = format_quaternion(Quaternion.zero(FLOAT))
     assert parse_quaternion(zero).mode == FLOAT
+
+
+# -- refused operands and the reflected operators ---------------------------
+
+
+_Q = Quaternion(1, 2, 0, -3)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: Quaternion(1, mode="complex"), ValueError, "unknown scalar mode 'complex'"),
+        (lambda: _Q + "x", TypeError, "unsupported operand"),
+        (lambda: _Q * "x", TypeError, "non-int of type 'Quaternion'"),
+        (lambda: _Q / "x", TypeError, "unsupported operand"),
+        (lambda: _Q / 0, ZeroDivisionError, "by zero scalar"),
+    ],
+    ids=["mode", "add_str", "mul_str", "div_str", "div_zero"],
+)
+def test_scalar_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
+
+
+def test_reflected_operators_equality_and_repr():
+    assert 1 - _Q == Quaternion(0, -2, 0, 3)
+    assert 2 * _Q == Quaternion(2, 4, 0, -6)
+    f = _Q.to_float()
+    assert f.to_float() is f
+    assert (_Q == 1) is False
+    assert repr(_Q) == "Quaternion('1+2i-3k', mode='exact')"

@@ -169,3 +169,8 @@ def test_reports_are_immutable_values_compared_and_shown_by_field():
     for value, name in ((check, "passed"), (report, "notes")):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
+
+
+def test_check_wdrazin_refuses_a_weight_of_the_wrong_shape():
+    with pytest.raises(ShapeError, match="weight shape must be the transpose"):
+        check_wdrazin(golden.A_IN, golden.A_IN, golden.ADW)
