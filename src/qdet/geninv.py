@@ -57,8 +57,13 @@ made on first use; a `_WeightedProblem` holds A, W, the analyses of U and
 V, k and rank(W), made on first read.  Every route of the call reads
 them, so no kernel pass runs twice in a call: ``mp_composition`` reads
 the pass of ``cdet``, and ``mp_route_U`` that of ``via_drazin_U`` when
-Ind U = k.  Rank 0 needs no branch: the kernels' order-0 case (Y = 0,
-d = 1) gives the zero inverse.
+Ind U = k.  Nor does a product: the routes read A^k N A^k through the
+analysis's `Powers.product`, and an exact pass equal to the other
+family's at the same power is stored as that very object, so ``cdet``
+and ``rdet`` make A^k N A^k once, as do ``via_drazin_V`` and
+``mp_route_V`` when Ind V = k, while each still runs its own pass.
+Rank 0 needs no branch: the kernels' order-0 case (Y = 0, d = 1) gives
+the zero inverse.
 Routes are data: each family has one table mapping a route name to its
 refusal, which returns the typed error or None, and its builder, which
 reads the call's analysis; the route tuples are the tables' keys.  The
@@ -84,7 +89,7 @@ from .errors import (
     SingularError,
     invariant_error,
 )
-from .matrix import Powers, QMatrix, index_of, inverse_square, max_abs_diff, rank
+from .matrix import Powers, QMatrix, _shifted, index_of, inverse_square, max_abs_diff, rank
 from .ncdet import _bordered_cofactors, _override
 
 # mat_pow, cdet and rdet stay bound here, uncalled: benchmarks/layers.py
@@ -268,16 +273,23 @@ class _SquareAnalysis(Powers):
 
     def mp_cramer(self, e: int, row: bool):
         """(N, d) with N / d = (A^(2e+1))^+, at rank(A^e): for e >= Ind A the
-        two ranks agree and A^e N A^e / d = A^D."""
+        two ranks agree and A^e N A^e / d = A^D.  An exact pass equal to
+        the other family's at e is stored as that one's object, so the
+        products made from the two are made once (`Powers.product`)."""
         if (e, row) not in self._mp:
-            self._mp[e, row] = _mp_cramer(self[2 * e + 1], self.rank(e), row, self.max_n)
+            made = _mp_cramer(self[2 * e + 1], self.rank(e), row, self.max_n)
+            other = self._mp.get((e, not row))
+            # float == takes -0.0 for 0.0, so only exact passes are shared
+            if self.a.mode == EXACT and made == other:
+                made = other
+            self._mp[e, row] = made
         return self._mp[e, row]
 
 
 def _drazin_mp(s: _SquareAnalysis, row: bool) -> QMatrix:
     ak = s[s.k]
     num, d = s.mp_cramer(s.k, row)
-    return ak @ num @ ak / d
+    return s.product(s.product(ak, num), ak) / d
 
 
 def _drazin_composition(s: _SquareAnalysis) -> QMatrix:
@@ -359,7 +371,7 @@ def _mp_route(p: _WeightedProblem, u_side: bool) -> QMatrix:
     sk = side[p.k]
     num_w, d_w = _mp_cramer(p.w, p.rank_w, not u_side, p.max_n)
     num, d = side.mp_cramer(p.k, row=not u_side)
-    num = sk @ num @ sk
+    num = side.product(side.product(sk, num), sk)
     return (num_w @ num if u_side else num @ num_w) / (d_w * d)
 
 
@@ -431,11 +443,9 @@ def wdrazin_limit_estimate(a: QMatrix, w: QMatrix, lam: float) -> WdrazinLimitEs
     if not lam > 0:
         raise ValueError("shift must be positive")
     p = _WeightedProblem(a, w)
-    shifted_v = QMatrix.identity(a.rows, FLOAT) * lam + p.v[p.k + 2]
-    shifted_u = QMatrix.identity(a.cols, FLOAT) * lam + p.u[p.k + 2]
     try:
-        via_aw = inverse_square(shifted_v) @ (p.v[p.k] @ a)
-        via_wa = (a @ p.u[p.k]) @ inverse_square(shifted_u)
+        via_aw = inverse_square(_shifted(p.v[p.k + 2], lam)) @ (p.v[p.k] @ a)
+        via_wa = (a @ p.u[p.k]) @ inverse_square(_shifted(p.u[p.k + 2], lam))
     except SingularError as exc:
         raise SingularError(f"shifted matrix singular at lam={lam}") from exc
     return WdrazinLimitEstimates(via_aw, via_wa)

@@ -24,9 +24,12 @@ summation order of `Quaternion` arithmetic, so float results are
 bit-identical to it.  Rank is row rank by forward elimination; exact
 elimination is fraction-free (see `_eliminate`), float elimination uses
 quaternionic left-division with a pivot tolerance, valid over a division
-ring.  A `Powers` table holds the powers of one square matrix and their
-ranks for one call; `mat_pow`, `index_of`, the Drazin routes and the
-checkers read powers from such a table instead of rebuilding them.
+ring.  A product with an identity factor makes no product: it is the
+other factor (`_times_identity`).  A `Powers` table holds, for one
+call, the powers of one square matrix, their ranks and the call's
+products, each made once, A^0 only when read; `mat_pow`, `index_of`,
+the Drazin routes and the checkers read powers and repeated products
+from such a table instead of rebuilding them.
 
 The complex adjoint embedding maps each entry a + bi + cj + dk to the
 2x2 complex block
@@ -105,8 +108,8 @@ class QMatrix:
         """The rows x cols matrix with d on its diagonal and 0 elsewhere, made in held form."""
         if rows < 1 or cols < 1:
             raise ShapeError("matrix must have at least one row and one column")
-        z, t = Quaternion.zero(d.mode).components(), d.components()
-        return cls._made(tuple(tuple(t if i == j else z for j in range(cols)) for i in range(rows)), 1, d.mode)
+        zero, t = (Quaternion.zero(d.mode).components(),) * cols, d.components()
+        return cls._made(tuple([zero[:i] + (t,) + zero[i + 1:] if i < cols else zero for i in range(rows)]), 1, d.mode)
 
     @classmethod
     def diagonal(cls, qs):
@@ -170,11 +173,11 @@ class QMatrix:
         # x/da + y/db is (x db + y da)/(da db).  Float dens are 1, and
         # x * 1 + y * 1 is x + y bit for bit, -0.0 and NaN included.
         (ra, da), (rb, db) = self._held, other._held
-        rows = tuple(
-            tuple((x0 * db + y0 * da, x1 * db + y1 * da, x2 * db + y2 * da, x3 * db + y3 * da)
-                  for (x0, x1, x2, x3), (y0, y1, y2, y3) in zip(a, b))
+        rows = tuple([
+            tuple([(x0 * db + y0 * da, x1 * db + y1 * da, x2 * db + y2 * da, x3 * db + y3 * da)
+                   for (x0, x1, x2, x3), (y0, y1, y2, y3) in zip(a, b)])
             for a, b in zip(ra, rb)
-        )
+        ])
         return QMatrix._made(rows, da * db, self.mode)
 
     def __sub__(self, other):
@@ -184,7 +187,7 @@ class QMatrix:
 
     def __neg__(self):
         rows, den = self._held
-        return QMatrix._made(tuple(tuple((-a, -b, -c, -d) for a, b, c, d in row) for row in rows), den, self.mode)
+        return QMatrix._made(tuple([tuple([(-a, -b, -c, -d) for a, b, c, d in row]) for row in rows]), den, self.mode)
 
     def __matmul__(self, other):
         if not isinstance(other, QMatrix):
@@ -192,7 +195,13 @@ class QMatrix:
         self._check_mode(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        return _product(self._held, other._held, self.mode)
+        if _is_identity(self):  # an identity factor is free
+            free = _times_identity(other)
+        elif _is_identity(other):
+            free = _times_identity(self)
+        else:
+            free = None
+        return _product(self._held, other._held, self.mode) if free is None else free
 
     def __mul__(self, scalar):
         # Real scalar only; reals are central so the side does not matter.
@@ -216,11 +225,9 @@ class QMatrix:
             r = Fraction(1) / r  # 1.0 / r for a float r
         num, den = (r, 1) if self.mode == FLOAT else (r.numerator, r.denominator)
         rows, lcm = self._held
-        return QMatrix._made(
-            tuple(tuple((a * num, b * num, c * num, d * num) for a, b, c, d in row) for row in rows),
-            den * lcm,
-            self.mode,
-        )
+        if num != 1 or self.mode == FLOAT:  # an exact 1 / den scales den alone
+            rows = tuple([tuple([(a * num, b * num, c * num, d * num) for a, b, c, d in row]) for row in rows])
+        return QMatrix._made(rows, den * lcm, self.mode)
 
     def __eq__(self, other):
         if not isinstance(other, QMatrix):
@@ -240,7 +247,7 @@ class QMatrix:
     def H(self):
         """Hermitian adjoint: (A*)_ij = conj(A_ji); satisfies (AB)* = B*A*."""
         rows, den = self._held
-        return QMatrix._made(tuple(tuple((a, -b, -c, -d) for a, b, c, d in col) for col in zip(*rows)), den, self.mode)
+        return QMatrix._made(tuple([tuple([(a, -b, -c, -d) for a, b, c, d in col]) for col in zip(*rows)]), den, self.mode)
 
     def is_hermitian(self):
         """Whether A equals its conjugate transpose.
@@ -255,7 +262,7 @@ class QMatrix:
         rows = self._held[0]
         tol = 0
         if self.mode == FLOAT:
-            tol = 1e-12 * (1.0 + max(abs(c) for row in rows for t in row for c in t))
+            tol = 1e-12 * (1.0 + max([abs(c) for row in rows for t in row for c in t]))
         for i, row in enumerate(rows):
             for j in range(i, self.cols):
                 (a0, a1, a2, a3), (b0, b1, b2, b3) = row[j], rows[j][i]
@@ -272,7 +279,7 @@ class QMatrix:
         if self.mode == FLOAT:
             return self
         rows, den = self._held
-        return QMatrix._made(tuple(tuple((a / den, b / den, c / den, d / den) for a, b, c, d in row) for row in rows), 1, FLOAT)
+        return QMatrix._made(tuple([tuple([(a / den, b / den, c / den, d / den) for a, b, c, d in row]) for row in rows]), 1, FLOAT)
 
 
 # ---------------------------------------------------------------------------
@@ -281,32 +288,48 @@ class QMatrix:
 
 
 class Powers:
-    """The powers of one square matrix A and their ranks, for one call.
+    """The powers of one square matrix A, their ranks and the call's
+    products, for one call.
 
-    ``p[e]`` is A^e: the identity, A itself, then A^(e-1) @ A, each made
-    at most once; ``p.rank(e)`` is rank(A^e), computed at most once, with
-    rank(A^0) = n.  A table lives as long as the call that builds it, so
-    no result is cached across calls.
+    ``p[e]`` is A^e: the identity, made only when read, A itself, then
+    A^(e-1) @ A, each made at most once; ``p.rank(e)`` is rank(A^e),
+    computed at most once, with rank(A^0) = n.  ``p.product(x, y)`` is
+    x @ y, made once per pair of operand objects.  A table lives as long
+    as the call that builds it, so no result is cached across calls.
     """
 
     def __init__(self, a: QMatrix):
         if not a.is_square():
             raise ShapeError("powers and index are defined for square matrices only")
         self.a = a
-        self._powers = [QMatrix.identity(a.rows, a.mode), a]
+        self._powers = [None, a]
         self._ranks = {0: a.rows}
+        self._products = {}
 
     def __getitem__(self, e: int) -> QMatrix:
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        while len(self._powers) <= e:
-            self._powers.append(self._powers[-1] @ self.a)
-        return self._powers[e]
+        powers = self._powers
+        if e == 0 and powers[0] is None:
+            powers[0] = QMatrix.identity(self.a.rows, self.a.mode)
+        while len(powers) <= e:
+            powers.append(powers[-1] @ self.a)
+        return powers[e]
 
     def rank(self, e: int) -> int:
         if e not in self._ranks:
             self._ranks[e] = rank(self[e])
         return self._ranks[e]
+
+    def product(self, x: QMatrix, y: QMatrix) -> QMatrix:
+        """x @ y, made at most once for the table's life.  It is keyed by
+        the operands' ids, not their values (hashing a held form costs
+        about a tenth of a small product), and the entry keeps both
+        operands alive, so their ids are not reused meanwhile."""
+        key = (id(x), id(y))
+        if key not in self._products:
+            self._products[key] = (x, y, x @ y)
+        return self._products[key][2]
 
 
 def mat_pow(a: QMatrix, p: int) -> QMatrix:
@@ -353,7 +376,7 @@ def _reduced(rows, den):
             g = math.gcd(g, *t)
             if g == 1:
                 return rows, den
-    return tuple(tuple((a // g, b // g, c // g, d // g) for a, b, c, d in row) for row in rows), den // g
+    return tuple([tuple([(a // g, b // g, c // g, d // g) for a, b, c, d in row]) for row in rows]), den // g
 
 
 def _product(a, b, mode):
@@ -378,6 +401,38 @@ def _product(a, b, mode):
             out_row.append((s0, s1, s2, s3))
         out.append(tuple(out_row))
     return QMatrix._made(tuple(out), da * db, mode)
+
+
+_ONE, _ZERO = (1, 0, 0, 0), (0, 0, 0, 0)
+
+
+def _is_identity(m):
+    """Whether m is an identity: square, den 1, each diagonal entry 1 and
+    every other entry 0, compared with ==, so a float -0.0 counts as 0.
+    Most matrices fail the first entry."""
+    rows, den = m._held
+    if rows[0][0] != _ONE or den != 1 or m.rows != m.cols:
+        return False
+    zero = (_ZERO,) * m.cols
+    for i, row in enumerate(rows):
+        if row != zero[:i] + (_ONE,) + zero[i + 1:]:
+            return False
+    return True
+
+
+def _times_identity(m):
+    """m times an identity, on either side, without a product, or None
+    when it needs one.  Exact mode gives m itself.  Float mode gives m
+    with each component c as 0.0 + c: in each Hamilton sum every term
+    but c's is a signed zero and the sum starts from 0.0, so `_product`
+    computes this bit for bit, unless a component is not finite (0 * inf
+    is NaN), which gives None."""
+    if m.mode == EXACT:
+        return m
+    rows = m._held[0]
+    if not all(map(math.isfinite, [c for row in rows for t in row for c in t])):
+        return None
+    return QMatrix._made(tuple([tuple([(0.0 + a, 0.0 + b, 0.0 + c, 0.0 + d) for a, b, c, d in row]) for row in rows]), 1, FLOAT)
 
 
 def _primitive(row):
@@ -561,7 +616,7 @@ def inverse_square(a: QMatrix) -> QMatrix:
     # compute as 0.0 and 1.0 until scaling the pivot rows makes them floats.
     held, den = a._held
     one, zero = (den, 0, 0, 0), (0, 0, 0, 0)
-    rows = [[*row, *(one if j == i else zero for j in range(n))] for i, row in enumerate(held)]
+    rows = [[*row, *[one if j == i else zero for j in range(n)]] for i, row in enumerate(held)]
     if _eliminate(rows, n, exact, jordan=True) < n:
         raise SingularError("matrix is singular")
     if exact:
@@ -580,6 +635,18 @@ def inverse_square(a: QMatrix) -> QMatrix:
     else:
         out = [tuple(row[n:]) for row in rows]
     return QMatrix._made(tuple(out), den, a.mode)
+
+
+def _shifted(m: QMatrix, lam: float) -> QMatrix:
+    """lam I + m for a square float m, made directly, bit for bit
+    ``QMatrix.identity(n, FLOAT) * lam + m``: 0.0 * lam is 0.0 for a
+    finite lam > 0, and that sum adds x * 1 + y * 1, which is x + y.  (An
+    infinite lam gives a non-finite diagonal either way.)"""
+    return QMatrix._made(tuple([
+        tuple([(lam + v0, 0.0 + v1, 0.0 + v2, 0.0 + v3) if i == j else (0.0 + v0, 0.0 + v1, 0.0 + v2, 0.0 + v3)
+               for j, (v0, v1, v2, v3) in enumerate(row)])
+        for i, row in enumerate(m._held[0])
+    ]), 1, FLOAT)
 
 
 def max_abs_diff(a: QMatrix, b: QMatrix) -> float:

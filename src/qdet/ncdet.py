@@ -406,7 +406,7 @@ def _bordered_cofactors(g: QMatrix, r: int, row: bool, max_n: int | None = None)
         # The term without a path: the tails that fill {i} up to r, or 1.
         t0, t1, t2, t3 = fills.get(1 << i, one)
         cof[i][i] = (zero[0] + t0, zero[1] + t1, zero[2] + t2, zero[3] + t3)
-        paths = _open_paths(e if row else cols, i, tuple(x for x in range(n) if x != i), r - 1, not row, start)
+        paths = _open_paths(e if row else cols, i, tuple([x for x in range(n) if x != i]), r - 1, not row, start)
         for mask, ends in paths.items():
             t = fills.get(mask | 1 << i)  # None when the path fills beta
             odd = mask.bit_count() % 2
@@ -452,10 +452,12 @@ def cdet(j: int, a: QMatrix, max_n: int | None = None) -> Quaternion:
 def _reference(anchor: int, a: QMatrix, max_n, row: bool) -> Quaternion:
     """The row (row=True) or column determinant by direct summation over
     one-line permutations: a term multiplies its cycle chains with the
-    anchor cycle first (rows) or last (columns)."""
+    anchor cycle first (rows) or last (columns).  A float sum starts from
+    -0.0, the identity of IEEE addition, so a sum of -0.0 terms stays
+    -0.0."""
     n = _check(a, anchor, max_n, "the size of an n!-term reference sum")
     e = a.entries()
-    total = Quaternion.zero(a.mode)
+    total = Quaternion.zero() if a.mode == EXACT else Quaternion(-0.0, -0.0, -0.0, -0.0, a.mode)
     for perm in itertools.permutations(range(n)):
         seen, chains = set(), []
         # The anchor's cycle, then every other cycle from the first index

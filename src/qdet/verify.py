@@ -109,11 +109,11 @@ def check_penrose(a: QMatrix, x: QMatrix, provenance: str = "") -> VerifyReport:
 def _drazin_checks(p: Powers, k: int, x: QMatrix, notes):
     """The Drazin equations of x for the matrix of the power table p, of index k."""
     a = p.a
-    ax = a @ x
+    ax = p.product(a, x)  # A^(k+1) X at k = 0
     checks = (
         _equation("XAX = X", x @ ax, x, notes),
         _equation("AX = XA", ax, x @ a, notes),
-        _equation(f"A^(k+1) X = A^k  [k={k}]", p[k + 1] @ x, p[k], notes),
+        _equation(f"A^(k+1) X = A^k  [k={k}]", p.product(p[k + 1], x), p[k], notes),
     )
     return checks
 
@@ -149,7 +149,7 @@ def check_wdrazin(a: QMatrix, w: QMatrix, x: QMatrix, provenance: str = "") -> V
     xw = x @ w
     wx = w @ x
     checks = [
-        _equation(f"(AW)^(k+1) X W = (AW)^k  [k={k}]", v[k + 1] @ xw, v[k], notes),
+        _equation(f"(AW)^(k+1) X W = (AW)^k  [k={k}]", v.product(v[k + 1], xw), v[k], notes),
         _equation("XWAWX = X", xw @ (a @ wx), x, notes),
         _equation("AWX = XWA", v.a @ x, x @ u.a, notes),
         _combined("XW satisfies the Drazin equations of AW", _drazin_checks(v, kv, xw, notes)),

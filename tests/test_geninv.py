@@ -506,7 +506,24 @@ def test_weighted_routes_read_each_power_from_one_table(monkeypatch):
         monkeypatch.setattr(module, "rank", counted)
     wdrazin_all_routes(golden.A_IN, golden.W_IN)
     # index_of fills the analyses' tables, so no power or rank is made twice.
-    assert (len(products), len(ranks)) == (27, 6)
+    # Ind V = k = 2 and the two exact passes of V are equal, so mp_route_V
+    # reads via_drazin_V's V^k N V^k from the V table.
+    assert (len(products), len(ranks)) == (25, 6)
+
+
+def test_drazin_makes_no_product_twice_and_none_with_the_identity(monkeypatch):
+    made = []
+    product = matrix._product
+    monkeypatch.setattr(matrix, "_product", lambda a, b, mode: made.append(1) or product(a, b, mode))
+    counts = []
+    for a in (golden.U, QMatrix.from_literals([["1", "i"], ["j", "2"]])):  # index 1, then 0
+        made.clear()
+        drazin(a, "all")
+        counts.append(len(made))
+    # Index 1: A^2 and A^3, two products per kernel pass, A N A once for the
+    # equal exact passes of cdet and rdet, and mp_composition's two.  Index 0:
+    # the kernel passes alone, every A^0 factor being free.
+    assert counts == [10, 4]
 
 
 def test_each_kernel_pass_runs_once_per_call(monkeypatch):

@@ -406,6 +406,58 @@ def test_kernel_matches_the_quaternion_references(data):
 
 
 
+# -- an identity factor is free --
+
+# Signed zeros, thirds, a subnormal and values near the float limit.
+IDENTITY_OPERANDS = (0.0, -0.0, 1 / 3, -2.5, 5e-324, -1e-310, 1e308, -1e308)
+
+
+def _signed_identity(n, rnd):
+    """The float n x n identity with each zero component 0.0 or -0.0."""
+    z = lambda: rnd.choice((0.0, -0.0))  # noqa: E731
+    return QMatrix([[Quaternion(1.0 if i == j else z(), z(), z(), z(), mode="float") for j in range(n)]
+                    for i in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_an_identity_factor_gives_the_full_products_bits(data):
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    x = QMatrix([[Quaternion(*(rnd.choice(IDENTITY_OPERANDS) for _ in range(4)), mode="float")
+                  for _ in range(n)] for _ in range(m)])
+    for left, right in ((_signed_identity(m, rnd), x), (x, _signed_identity(n, rnd)),
+                        (QMatrix.identity(m, "float"), x), (x, QMatrix.identity(n, "float"))):
+        assert _bits(left @ right) == _bits(reference_matmul(left, right))
+    a, i = data.draw(kernel_matrices(m, n)), QMatrix.identity(n)
+    assert QMatrix.identity(m) @ a is a and a @ i is (i if a == i else a)  # exact: the other factor itself
+
+
+def test_a_non_finite_operand_of_an_identity_takes_the_full_product():
+    i = QMatrix.identity(2, "float")
+    for bad in (math.inf, -math.inf, math.nan):
+        x = QMatrix([[Quaternion(bad, 1.0, mode="float"), Quaternion(2.0, mode="float")],
+                     [Quaternion(-0.0, mode="float"), Quaternion(0.0, 0.0, 0.0, bad, mode="float")]])
+        for product, expected in ((i @ x, reference_matmul(i, x)), (x @ i, reference_matmul(x, i))):
+            assert _bits(product) == _bits(expected)  # 0 * inf is NaN: NaNs in the same places
+            assert any(math.isnan(c) for t in product._held[0][0] for c in t[1:])
+
+
+def test_a_power_table_makes_each_product_once_and_the_identity_when_read(monkeypatch):
+    made, products = [], []
+    identity, matmul = QMatrix.identity, QMatrix.__matmul__
+    monkeypatch.setattr(QMatrix, "identity", classmethod(lambda cls, n, mode="exact": made.append(n) or identity(n, mode)))
+    monkeypatch.setattr(QMatrix, "__matmul__", lambda x, y: products.append(1) or matmul(x, y))
+    p = Powers(golden.U)
+    assert p.rank(0) == golden.U.rows and index_of(p) == golden.IND_U and made == []
+    assert p[0] is p[0] and p[0] == identity(golden.U.rows) and made == [golden.U.rows]
+    x = golden.U.H
+    products.clear()
+    assert p.product(p[1], x) is p.product(p.a, x) and len(products) == 1
+    assert p.product(x, p.a) is not p.product(p.a, x) and len(products) == 2
+    assert p.product(p.a, x) == matmul(golden.U, x)
+
+
 def test_an_empty_diagonal_is_a_shape_error():
     for empty in (lambda: QMatrix.diagonal([]), lambda: QMatrix.zeros(0, 3)):
         with pytest.raises(ShapeError):

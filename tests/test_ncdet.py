@@ -468,7 +468,14 @@ def test_reference_values_are_pinned():
     exact = [random_fraction_qmatrix(rng, n) for n in (1, 2, 3, 4, 5, 5)]
     floats = [_random_float_qmatrix(rng, n) for n in (1, 2, 3, 3, 4, 4, 5, 5)]
     assert _reference_digest(exact, lambda q: tuple(map(repr, q.components()))) == "b226c31567a497ed"
-    assert _reference_digest(floats, float_bits) == "dc0bdcc995cdd254"
+    assert _reference_digest(floats, float_bits) == "e3ae1bfdac31ebec"
+
+
+def test_float_references_keep_the_sign_of_a_zero():
+    # A float sum starts from -0.0, so a 1x1 determinant is its entry bit for bit.
+    a = QMatrix([[Quaternion(-0.0, 1.0, -0.0, -0.0, mode="float")]])
+    for evaluator in (rdet, cdet, rdet_reference, cdet_reference):
+        assert float_bits(evaluator(1, a)) == float_bits(a[0, 0])
 
 
 def test_the_reference_calls_no_subset_kernel_helper():

@@ -17,7 +17,7 @@ from qdet import (
 from qdet.errors import ModeError, ShapeError
 from qdet import matrix
 from qdet.verify import EquationCheck, VerifyReport
-from qdet.matrix import max_abs_diff
+from qdet.matrix import inverse_square, max_abs_diff
 
 
 def test_penrose_identity_passes():
@@ -155,8 +155,20 @@ def test_wdrazin_check_reads_each_power_from_one_table(monkeypatch):
     monkeypatch.setattr(QMatrix, "__matmul__", lambda x, y: products.append(1) or matmul(x, y))
     monkeypatch.setattr(matrix, "rank", lambda a, f=matrix.rank: ranks.append(a) or f(a))
     assert check_wdrazin(golden.A_IN, golden.W_IN, golden.ADW).ok
-    # One table each for WA and AW: every power and rank is made once.
-    assert (len(products), len(ranks)) == (20, 5)
+    # One table each for WA and AW: every power and rank is made once, and
+    # since Ind AW = k the AW table makes (AW)^(k+1) X W once.
+    assert (len(products), len(ranks)) == (19, 5)
+
+
+def test_drazin_check_at_index_zero_makes_a_x_once(monkeypatch):
+    a = QMatrix.from_literals([["1", "i"], ["j", "2"]])
+    x = inverse_square(a)
+    pairs = []
+    matmul = QMatrix.__matmul__
+    monkeypatch.setattr(QMatrix, "__matmul__", lambda left, right: pairs.append((left, right)) or matmul(left, right))
+    assert check_drazin(a, x).ok
+    # A^(k+1) X at k = 0 is the table's A X, made once.
+    assert sum(left is a and right is x for left, right in pairs) == 1
 
 
 def test_reports_are_immutable_values_compared_and_shown_by_field():
