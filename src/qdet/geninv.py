@@ -18,8 +18,8 @@ builds its weighted representations from two earlier ones.
 x^+ = N / d: the bordered minor sums of the Gram matrix x*x (column
 family, ``cdet``) or x x* (row family, ``rdet``) at rank r.  Such a sum
 is linear in its replaced column (row), so `ncdet._bordered_cofactors`
-makes one cofactor pass per anchor and returns a matrix Y and the sum
-d > 0 of the r x r principal minors, and N = Y x* (x* Y).
+returns a matrix Y and the sum d > 0 of the r x r principal minors, and
+N = Y x* (x* Y).
 `_hermitian_cramer(g, r, row, max_n)` gives Y and d != 0 of a Hermitian g.  The
 routes, each divided once, last, so exact intermediates stay integral:
 
@@ -39,6 +39,15 @@ guard bounds the minor order r: a route is refused when the rank it
 expands exceeds the guard, whatever the size of the input.  A call's
 ``max_n`` is carried by its analysis, and both kernels pass it on to
 `_bordered_cofactors`.
+
+Every g the kernels expand is Hermitian: a Gram matrix or a Hermitian
+power.  So in exact mode no route enumerates subsets.  Y_r and d_r come
+from the Faddeev-LeVerrier recurrence Y_1 = I, Y_(r+1) = d_r I - Y_r g,
+r d_r = Re tr(Y_r g): the first identity is the t-expansion of
+ddet(tI + g) (tI + g)^-1 = sum over r of Y_r t^(n-r), the second
+Newton's identities through the complex adjoint embedding.  It is the
+Cayley-Hamilton form of the Moore-Penrose inverse in Decell, SIAM Review
+7 (1965).  Float mode keeps the subset tables of `ncdet`.
 
 The MP composition routes are valid only when the weight's pseudoinverse
 cancels against it on the relevant side: ``mp_route_U`` equals

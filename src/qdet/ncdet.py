@@ -53,15 +53,31 @@ anchored at its first index, which on a Hermitian matrix is the principal
 minor of X: `principal_minor_sum` and `char_poly` read every minor from
 one table.  The bordered minor sums behind the generalized inverses (a
 principal submatrix with its anchor column, or row, replaced by a vector)
-are linear in that vector, so `_bordered_cofactors` makes one cofactor
-pass per anchor and returns a matrix Y with which every such sum is a
-product; `hermitian_inverse` is its full-order case.
+are linear in that vector, so `_bordered_cofactors` returns a matrix Y
+with which every such sum is a product; `hermitian_inverse` is its
+full-order case.  In float mode, and for an exact g that is not
+Hermitian, it makes one subset-table pass per anchor.  An exact
+Hermitian g takes a polynomial path instead, from two identities for
+the order-r cofactors Y_r and minor sums d_r of g (d_0 = 1):
+
+* ddet(tI + g) (tI + g)^-1 = sum over r of Y_r t^(n-r), the paper's
+  Hermitian Cramer rule expanded in t, so Y_1 = I and
+  Y_(r+1) = d_r I - Y_r g;
+* Newton's identities, through the complex adjoint embedding:
+  r d_r = Re tr(Y_r g).
+
+This is the Faddeev-LeVerrier (Cayley-Hamilton) form of the
+Moore-Penrose inverse in H. P. Decell, "An application of the
+Cayley-Hamilton theorem to generalized matrix inversion", SIAM Review 7
+(1965); `_leverrier` runs it on ints, at r - 2 matrix products.
 
 Every evaluator refuses matrices above a size guard (default n = 8)
-rather than silently running for hours: the reference evaluators and the
-bordered minor sums stay exponential in the order of their minors.  For
-the minor sums, cofactors and inverses the guard bounds that order (the
-rank r a route expands), not the size of the matrix.  It is overridden
+rather than silently running for hours: the reference evaluators, the
+determinants and the float and non-Hermitian bordered minor sums stay
+exponential in the order of their minors.  For the minor sums,
+cofactors and inverses the guard bounds that order (the rank r a route
+expands), not the size of the matrix; the exact Hermitian cofactors
+keep that refusal, though they enumerate nothing.  It is overridden
 for one call only, by the `max_n` of every evaluator and inverse, passed
 as an argument down to the check; the module holds no guard state.  An
 override must be an integer of at least 1, and not a bool.  Every
@@ -82,7 +98,7 @@ from .errors import (
     ShapeError,
     SingularError,
 )
-from .matrix import QMatrix, _over, _quaternion, max_abs_diff
+from .matrix import QMatrix, _over, _product, _quaternion, max_abs_diff
 from .scalar import EXACT, Quaternion
 
 DEFAULT_ENUMERATION_GUARD = 8
@@ -362,9 +378,62 @@ def _leftover_tails(tails, n, r, start):
     return sums
 
 
+def _leverrier(g: QMatrix, r: int, row: bool):
+    """`_bordered_cofactors(g, r, row)` for an exact Hermitian g and r >= 1,
+    by the Faddeev-LeVerrier recurrence on g = E / den held as ints:
+
+        Y_1 = I,  P_s = Y_s E (rows: E Y_s),  D_s = Re tr(P_s) / s,
+        Y_(s+1) = D_s I - P_s,
+
+    which gives (Y_r / den**(r-1), D_r / den**r).  P_1 = E is free and the
+    last step reads only the diagonal of P_r, so a pass makes r - 2 matrix
+    products.  A Hermitian E makes each P_s Hermitian with an integral
+    minor sum D_s, so a diagonal entry that is not real, or a trace that s
+    does not divide, raises InternalInvariantError.
+    """
+    e, den = g._held
+    y = None  # Y_s, as int rows; Y_1 = I is never formed, as P_1 = E
+    for s in range(1, r + 1):
+        if y is None:
+            p = e
+        elif s < r:
+            p = (_product((e, 1), (y, 1), EXACT) if row else _product((y, 1), (e, 1), EXACT))._held[0]
+        else:  # the last step reads P_r's diagonal alone
+            p = None
+        diag = [t[i] for i, t in enumerate(p)] if p else _diagonal_product(*((e, y) if row else (y, e)))
+        if any(t[1] or t[2] or t[3] for t in diag):
+            raise InternalInvariantError("Hermitian cofactor recurrence produced a non-real diagonal")
+        d, rest = divmod(sum([t[0] for t in diag]), s)
+        if rest:
+            raise InternalInvariantError(f"Hermitian cofactor recurrence: {s} does not divide the trace {d * s + rest}")
+        if s < r:  # Y_(s+1) = D_s I - P_s
+            y = tuple([
+                tuple([(d - a0, -a1, -a2, -a3) if i == j else (-a0, -a1, -a2, -a3)
+                       for j, (a0, a1, a2, a3) in enumerate(prow)])
+                for i, prow in enumerate(p)
+            ])
+    cof = QMatrix.identity(g.rows) if y is None else QMatrix._made(y, den ** (r - 1), EXACT)
+    return cof, _over(d, den**r)
+
+
+def _diagonal_product(a, b):
+    """The diagonal of the product of square int component rows a and b."""
+    out = []
+    for i, ra in enumerate(a):
+        s0 = s1 = s2 = s3 = 0
+        for (a0, a1, a2, a3), rb in zip(ra, b):
+            b0, b1, b2, b3 = rb[i]
+            s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+            s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+            s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+            s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+        out.append((s0, s1, s2, s3))
+    return out
+
+
 def _bordered_cofactors(g: QMatrix, r: int, row: bool, max_n: int | None = None):
-    """One cofactor pass per anchor for the order-r bordered minor sums of
-    a square g.  Returns (Y, d) with Y an n x n matrix such that
+    """The order-r bordered minor sums of a square g as one cofactor
+    matrix.  Returns (Y, d) with Y an n x n matrix such that
 
         column family (row=False), any column b:
             (Y @ b)[i] = sum over size-r sets beta containing i of
@@ -377,6 +446,14 @@ def _bordered_cofactors(g: QMatrix, r: int, row: bool, max_n: int | None = None)
     parts of the size-r tails.  An exact g that is not Hermitian has no
     real minors and gets None; in float mode d is given for any g, as
     rounding can leave a product such as A*A a hair off Hermitian.
+
+    An exact Hermitian g takes `_leverrier`: the expansion
+    ddet(tI + g) (tI + g)^-1 = sum over r of Y_r t^(n-r) gives
+    Y_(r+1) = d_r I - Y_r g from Y_1 = I, and Newton's identities give
+    r d_r = Re tr(Y_r g) (Decell, SIAM Review 7, 1965).  Float mode keeps
+    the subset tables below (their bits are pinned, and the recurrence
+    cancels badly in floating point), as does an exact g that is not
+    Hermitian.
 
     cdet_i reaches column i only through the last factor of its anchor
     cycle, i -> Y -> i: the term C(beta - i - Y) * S_i(Y) ends in
@@ -395,6 +472,8 @@ def _bordered_cofactors(g: QMatrix, r: int, row: bool, max_n: int | None = None)
     n = g.rows
     if r == 0:  # no order-0 set holds an anchor; the one empty minor is 1
         return QMatrix.zeros(n, n, g.mode), 1
+    if g.mode == EXACT and g.is_hermitian():
+        return _leverrier(g, r, row)
     e, cols, den, start = _scaled(g)
     tails = _tails(cols, tuple(range(n)), r, row, start)
     fills = _leftover_tails(tails, n, r, start)
@@ -426,7 +505,7 @@ def _bordered_cofactors(g: QMatrix, r: int, row: bool, max_n: int | None = None)
                 else:
                     cof[a][b] = (c0 + p0, c1 + p1, c2 + p2, c3 + p3)
     y = QMatrix._made(tuple(map(tuple, cof)), den ** (r - 1), g.mode)
-    if g.mode == EXACT and not g.is_hermitian():
+    if g.mode == EXACT:  # not Hermitian: no real minors
         return y, None
     return y, _minor_sum(tails, n, r, den, g.mode)
 

@@ -171,6 +171,20 @@ def test_mp_of_large_low_rank_input_stays_within_the_guard():
     assert elapsed < 5.0
 
 
+def test_exact_mp_of_a_wide_rank_eight_input_enumerates_no_subsets():
+    # Rank 8 is the default guard.  The Gram matrix is exact and Hermitian,
+    # so both routes take the recurrence, not C(12, <= 8) subset tables.
+    rng = random.Random(26)
+    a = random_qmatrix(rng, 12, 8) @ random_qmatrix(rng, 8, 12)
+    assert rank(a) == 8
+    start = time.perf_counter()
+    x, provenance = inverse("mp", "all", a)
+    elapsed = time.perf_counter() - start
+    assert provenance == "all:cdet,rdet"
+    assert check_penrose(a, x).ok
+    assert elapsed < 1.0
+
+
 # -- Drazin ------------------------------------------------------------------
 
 

@@ -34,8 +34,10 @@ from qdet import (
     cdet_reference,
     char_poly,
     ddet,
+    drazin,
     embed_complex,
     hermitian_inverse,
+    mp_inverse,
     principal_minor_sum,
     rdet,
     rdet_reference,
@@ -773,6 +775,72 @@ def test_subset_tables_make_no_quaternion_products(monkeypatch, rng):
     mul = Quaternion.__mul__
     monkeypatch.setattr(Quaternion, "__mul__", lambda x, y: products.append(1) or mul(x, y))
     rdet(2, g), cdet(4, g), char_poly(h), principal_minor_sum(h, 3)
+    for row in (False, True):  # h takes the recurrence, g the subset tables
+        _bordered_cofactors(h, 4, row), _bordered_cofactors(g, 4, row)
+    assert products == []
+
+
+# -- the exact Hermitian recurrence ------------------------------------------
+
+
+def exact_hermitian_cases(seed):
+    """Exact Hermitian n x n matrices, n = 1..7: an integer Gram matrix
+    B B*, the Hermitian part (B + B*) / 2 (non-integral Fraction entries,
+    indefinite) and the integer indefinite B B* - c I."""
+    rng = random.Random(seed)
+    for n in range(1, 8):
+        b = random_qmatrix(rng, n, n)
+        yield b @ b.H
+        yield (b + b.H) / 2
+        yield b @ b.H - QMatrix.identity(n) * rng.randint(1, 9)
+
+
+def test_exact_hermitian_cofactors_match_the_subset_recursion():
+    # Every order r = 0..n and both families, bit for bit: equal values,
+    # with components and d canonical as the subset tables made them.
+    for g in exact_hermitian_cases(26):
+        for r in range(g.rows + 1):
+            for row in (False, True):
+                (y, d), (y_ref, d_ref) = _bordered_cofactors(g, r, row), reference_bordered_cofactors(g, r, row)
+                assert_same(y, y_ref, "exact")
+                assert_same(d, d_ref, "exact")
+
+
+def test_exact_hermitian_cofactors_enumerate_no_subsets(monkeypatch, rng):
+    calls = []
+    for name in ("_tails", "_subsets"):
+        f = getattr(ncdet, name)
+        monkeypatch.setattr(ncdet, name, lambda *args, f=f, name=name: calls.append(name) or f(*args))
+    h, g = random_hermitian(rng, 5), random_qmatrix(rng, 5, 5)
+    assert h.is_hermitian() and not g.is_hermitian()
     for row in (False, True):
         _bordered_cofactors(h, 4, row)
-    assert products == []
+    hermitian_inverse(QMatrix.identity(5) * 3 + h @ h)
+    mp_inverse(g, "all"), drazin(g, "all")
+    assert calls == []
+    # Float mode and a non-Hermitian exact g keep the subset tables.
+    for m in (h.to_float(), g):
+        _bordered_cofactors(m, 4, False)
+        assert set(calls) == {"_tails", "_subsets"}
+        calls.clear()
+
+
+def test_the_recurrence_refuses_what_a_hermitian_matrix_cannot_give(monkeypatch):
+    # A diagonal entry of E that is not real, and one of P_2 = 2E - E^2:
+    # 2 - (1 + i j) = 1 - k.
+    for literals in ([["i"]], [["1", "i"], ["j", "1"]]):
+        g = QMatrix.from_literals(literals)
+        for row in (False, True):
+            with pytest.raises(InternalInvariantError, match="non-real diagonal"):
+                ncdet._leverrier(g, g.rows, row)
+    # A product one too large on the diagonal moves tr P_2 by n = 3.
+    product = ncdet._product
+
+    def faulty(a, b, mode):
+        rows, den = product(a, b, mode)._held
+        return QMatrix._made(tuple(tuple((c0 + (i == j), c1, c2, c3) for j, (c0, c1, c2, c3) in enumerate(row))
+                                   for i, row in enumerate(rows)), den, mode)
+
+    monkeypatch.setattr(ncdet, "_product", faulty)
+    with pytest.raises(InternalInvariantError, match="2 does not divide the trace"):
+        _bordered_cofactors(QMatrix.from_literals([["2", "i", "0"], ["-i", "2", "j"], ["0", "-j", "2"]]), 3, False)
