@@ -41,13 +41,10 @@ expands exceeds the guard, whatever the size of the input.  A call's
 `_bordered_cofactors`.
 
 Every g the kernels expand is Hermitian: a Gram matrix or a Hermitian
-power.  So in exact mode no route enumerates subsets.  Y_r and d_r come
-from the Faddeev-LeVerrier recurrence Y_1 = I, Y_(r+1) = d_r I - Y_r g,
-r d_r = Re tr(Y_r g): the first identity is the t-expansion of
-ddet(tI + g) (tI + g)^-1 = sum over r of Y_r t^(n-r), the second
-Newton's identities through the complex adjoint embedding.  It is the
-Cayley-Hamilton form of the Moore-Penrose inverse in Decell, SIAM Review
-7 (1965).  Float mode keeps the subset tables of `ncdet`.
+power.  So in exact mode no route enumerates subsets: Y_r and d_r come
+from the Faddeev-LeVerrier recurrence derived in the `ncdet` module
+docstring, one computation for both families.  Float mode keeps the
+subset tables of `ncdet`.
 
 The MP composition routes are valid only when the weight's pseudoinverse
 cancels against it on the relevant side: ``mp_route_U`` equals
@@ -80,7 +77,10 @@ public `inverse(kind, route, ...)` serves every call: it rejects an
 unknown kind or route first, builds the analysis once, runs the named
 route (raising its refusal) or, under ``route="all"``, every route whose
 refusal is None, checks that the results agree and returns the result
-with its provenance, ``"cdet"`` or ``"all:cdet,rdet"``.
+with its provenance, ``"cdet"`` or ``"all:cdet,rdet"``.  Under
+``route="all"`` a route whose rank exceeds the guard is left out as a
+refused one is; the call raises the guard's error only when no route
+answered.
 
 In exact mode agreement and all defining equations hold as equalities;
 float mode exists for the numeric oracles and the limit-based estimate.
@@ -90,6 +90,7 @@ from collections import namedtuple
 from functools import cached_property
 
 from .errors import (
+    EnumerationGuardError,
     ModeError,
     NotHermitianError,
     PreconditionError,
@@ -194,16 +195,25 @@ def _full_rank(u_side: bool):
 def _results(family: _Family, operands: tuple, names, strict=False, max_n: int | None = None) -> dict:
     """{name: result} of the named routes that apply to one analysis of the
     operands under the guard max_n; with strict, a route that does not
-    apply raises its refusal."""
+    apply raises its refusal.  Without strict, a route the guard refuses
+    is left out too, and the first such refusal is raised only when no
+    route answered."""
     analysis = family.analyse(*operands, max_n)
-    results = {}
+    results, guarded = {}, None
     for name in names:
         refusal, build = family.routes[name]
         error = refusal(analysis, name)
         if error is None:
-            results[name] = build(analysis)
+            try:
+                results[name] = build(analysis)
+            except EnumerationGuardError as exc:
+                if strict:
+                    raise
+                guarded = guarded or exc
         elif strict:
             raise error
+    if guarded and not results:
+        raise guarded
     return results
 
 

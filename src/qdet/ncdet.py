@@ -69,7 +69,14 @@ the order-r cofactors Y_r and minor sums d_r of g (d_0 = 1):
 This is the Faddeev-LeVerrier (Cayley-Hamilton) form of the
 Moore-Penrose inverse in H. P. Decell, "An application of the
 Cayley-Hamilton theorem to generalized matrix inversion", SIAM Review 7
-(1965); `_leverrier` runs it on ints, at r - 2 matrix products.
+(1965).  `_leverrier` runs it on g = E / den held as ints:
+
+    Y_1 = I,  P_s = Y_s E,  D_s = Re tr(P_s) / s,  Y_(s+1) = D_s I - P_s,
+
+which gives Y_r = Y / den**(r-1) and d_r = D_r / den**r at r - 2 matrix
+products.  Each Y_s is a polynomial in g with integer coefficients, so
+it commutes with g: the row family and the column family of an exact
+Hermitian g are the same cofactors, and one pass gives both.
 
 Every evaluator refuses matrices above a size guard (default n = 8)
 rather than silently running for hours: the reference evaluators, the
@@ -378,18 +385,13 @@ def _leftover_tails(tails, n, r, start):
     return sums
 
 
-def _leverrier(g: QMatrix, r: int, row: bool):
-    """`_bordered_cofactors(g, r, row)` for an exact Hermitian g and r >= 1,
-    by the Faddeev-LeVerrier recurrence on g = E / den held as ints:
-
-        Y_1 = I,  P_s = Y_s E (rows: E Y_s),  D_s = Re tr(P_s) / s,
-        Y_(s+1) = D_s I - P_s,
-
-    which gives (Y_r / den**(r-1), D_r / den**r).  P_1 = E is free and the
-    last step reads only the diagonal of P_r, so a pass makes r - 2 matrix
-    products.  A Hermitian E makes each P_s Hermitian with an integral
-    minor sum D_s, so a diagonal entry that is not real, or a trace that s
-    does not divide, raises InternalInvariantError.
+def _leverrier(g: QMatrix, r: int):
+    """`_bordered_cofactors(g, r, row)` of an exact Hermitian g and r >= 1,
+    for either row: the recurrence of the module docstring.  P_1 = E is
+    free and the last step reads only the diagonal of P_r, so a pass makes
+    r - 2 matrix products.  A Hermitian E makes each P_s Hermitian with an
+    integral minor sum D_s, so a diagonal entry that is not real, or a
+    trace that s does not divide, raises InternalInvariantError.
     """
     e, den = g._held
     y = None  # Y_s, as int rows; Y_1 = I is never formed, as P_1 = E
@@ -397,10 +399,10 @@ def _leverrier(g: QMatrix, r: int, row: bool):
         if y is None:
             p = e
         elif s < r:
-            p = (_product((e, 1), (y, 1), EXACT) if row else _product((y, 1), (e, 1), EXACT))._held[0]
+            p = _product((y, 1), (e, 1), EXACT)._held[0]
         else:  # the last step reads P_r's diagonal alone
             p = None
-        diag = [t[i] for i, t in enumerate(p)] if p else _diagonal_product(*((e, y) if row else (y, e)))
+        diag = [t[i] for i, t in enumerate(p)] if p else _diagonal_product(y, e)
         if any(t[1] or t[2] or t[3] for t in diag):
             raise InternalInvariantError("Hermitian cofactor recurrence produced a non-real diagonal")
         d, rest = divmod(sum([t[0] for t in diag]), s)
@@ -447,12 +449,9 @@ def _bordered_cofactors(g: QMatrix, r: int, row: bool, max_n: int | None = None)
     real minors and gets None; in float mode d is given for any g, as
     rounding can leave a product such as A*A a hair off Hermitian.
 
-    An exact Hermitian g takes `_leverrier`: the expansion
-    ddet(tI + g) (tI + g)^-1 = sum over r of Y_r t^(n-r) gives
-    Y_(r+1) = d_r I - Y_r g from Y_1 = I, and Newton's identities give
-    r d_r = Re tr(Y_r g) (Decell, SIAM Review 7, 1965).  Float mode keeps
-    the subset tables below (their bits are pinned, and the recurrence
-    cancels badly in floating point), as does an exact g that is not
+    An exact Hermitian g takes `_leverrier`, whose one recurrence gives
+    both families (module docstring).  Float mode keeps the subset tables
+    below, whose bits the tests pin, as does an exact g that is not
     Hermitian.
 
     cdet_i reaches column i only through the last factor of its anchor
@@ -473,7 +472,7 @@ def _bordered_cofactors(g: QMatrix, r: int, row: bool, max_n: int | None = None)
     if r == 0:  # no order-0 set holds an anchor; the one empty minor is 1
         return QMatrix.zeros(n, n, g.mode), 1
     if g.mode == EXACT and g.is_hermitian():
-        return _leverrier(g, r, row)
+        return _leverrier(g, r)
     e, cols, den, start = _scaled(g)
     tails = _tails(cols, tuple(range(n)), r, row, start)
     fills = _leftover_tails(tails, n, r, start)
@@ -617,11 +616,12 @@ def char_poly(a: QMatrix, max_n: int | None = None) -> tuple:
 def hermitian_inverse(a: QMatrix, max_n: int | None = None) -> QMatrix:
     """Inverse of a nonsingular Hermitian matrix assembled from cofactors.
 
-    The Hermitian Cramer rule at full order: the column-family cofactors
-    of `_bordered_cofactors` with r = n give ddet(a) * a^-1, and so do the
-    row-family ones.  Both assemblies are computed and must agree; in
-    exact mode the undivided cofactors Y must also satisfy
-    a Y = Y a = ddet(a) I before the one division.
+    The Hermitian Cramer rule at full order: the cofactors of
+    `_bordered_cofactors` with r = n give ddet(a) * a^-1.  In exact mode
+    the row and column families are one recurrence (module docstring), so
+    one pass is made, and its undivided cofactors Y must satisfy
+    a Y = Y a = ddet(a) I before the one division.  Float mode computes
+    both families' subset tables, which must agree.
     """
     _override(max_n)
     if not a.is_hermitian():
@@ -630,14 +630,12 @@ def hermitian_inverse(a: QMatrix, max_n: int | None = None) -> QMatrix:
     right, det = _bordered_cofactors(a, n, True, max_n)
     if det == 0:
         raise SingularError("Hermitian matrix has zero determinant")
-    left, _ = _bordered_cofactors(a, n, False, max_n)
     if a.mode == EXACT:
-        if right != left:
-            raise InternalInvariantError("cofactor assemblies disagree on a Hermitian matrix")
         scaled = QMatrix.identity(n, a.mode) * det
         if not (a @ right == scaled and right @ a == scaled):
             raise InternalInvariantError("cofactor inverse failed the product check")
         return right / det
+    left, _ = _bordered_cofactors(a, n, False, max_n)
     right, left = right / det, left / det
     if not max_abs_diff(right, left) <= 1e-9 * (1.0 + abs(det)):  # NaN fails too
         raise NumericalBreakdownError("cofactor assemblies disagree beyond float tolerance")

@@ -160,6 +160,20 @@ def test_inverse_routes_take_a_per_call_guard():
         assert call(None) == call(3), name
 
 
+def test_route_all_leaves_out_a_route_the_guard_refuses():
+    # Rank 3 with a weight of rank 4: the mp_route routes expand W's Gram
+    # matrix at rank 4, the via_drazin routes minors of order 3.
+    rng = random.Random(5)
+    a = random_qmatrix(rng, 4, 3) @ random_qmatrix(rng, 3, 4)
+    w = random_qmatrix(rng, 4, 4)
+    assert (rank(a), rank(w)) == (3, 4)
+    x, provenance = inverse("wdrazin", "all", a, w, max_n=3)
+    assert provenance == "all:via_drazin_U,via_drazin_V"
+    assert check_wdrazin(a, w, x).ok
+    with pytest.raises(EnumerationGuardError, match="minor order 4"):
+        wdrazin(a, w, "mp_route_U", max_n=3)
+
+
 def test_mp_of_large_low_rank_input_stays_within_the_guard():
     # 12 x 12 is beyond the default guard, but every minor is 2 x 2.
     a = random_rank_deficient(random.Random(12), 12, 12, 2)
@@ -260,7 +274,7 @@ def test_drazin_random_suite(rng):
 
 
 @settings(max_examples=25, deadline=None)
-@given(prescribed_index())
+@given(prescribed_index(max_index=4))
 def test_drazin_of_a_prescribed_index_matches_its_construction(case):
     a, k, ad = case
     assert index_of(a) == k
@@ -274,7 +288,7 @@ def test_drazin_of_a_prescribed_index_matches_its_construction(case):
 @given(st.data())
 def test_wdrazin_of_a_prescribed_index_matches_its_construction(data):
     # W A = U for A = W^-1 U, so A_{d,W} = A (U^D)^2 with U^D known.
-    u, _, ud = data.draw(prescribed_index())
+    u, _, ud = data.draw(prescribed_index(max_index=4))
     w = data.draw(nonsingular_matrices(u.rows))
     a = reference_matmul(reference_inverse_square(w), u)
     assert wdrazin(a, w, "all") == reference_matmul(a, reference_matmul(ud, ud))

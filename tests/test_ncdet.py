@@ -825,14 +825,28 @@ def test_exact_hermitian_cofactors_enumerate_no_subsets(monkeypatch, rng):
         calls.clear()
 
 
+def test_exact_hermitian_inverse_makes_one_cofactor_pass(monkeypatch, rng):
+    # Both families of an exact Hermitian matrix are one recurrence, so
+    # exact mode makes one pass; float mode compares both families' tables.
+    passes = []
+    bordered = ncdet._bordered_cofactors
+    monkeypatch.setattr(ncdet, "_bordered_cofactors", lambda *args: passes.append(args[2]) or bordered(*args))
+    b = random_qmatrix(rng, 4, 4)
+    h = QMatrix.identity(4) * 3 + b @ b.H
+    x = hermitian_inverse(h)
+    assert x @ h == QMatrix.identity(4) and len(passes) == 1
+    passes.clear()
+    hermitian_inverse(h.to_float())
+    assert sorted(passes) == [False, True]
+
+
 def test_the_recurrence_refuses_what_a_hermitian_matrix_cannot_give(monkeypatch):
     # A diagonal entry of E that is not real, and one of P_2 = 2E - E^2:
     # 2 - (1 + i j) = 1 - k.
     for literals in ([["i"]], [["1", "i"], ["j", "1"]]):
         g = QMatrix.from_literals(literals)
-        for row in (False, True):
-            with pytest.raises(InternalInvariantError, match="non-real diagonal"):
-                ncdet._leverrier(g, g.rows, row)
+        with pytest.raises(InternalInvariantError, match="non-real diagonal"):
+            ncdet._leverrier(g, g.rows)
     # A product one too large on the diagonal moves tr P_2 by n = 3.
     product = ncdet._product
 
