@@ -20,7 +20,7 @@ family, ``cdet``) or x x* (row family, ``rdet``) at rank r.  Such a sum
 is linear in its replaced column (row), so `ncdet._bordered_cofactors`
 returns a matrix Y and the sum d > 0 of the r x r principal minors, and
 N = Y x* (x* Y).
-`_hermitian_cramer(g, r, row, max_n)` gives Y and d != 0 of a Hermitian g.  The
+`_hermitian_cramer(g, r, max_n)` gives Y and d != 0 of a Hermitian g.  The
 routes, each divided once, last, so exact intermediates stay integral:
 
     mp_inverse  cdet, rdet                      N / d,  x = A
@@ -41,10 +41,10 @@ expands exceeds the guard, whatever the size of the input.  A call's
 `_bordered_cofactors`.
 
 Every g the kernels expand is Hermitian: a Gram matrix or a Hermitian
-power.  So in exact mode no route enumerates subsets: Y_r and d_r come
-from the Faddeev-LeVerrier recurrence derived in the `ncdet` module
-docstring, one computation for both families.  Float mode keeps the
-subset tables of `ncdet`.
+power.  So no route enumerates subsets: Y_r and d_r come from the
+Faddeev-LeVerrier recurrence derived in the `ncdet` module docstring, one
+computation for both families, run in float mode on the exact Hermitian
+matrix that g stands for and rounded once.
 
 The MP composition routes are valid only when the weight's pseudoinverse
 cancels against it on the relevant side: ``mp_route_U`` equals
@@ -58,18 +58,19 @@ Hermitian routes refuse non-Hermitian products.
 
 Each call analyses its problem once: a `_SquareAnalysis` is the
 `matrix.Powers` table of a square matrix, filled by `index_of`, plus its
-index and the `_mp_cramer` pass of each odd power A^(2e+1) at rank(A^e),
-made on first use; a `_WeightedProblem` holds A, W, the analyses of U and
-V, k and rank(W), made on first read.  Every route of the call reads
-them, so no kernel pass runs twice in a call: ``mp_composition`` reads
-the pass of ``cdet``, and ``mp_route_U`` that of ``via_drazin_U`` when
-Ind U = k.  Nor does a product: the routes read A^k N A^k through the
-analysis's `Powers.product`, and an exact pass equal to the other
-family's at the same power is stored as that very object, so ``cdet``
-and ``rdet`` make A^k N A^k once, as do ``via_drazin_V`` and
-``mp_route_V`` when Ind V = k, while each still runs its own pass.
-Rank 0 needs no branch: the kernels' order-0 case (Y = 0, d = 1) gives
-the zero inverse.
+index, the `_mp_cramer` pass of each odd power A^(2e+1) at rank(A^e) and
+the `_hermitian_cramer` pass of A^(k+1), made on first use; a
+`_WeightedProblem` holds A, W, the analyses of U and V, k and rank(W),
+made on first read.  Every route of the call reads them, so no kernel
+pass runs twice in a call: ``mp_composition`` reads the pass of
+``cdet``, ``hermitian_rdet`` that of ``hermitian_cdet``, and
+``mp_route_U`` that of ``via_drazin_U`` when Ind U = k.  Nor does a
+product: the routes read A^k N A^k through the analysis's
+`Powers.product`, and an exact pass equal to the other family's at the
+same power is stored as that very object, so ``cdet`` and ``rdet`` make
+A^k N A^k once, as do ``via_drazin_V`` and ``mp_route_V`` when
+Ind V = k, while each still runs its own pass.  Rank 0 needs no branch:
+the kernels' order-0 case (Y = 0, d = 1) gives the zero inverse.
 Routes are data: each family has one table mapping a route name to its
 refusal, which returns the typed error or None, and its builder, which
 reads the call's analysis; the route tuples are the tables' keys.  The
@@ -137,15 +138,16 @@ def _mp_cramer(x: QMatrix, r: int, row: bool, max_n: int | None):
     """(N, d) with x^+ = N / d, from the order-r bordered minors of x*x
     (N = Y x*) or, for the row family, of x x* (N = x* Y)."""
     xs = x.H
-    y, d = _bordered_cofactors(x @ xs if row else xs @ x, r, row, max_n)
+    y, d = _bordered_cofactors(x @ xs if row else xs @ x, r, max_n)
     if d <= 0:
         raise invariant_error(x.mode, f"Gram minor sum is not positive: {d}")
     return (xs @ y if row else y @ xs), d
 
 
-def _hermitian_cramer(g: QMatrix, r: int, row: bool, max_n: int | None):
-    """(Y, d): the cofactor matrix and order-r minor sum of a Hermitian g."""
-    y, d = _bordered_cofactors(g, r, row, max_n)
+def _hermitian_cramer(g: QMatrix, r: int, max_n: int | None):
+    """(Y, d): the cofactor matrix and order-r minor sum of a Hermitian g,
+    one pass for both families."""
+    y, d = _bordered_cofactors(g, r, max_n)
     if d == 0:
         raise invariant_error(g.mode, "Hermitian minor sum vanished")
     return y, d
@@ -275,8 +277,9 @@ def mp_all_routes(a: QMatrix) -> dict:
 
 class _SquareAnalysis(Powers):
     """The power table of a square matrix plus its index k, computed once,
-    the call's guard max_n, and whether it is Hermitian and the
-    Moore-Penrose kernels of its odd powers, each made on first use."""
+    the call's guard max_n, and whether it is Hermitian, the
+    Moore-Penrose kernels of its odd powers and the Hermitian kernel of
+    A^(k+1), each made on first use."""
 
     def __init__(self, a: QMatrix, max_n: int | None = None):
         if not a.is_square():
@@ -289,6 +292,12 @@ class _SquareAnalysis(Powers):
     @cached_property
     def hermitian(self) -> bool:
         return self.a.is_hermitian()
+
+    @cached_property
+    def hermitian_cramer(self):
+        """(Y, d) of the Hermitian A^(k+1) at rank(A^k): the one pass that
+        both Hermitian routes read."""
+        return _hermitian_cramer(self[self.k + 1], self.rank(self.k), self.max_n)
 
     def mp_cramer(self, e: int, row: bool):
         """(N, d) with N / d = (A^(2e+1))^+, at rank(A^e): for e >= Ind A the
@@ -319,7 +328,7 @@ def _drazin_composition(s: _SquareAnalysis) -> QMatrix:
 
 def _drazin_hermitian(s: _SquareAnalysis, row: bool) -> QMatrix:
     ak = s[s.k]
-    y, d = _hermitian_cramer(s[s.k + 1], s.rank(s.k), row, s.max_n)
+    y, d = s.hermitian_cramer
     return (ak @ y if row else y @ ak) / d
 
 
@@ -397,7 +406,7 @@ def _mp_route(p: _WeightedProblem, u_side: bool) -> QMatrix:
 def _weighted_hermitian(p: _WeightedProblem, u_side: bool) -> QMatrix:
     side = p.u if u_side else p.v
     sk = side[p.k]
-    y, d = _hermitian_cramer(side[p.k + 2], side.rank(p.k), u_side, p.max_n)
+    y, d = _hermitian_cramer(side[p.k + 2], side.rank(p.k), p.max_n)
     return ((p.a @ sk) @ y if u_side else y @ (sk @ p.a)) / d
 
 

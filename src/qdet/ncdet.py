@@ -40,25 +40,24 @@ matrix's held form, components over one denominator den: `int`s in exact
 mode, so every exact table entry is a tuple of `int`s, and `float`s over
 den = 1 in float mode.  The tables take the transposed rows (the columns)
 as an argument, made once per call by `_scaled`, not once per table.
-Every term of an entry has a fixed number of factors (|Y| for a path
-over Y, |Y|+1 for a signed cycle sum over Y, |X| for the tail of X, r-1
-for a cofactor of order r), so each output is divided once, by den to
-that power, with components canonical (`int` where integral); the
-cofactor matrix Y stays in held form.  The sums run in the order of
-`Quaternion` arithmetic, so float results are bit-identical to it.
+Every term of an entry has a fixed number of factors (|Y|+1 for a
+signed cycle sum over Y, |X| for the tail of X), so each output is
+divided once, by den to that power, with components canonical (`int`
+where integral).  The sums run in the order of `Quaternion` arithmetic,
+so float results are bit-identical to it.
 
 The same recursion serves the Hermitian offspring.  Its tail table holds,
 for every subset X, the determinant of the principal submatrix on X
 anchored at its first index, which on a Hermitian matrix is the principal
 minor of X: `principal_minor_sum` and `char_poly` read every minor from
-one table.  The bordered minor sums behind the generalized inverses (a
-principal submatrix with its anchor column, or row, replaced by a vector)
-are linear in that vector, so `_bordered_cofactors` returns a matrix Y
-with which every such sum is a product; `hermitian_inverse` is its
-full-order case.  In float mode, and for an exact g that is not
-Hermitian, it makes one subset-table pass per anchor.  An exact
-Hermitian g takes a polynomial path instead, from two identities for
-the order-r cofactors Y_r and minor sums d_r of g (d_0 = 1):
+one table.
+
+The bordered minor sums behind the generalized inverses (a principal
+submatrix with its anchor column, or row, replaced by a vector) are
+linear in that vector, so `_bordered_cofactors` returns a matrix Y with
+which every such sum is a product; `hermitian_inverse` is its full-order
+case.  They enumerate no subsets: they come from two identities for the
+order-r cofactors Y_r and minor sums d_r of a Hermitian g (d_0 = 1):
 
 * ddet(tI + g) (tI + g)^-1 = sum over r of Y_r t^(n-r), the paper's
   Hermitian Cramer rule expanded in t, so Y_1 = I and
@@ -69,27 +68,37 @@ the order-r cofactors Y_r and minor sums d_r of g (d_0 = 1):
 This is the Faddeev-LeVerrier (Cayley-Hamilton) form of the
 Moore-Penrose inverse in H. P. Decell, "An application of the
 Cayley-Hamilton theorem to generalized matrix inversion", SIAM Review 7
-(1965).  `_leverrier` runs it on g = E / den held as ints:
+(1965).  `_leverrier` runs it on an exact g = E / den held as ints:
 
     Y_1 = I,  P_s = Y_s E,  D_s = Re tr(P_s) / s,  Y_(s+1) = D_s I - P_s,
 
 which gives Y_r = Y / den**(r-1) and d_r = D_r / den**r at r - 2 matrix
 products.  Each Y_s is a polynomial in g with integer coefficients, so
-it commutes with g: the row family and the column family of an exact
-Hermitian g are the same cofactors, and one pass gives both.
+it commutes with g: the row family and the column family of a Hermitian
+g are the same cofactors, and one pass gives both.
+
+Both modes run that one exact pass.  A float g stands for an exact
+matrix: every finite double is a dyadic rational, so its components are
+ints over one power of two.  Rounding leaves a float Gram matrix some
+bits off Hermitian, so the pass runs on the exact Hermitian part of that
+matrix (`_exact_hermitian`), and Y and d are rounded once: float
+cofactors are the correctly rounded cofactors of that Hermitian part.
+The recurrence is not run in float arithmetic, where it cancels: on
+real-valued Hermitian Gram matrices at n = 6 and 7 a float port's errors
+were up to 200 times those of float subset sums (README, "Routes").
 
 Every evaluator refuses matrices above a size guard (default n = 8)
 rather than silently running for hours: the reference evaluators, the
-determinants and the float and non-Hermitian bordered minor sums stay
-exponential in the order of their minors.  For the minor sums,
-cofactors and inverses the guard bounds that order (the rank r a route
-expands), not the size of the matrix; the exact Hermitian cofactors
-keep that refusal, though they enumerate nothing.  It is overridden
-for one call only, by the `max_n` of every evaluator and inverse, passed
-as an argument down to the check; the module holds no guard state.  An
-override must be an integer of at least 1, and not a bool.  Every
-evaluator checks it before it looks at the matrix, as `geninv.inverse`
-does, so an invalid override is refused whatever the input.
+determinants and the principal minor sums stay exponential in the order
+of their minors.  For the minor sums, cofactors and inverses the guard
+bounds that order (the rank r a route expands), not the size of the
+matrix; the cofactors and inverses keep that refusal, though they
+enumerate nothing.  It is overridden for one call only, by the `max_n`
+of every evaluator and inverse, passed as an argument down to the check;
+the module holds no guard state.  An override must be an integer of at
+least 1, and not a bool.  Every evaluator checks it before it looks at
+the matrix, as `geninv.inverse` does, so an invalid override is refused
+whatever the input.
 """
 
 import itertools
@@ -105,7 +114,7 @@ from .errors import (
     ShapeError,
     SingularError,
 )
-from .matrix import QMatrix, _over, _product, _quaternion, max_abs_diff
+from .matrix import QMatrix, _over, _quaternion
 from .scalar import EXACT, Quaternion
 
 DEFAULT_ENUMERATION_GUARD = 8
@@ -179,46 +188,6 @@ def _scaled(a: QMatrix):
     return e, list(zip(*e)), den, (0, 0, 0, 0) if a.mode == EXACT else (-0.0, -0.0, -0.0, -0.0)
 
 
-def _open_paths(steps, root, members, max_size, forward, start):
-    """Sums of the open chains through `root` over subsets of `members`,
-    of the matrix e given as `steps`: its columns (forward) or its rows,
-    so steps[end] holds the factors a step to `end` takes.
-
-    Maps the bitmask of each subset Y of `members` (0-based indices, at
-    most `max_size` of them) to a dict from each end of Y to the sum, over
-    every ordering y1..yp of Y with that end, of
-
-        e[root][y1] * e[y1][y2] * ... * e[y(p-1)][yp]     (forward, end = yp)
-        e[y1][y2] * ... * e[y(p-1)][yp] * e[yp][root]     (backward, end = y1)
-
-    and the empty set to no ends.  Held-Karp style: each end extends the
-    chains of Y - {end} by one step, in this loop, so a subset costs
-    |Y|**2 products instead of |Y|! chains.
-    """
-    paths = {0: {}}
-    for mask, subset in _subsets(members, max_size):
-        paths[mask] = ends = {}
-        for end in subset:
-            prev, step = mask ^ (1 << end), steps[end]
-            s0, s1, s2, s3 = start if prev else step[root]  # one step from root
-            if forward:
-                for o, (a0, a1, a2, a3) in paths[prev].items():
-                    b0, b1, b2, b3 = step[o]
-                    s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-                    s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-                    s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-                    s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-            else:
-                for o, (b0, b1, b2, b3) in paths[prev].items():
-                    a0, a1, a2, a3 = step[o]
-                    s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-                    s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-                    s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-                    s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-            ends[end] = (s0, s1, s2, s3)
-    return paths
-
-
 def _signed_cycle_sums(cols, root, members, max_size, start):
     """Signed sums of the cycles through `root` over subsets of `members`,
     of the matrix e with columns `cols`.
@@ -231,8 +200,9 @@ def _signed_cycle_sums(cols, root, members, max_size, start):
         e[root][y1] * e[y1][y2] * ... * e[yp][root],
 
     and H of the empty set is e[root][root].  The loop extends the forward
-    open paths of Y as `_open_paths` does and closes each by its last
-    factor as soon as it is made.
+    open paths root -> Y, Held-Karp style (each end extends the paths of
+    Y - {end} by one step, so a subset costs |Y|**2 products, not |Y|!
+    chains), and closes each by its last factor as soon as it is made.
     """
     back = cols[root]  # back[end] is e[end][root]
     # The open paths over a subset, as flat tuples (end, four components).
@@ -364,45 +334,19 @@ def _minor_sum(tails, n, s, den, mode):
     return _over(total, den**s) if mode == EXACT else total
 
 
-def _leftover_tails(tails, n, r, start):
-    """For each mask U of fewer than r indices of range(n), the sum of the
-    tails of the sets Z outside U with |U| + |Z| = r, in combination order.
-
-    In a cofactor pass a path anchored at i over Y leaves the sets Z that
-    fill beta = {i} + Y + Z up to r elements; their tail sum depends only
-    on U = {i} + Y, not on the anchor, so it is made once per U.
-    """
-    sums = {}
-    for used in tails:
-        k = r - used.bit_count()
-        if k:
-            s0, s1, s2, s3 = start
-            rest = [x for x in range(n) if not used >> x & 1]
-            for z in itertools.combinations(rest, k):
-                t0, t1, t2, t3 = tails[_mask(z)]
-                s0, s1, s2, s3 = s0 + t0, s1 + t1, s2 + t2, s3 + t3
-            sums[used] = (s0, s1, s2, s3)
-    return sums
-
-
 def _leverrier(g: QMatrix, r: int):
-    """`_bordered_cofactors(g, r, row)` of an exact Hermitian g and r >= 1,
-    for either row: the recurrence of the module docstring.  P_1 = E is
-    free and the last step reads only the diagonal of P_r, so a pass makes
-    r - 2 matrix products.  A Hermitian E makes each P_s Hermitian with an
-    integral minor sum D_s, so a diagonal entry that is not real, or a
-    trace that s does not divide, raises InternalInvariantError.
+    """`_bordered_cofactors(g, r)` of an exact Hermitian g and r >= 1:
+    the recurrence of the module docstring.  P_1 = E is free and the last
+    step needs only the diagonal of P_r.  Each P_s is a real polynomial in
+    the Hermitian E, so it is Hermitian, as `_hermitian_product` assumes,
+    with an integral minor sum D_s: a diagonal entry that is not real, or
+    a trace that s does not divide, raises InternalInvariantError.
     """
     e, den = g._held
     y = None  # Y_s, as int rows; Y_1 = I is never formed, as P_1 = E
     for s in range(1, r + 1):
-        if y is None:
-            p = e
-        elif s < r:
-            p = _product((y, 1), (e, 1), EXACT)._held[0]
-        else:  # the last step reads P_r's diagonal alone
-            p = None
-        diag = [t[i] for i, t in enumerate(p)] if p else _diagonal_product(y, e)
+        p = e if y is None else _hermitian_product(y, e, s == r)
+        diag = [t[i] for i, t in enumerate(p)]
         if any(t[1] or t[2] or t[3] for t in diag):
             raise InternalInvariantError("Hermitian cofactor recurrence produced a non-real diagonal")
         d, rest = divmod(sum([t[0] for t in diag]), s)
@@ -418,95 +362,83 @@ def _leverrier(g: QMatrix, r: int):
     return cof, _over(d, den**r)
 
 
-def _diagonal_product(a, b):
-    """The diagonal of the product of square int component rows a and b."""
-    out = []
+def _hermitian_product(a, b, diagonal):
+    """The product of square int component rows a and b where it is known
+    to be Hermitian, as rows: the entries on and above the diagonal are
+    summed and each one below is the conjugate of its mirror.  With
+    `diagonal`, only the diagonal is summed and the other entries are
+    None."""
+    n, cols = len(a), list(zip(*b))
+    out = [[None] * n for _ in range(n)]
     for i, ra in enumerate(a):
-        s0 = s1 = s2 = s3 = 0
-        for (a0, a1, a2, a3), rb in zip(ra, b):
-            b0, b1, b2, b3 = rb[i]
-            s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-            s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-            s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-            s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-        out.append((s0, s1, s2, s3))
+        for j in range(i, i + 1 if diagonal else n):
+            s0 = s1 = s2 = s3 = 0
+            for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(ra, cols[j]):
+                s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+                s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+                s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+                s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+            out[i][j] = (s0, s1, s2, s3)
+            if j > i:
+                out[j][i] = (s0, -s1, -s2, -s3)
     return out
 
 
-def _bordered_cofactors(g: QMatrix, r: int, row: bool, max_n: int | None = None):
-    """The order-r bordered minor sums of a square g as one cofactor
-    matrix.  Returns (Y, d) with Y an n x n matrix such that
+def _exact_hermitian(g: QMatrix) -> QMatrix:
+    """The exact Hermitian matrix a square g stands for: an exact g, which
+    must be Hermitian, or the Hermitian part (T + T*) / 2 of the exact
+    value T of a float g, ints over the largest denominator of its
+    components, a power of two (module docstring).  A float component
+    that is not finite raises NumericalBreakdownError."""
+    if g.mode == EXACT:
+        if not g.is_hermitian():
+            raise NotHermitianError("bordered cofactors require a Hermitian matrix")
+        return g
+    flat = [c for row in g._held[0] for t in row for c in t]
+    if not all(map(math.isfinite, flat)):
+        raise NumericalBreakdownError("float matrix has a component that is not finite")
+    ratios = [c.as_integer_ratio() for c in flat]
+    den = max([q for _, q in ratios])
+    t, n = list(zip(*[iter([p * (den // q) for p, q in ratios])] * 4)), g.rows  # entries, row by row
+    part = tuple([  # row i of T plus the conjugate of column i
+        tuple([(a0 + b0, a1 - b1, a2 - b2, a3 - b3) for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(t[i * n:i * n + n], t[i::n])])
+        for i in range(n)
+    ])
+    return QMatrix._made(part, 2 * den, EXACT)
 
-        column family (row=False), any column b:
-            (Y @ b)[i] = sum over size-r sets beta containing i of
-                         cdet_i(g_beta with column i replaced by b_beta);
-        row family (row=True), any row b:
-            (b @ Y)[j] = sum over size-r sets alpha containing j of
-                         rdet_j(g_alpha with row j replaced by b_alpha),
 
-    and d the sum of the r x r principal minors of a Hermitian g: the real
-    parts of the size-r tails.  An exact g that is not Hermitian has no
-    real minors and gets None; in float mode d is given for any g, as
-    rounding can leave a product such as A*A a hair off Hermitian.
+def _rounded(x):
+    """An exact matrix or real x correctly rounded to float; a value beyond
+    the float range raises NumericalBreakdownError."""
+    try:
+        return x.to_float() if isinstance(x, QMatrix) else float(x)
+    except OverflowError:
+        raise NumericalBreakdownError("float cofactor result is beyond the float range") from None
 
-    An exact Hermitian g takes `_leverrier`, whose one recurrence gives
-    both families (module docstring).  Float mode keeps the subset tables
-    below, whose bits the tests pin, as does an exact g that is not
-    Hermitian.
 
-    cdet_i reaches column i only through the last factor of its anchor
-    cycle, i -> Y -> i: the term C(beta - i - Y) * S_i(Y) ends in
-    e[last][i].  So the sum is linear in b with coefficient, at b[last],
-    the signed open path i -> Y -> last times the tails of every leftover
-    set Z of the r - 1 - |Y| elements beta holds besides i and Y.  The row
-    family mirrors this: rdet_j starts with e[j][first], the path runs
-    backwards from first to j and the tails multiply on its right.  One
-    tail table over the subsets of at most r elements serves every anchor
-    and, at size r, the denominator.  Every term of an entry of Y has r - 1
-    factors.  At r = 0 no set holds an anchor and the one empty minor is
-    1, so Y = 0 and d = 1: a Cramer formula at rank 0 gives the zero
-    inverse.  The guard bounds the minor order r.
+def _bordered_cofactors(g: QMatrix, r: int, max_n: int | None = None):
+    """The order-r bordered minor sums of a Hermitian g as one cofactor
+    matrix.  Returns (Y, d) with Y an n x n matrix such that, for any
+    column b and any row c,
+
+        (Y @ b)[i] = sum over size-r sets beta containing i of
+                     cdet_i(g_beta with column i replaced by b_beta),
+        (c @ Y)[j] = sum over size-r sets alpha containing j of
+                     rdet_j(g_alpha with row j replaced by c_alpha),
+
+    and d the sum of the r x r principal minors of g.  Both come from one
+    `_leverrier` pass on `_exact_hermitian(g)`, which refuses an exact g
+    that is not Hermitian; a float g gets the pass's Y and d rounded once
+    (module docstring).  At r = 0 no set holds an anchor and the one empty
+    minor is 1, so Y = 0 and d = 1: a Cramer formula at rank 0 gives the
+    zero inverse.  The guard bounds the minor order r.
     """
     _refuse_above_guard(r, max_n)
-    n = g.rows
+    h = _exact_hermitian(g)
     if r == 0:  # no order-0 set holds an anchor; the one empty minor is 1
-        return QMatrix.zeros(n, n, g.mode), 1
-    if g.mode == EXACT and g.is_hermitian():
-        return _leverrier(g, r)
-    e, cols, den, start = _scaled(g)
-    tails = _tails(cols, tuple(range(n)), r, row, start)
-    fills = _leftover_tails(tails, n, r, start)
-    # Each entry of Y is a sum started from Quaternion.zero (+0.0 in float
-    # mode), as the Quaternion recursion started it.
-    zero, one = ((0, 0, 0, 0), (1, 0, 0, 0)) if g.mode == EXACT else ((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
-    cof = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        # The term without a path: the tails that fill {i} up to r, or 1.
-        t0, t1, t2, t3 = fills.get(1 << i, one)
-        cof[i][i] = (zero[0] + t0, zero[1] + t1, zero[2] + t2, zero[3] + t3)
-        paths = _open_paths(e if row else cols, i, tuple([x for x in range(n) if x != i]), r - 1, not row, start)
-        for mask, ends in paths.items():
-            t = fills.get(mask | 1 << i)  # None when the path fills beta
-            odd = mask.bit_count() % 2
-            for end, path in ends.items():
-                if t is not None:  # path t (rows) or t path, written out
-                    (a0, a1, a2, a3), (b0, b1, b2, b3) = (path, t) if row else (t, path)
-                    path = (
-                        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-                        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-                        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-                        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-                    )
-                a, b = (end, i) if row else (i, end)
-                (c0, c1, c2, c3), (p0, p1, p2, p3) = cof[a][b], path
-                if odd:  # c - p is c + (-p) in IEEE arithmetic too
-                    cof[a][b] = (c0 - p0, c1 - p1, c2 - p2, c3 - p3)
-                else:
-                    cof[a][b] = (c0 + p0, c1 + p1, c2 + p2, c3 + p3)
-    y = QMatrix._made(tuple(map(tuple, cof)), den ** (r - 1), g.mode)
-    if g.mode == EXACT:  # not Hermitian: no real minors
-        return y, None
-    return y, _minor_sum(tails, n, r, den, g.mode)
+        return QMatrix.zeros(g.rows, g.rows, g.mode), 1
+    y, d = _leverrier(h, r)
+    return (y, d) if g.mode == EXACT else (_rounded(y), _rounded(d))
 
 
 def rdet(i: int, a: QMatrix, max_n: int | None = None) -> Quaternion:
@@ -616,27 +548,23 @@ def char_poly(a: QMatrix, max_n: int | None = None) -> tuple:
 def hermitian_inverse(a: QMatrix, max_n: int | None = None) -> QMatrix:
     """Inverse of a nonsingular Hermitian matrix assembled from cofactors.
 
-    The Hermitian Cramer rule at full order: the cofactors of
-    `_bordered_cofactors` with r = n give ddet(a) * a^-1.  In exact mode
-    the row and column families are one recurrence (module docstring), so
-    one pass is made, and its undivided cofactors Y must satisfy
-    a Y = Y a = ddet(a) I before the one division.  Float mode computes
-    both families' subset tables, which must agree.
+    The Hermitian Cramer rule at full order: the cofactors Y of
+    `_bordered_cofactors` with r = n give ddet(a) * a^-1, one pass for
+    both families (module docstring), and must satisfy
+    a Y = Y a = ddet(a) I before the one division.  A float a is inverted
+    as the exact Hermitian matrix it stands for (`_exact_hermitian`), and
+    the exact inverse is rounded once.
     """
     _override(max_n)
     if not a.is_hermitian():
         raise NotHermitianError("hermitian_inverse requires a Hermitian matrix")
+    if a.mode != EXACT:
+        return _rounded(hermitian_inverse(_exact_hermitian(a), max_n))
     n = a.rows
-    right, det = _bordered_cofactors(a, n, True, max_n)
+    y, det = _bordered_cofactors(a, n, max_n)
     if det == 0:
         raise SingularError("Hermitian matrix has zero determinant")
-    if a.mode == EXACT:
-        scaled = QMatrix.identity(n, a.mode) * det
-        if not (a @ right == scaled and right @ a == scaled):
-            raise InternalInvariantError("cofactor inverse failed the product check")
-        return right / det
-    left, _ = _bordered_cofactors(a, n, False, max_n)
-    right, left = right / det, left / det
-    if not max_abs_diff(right, left) <= 1e-9 * (1.0 + abs(det)):  # NaN fails too
-        raise NumericalBreakdownError("cofactor assemblies disagree beyond float tolerance")
-    return right
+    scaled = QMatrix.identity(n) * det
+    if not (a @ y == scaled and y @ a == scaled):
+        raise InternalInvariantError("cofactor inverse failed the product check")
+    return y / det

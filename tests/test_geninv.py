@@ -554,10 +554,41 @@ def test_drazin_makes_no_product_twice_and_none_with_the_identity(monkeypatch):
     assert counts == [10, 4]
 
 
+def test_float_mp_of_a_wide_rank_eight_input_passes_its_check():
+    # A float Gram matrix is read as the exact matrix it stands for, so the
+    # rank-8 cofactors come from the recurrence, rounded once, and the
+    # inverse passes the Penrose check in well under a second.
+    rng = random.Random(2)
+    a = (random_qmatrix(rng, 12, 8) @ random_qmatrix(rng, 8, 12)).to_float()
+    assert rank(a) == 8
+    start = time.perf_counter()
+    x, provenance = inverse("mp", "all", a)
+    elapsed = time.perf_counter() - start
+    assert provenance == "all:cdet,rdet"
+    assert check_penrose(a, x).ok
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_the_hermitian_drazin_routes_share_one_cofactor_pass(monkeypatch, mode):
+    # hermitian_cdet and hermitian_rdet read one pass on A^(k+1); cdet and
+    # rdet make one each, on their Gram matrices.
+    b = QMatrix.from_literals([["1", "i"], ["j", "2"], ["1+k", "0"]])
+    h = b @ b.H  # Hermitian, rank 2, index 1
+    h = h if mode == "exact" else h.to_float()
+    passes = []
+    bordered = geninv._bordered_cofactors
+    monkeypatch.setattr(geninv, "_bordered_cofactors", lambda g, r, max_n: passes.append(g) or bordered(g, r, max_n))
+    x, provenance = inverse("drazin", "all", h)
+    assert provenance == "all:" + ",".join(DRAZIN_ROUTES)
+    assert check_drazin(h, x).ok
+    assert len(passes) == 3 and sum(g == h @ h for g in passes) == 1
+
+
 def test_each_kernel_pass_runs_once_per_call(monkeypatch):
     passes, ranks = [], []
     bordered, rank_of = geninv._bordered_cofactors, geninv.rank
-    monkeypatch.setattr(geninv, "_bordered_cofactors", lambda g, r, row, max_n: passes.append(1) or bordered(g, r, row, max_n))
+    monkeypatch.setattr(geninv, "_bordered_cofactors", lambda g, r, max_n: passes.append(1) or bordered(g, r, max_n))
     monkeypatch.setattr(geninv, "rank", lambda a: ranks.append(1) or rank_of(a))
     counts = []
     for call in (
@@ -612,7 +643,7 @@ def test_kernels_refuse_a_broken_minor_sum(monkeypatch, mode, error):
     # Gram minor sums must be positive, Hermitian ones nonzero.
     bordered = geninv._bordered_cofactors
     d = [0]
-    monkeypatch.setattr(geninv, "_bordered_cofactors", lambda g, r, row, max_n: (bordered(g, r, row, max_n)[0], d[0]))
+    monkeypatch.setattr(geninv, "_bordered_cofactors", lambda g, r, max_n: (bordered(g, r, max_n)[0], d[0]))
     h = QMatrix.from_literals([["2", "i"], ["-i", "2"]])
     h = h.to_float() if mode == "float" else h
     for route in ("cdet", "rdet"):
@@ -754,10 +785,11 @@ def _float_matrix(rng, m, n, planar):
 
 
 def test_float_routes_match_a_recorded_digest():
-    # Float results are bit-identical to Quaternion arithmetic, so a fixed
-    # seeded set of float calls has fixed output bits: the digest of their
-    # float.hex components was recorded once and pins them above the
-    # matrix layer, signed zeros included.
+    # Float results have fixed bits: sums run in Quaternion order, and the
+    # cofactors are exact values rounded once.  So a fixed seeded set of
+    # float calls has fixed output bits: the digest of their float.hex
+    # components was recorded once and pins them above the matrix layer,
+    # signed zeros included.
     rng = random.Random(14)
     outputs = []
     for planar in (False, True, False, True):
@@ -777,4 +809,4 @@ def test_float_routes_match_a_recorded_digest():
         outputs += [det(anchor, small) for det in (rdet, cdet) for anchor in (1, 2)]
         outputs += [mp_inverse(small, "all"), drazin(small, "all"), inverse_square(small)]
     digest = hashlib.sha256(repr(float_bits(outputs)).encode()).hexdigest()
-    assert digest == "f483ab0f8fdba0960f43cb40c78408a415e5d566ff5fe60fff5cfa1c0bdfb492"
+    assert digest == "7f56616763a300ddfcf7b894c1caf6c1ae1a1541749406a5070e2c5c2d6363b1"

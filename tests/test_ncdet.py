@@ -247,51 +247,54 @@ def cofactor_sums(cof, vector, row):
 
 
 def assert_cofactors_match_literal_sums(g, vector, r):
-    for row in (False, True):
-        cof, _ = _bordered_cofactors(g, r, row)
+    cof, _ = _bordered_cofactors(g, r)
+    for row in (False, True):  # one pass serves both families
         literal = [bordered_sum(g, i, vector, r, row) for i in range(g.rows)]
         assert cofactor_sums(cof, vector, row) == literal, (r, row)
 
 
 def test_bordered_cofactors_match_literal_sums(rng):
-    # Every order r and both families, bit-exact, on integer and on
-    # non-integral Fraction entries, up to n = 5.
+    # Every order r and both families, bit-exact, on Hermitian integer and
+    # non-integral Fraction entries, up to n = 5; a g that is not
+    # Hermitian is refused.
     for n in range(1, 6):
-        cases = [random_qmatrix(rng, n, n), random_fraction_qmatrix(rng, n)]
-        for g in cases:
+        b = random_fraction_qmatrix(rng, n)
+        for g in (random_hermitian(rng, n), (b + b.H) / 2):
             vector = [random_quaternion(rng) for _ in range(n)]
             for r in range(1, n + 1):
                 assert_cofactors_match_literal_sums(g, vector, r)
+        if not b.is_hermitian():
+            with pytest.raises(NotHermitianError):
+                _bordered_cofactors(b, n)
 
 
 def test_bordered_cofactor_denominator_is_the_minor_sum(rng):
     for n in range(1, 6):
         h = random_hermitian(rng, n)
         for r in range(1, n + 1):
-            for row in (False, True):
-                assert _bordered_cofactors(h, r, row)[1] == literal_minor_sum(h, r)
+            assert _bordered_cofactors(h, r)[1] == literal_minor_sum(h, r)
         g = random_qmatrix(rng, n, n)
         if not g.is_hermitian():
-            assert _bordered_cofactors(g, n, False)[1] is None
+            with pytest.raises(NotHermitianError):
+                _bordered_cofactors(g, n)
 
 
 def test_bordered_cofactors_respect_the_guard():
     with pytest.raises(EnumerationGuardError) as err:
-        _bordered_cofactors(QMatrix.identity(4), 3, False, max_n=2)
+        _bordered_cofactors(QMatrix.identity(4), 3, max_n=2)
     # No n! sum runs here; the message names what the guard bounds.
     assert str(err.value).startswith(
         "minor order 3 exceeds the enumeration guard 2, which bounds the minor order, not the matrix size"
     )
-    cof, d = _bordered_cofactors(QMatrix.identity(4), 2, True, max_n=2)
+    cof, d = _bordered_cofactors(QMatrix.identity(4), 2, max_n=2)
     assert d == 6
 
 
 def test_bordered_cofactors_of_order_zero():
     # No order-0 set holds an anchor, and the one empty minor is 1.
-    for g in (golden.U, QMatrix.from_literals([["2", "i"], ["-i", "2"]]).to_float()):
-        for row in (False, True):
-            cof, d = _bordered_cofactors(g, 0, row)
-            assert cof == QMatrix.zeros(g.rows, g.rows, g.mode) and d == 1
+    for g in (golden.U @ golden.U.H, QMatrix.from_literals([["2", "i"], ["-i", "2"]]).to_float()):
+        cof, d = _bordered_cofactors(g, 0)
+        assert cof == QMatrix.zeros(g.rows, g.rows, g.mode) and d == 1
 
 
 bordered_cases = st.integers(1, 5).flatmap(
@@ -311,7 +314,7 @@ bordered_cases = st.integers(1, 5).flatmap(
 @given(bordered_cases)
 def test_bordered_cofactors_match_literal_sums_property(case):
     g, vector, r = case
-    assert_cofactors_match_literal_sums(g, vector, r)
+    assert_cofactors_match_literal_sums(g + g.H, vector, r)
 
 
 # -- Hermitian inverse -------------------------------------------------------
@@ -352,10 +355,19 @@ def test_hermitian_inverse_matches_cofactor_assembly(rng):
 
 
 def test_float_hermitian_inverse_refuses_nan_cofactors():
-    # The determinant overflows to inf - inf = NaN; NaN assemblies must not
-    # pass the agreement test.
-    with pytest.raises(NumericalBreakdownError):
+    # A float matrix is inverted as the exact matrix it stands for, so a
+    # cofactor sum beyond the float range makes no NaN: this one is
+    # exactly singular.  A component that is not finite is refused, by
+    # the cofactors and, as not Hermitian, by hermitian_inverse.
+    with pytest.raises(SingularError):
         hermitian_inverse(QMatrix.from_literals([["1e200", "1e200"], ["1e200", "1e200"]]))
+    for bad in (math.inf, -math.inf, math.nan):
+        a = QMatrix([[Quaternion(1.0, mode="float"), Quaternion(bad, mode="float")],
+                     [Quaternion(bad, mode="float"), Quaternion(1.0, mode="float")]])
+        with pytest.raises(NumericalBreakdownError):
+            _bordered_cofactors(a, 1)
+        with pytest.raises(NotHermitianError):
+            hermitian_inverse(a)
 
 
 def test_hermitian_inverse_examples():
@@ -482,7 +494,7 @@ def test_float_references_keep_the_sign_of_a_zero():
 
 def test_the_reference_calls_no_subset_kernel_helper():
     # The reference is the subset kernel's independent oracle.
-    kernel = {"_tails", "_signed_cycle_sums", "_open_paths", "_combine", "_subsets", "_scaled", "_cycle_sum_det"}
+    kernel = {"_tails", "_signed_cycle_sums", "_combine", "_subsets", "_scaled", "_cycle_sum_det"}
     assert not kernel & set(ncdet._reference.__code__.co_names)
 
 
@@ -640,11 +652,14 @@ def test_float_determinants_refuse_a_non_finite_result():
     big = QMatrix.from_literals([["1e308", "1e308"], ["1e308", "1e308"]])
     diag = QMatrix.from_literals([["1e200", "0"], ["0", "1e200"]])
     calls = [(rdet, 1, big), (cdet, 2, big), (ddet, big), (ddet, diag), (principal_minor_sum, diag, 2),
-             (char_poly, diag), (hermitian_inverse, diag), (_bordered_cofactors, diag, 2, False)]
+             (char_poly, diag), (_bordered_cofactors, diag, 2)]
     for f, *args in calls:
         with pytest.raises(NumericalBreakdownError):
             f(*args)
     assert principal_minor_sum(diag, 1) == 2e200 and rdet(1, diag * 1e-100).a0 == 1e200
+    # The inverse is rounded once from the exact one, whose cofactor sums
+    # never meet the float range.
+    assert hermitian_inverse(diag) == QMatrix.from_literals([["1e-200", "0"], ["0", "1e-200"]])
 
 
 # -- the component-tuple kernel against the Quaternion-object recursion ------
@@ -700,19 +715,44 @@ def outcome(f, *args):
         return type(exc)
 
 
+def exact_hermitian_part(g):
+    """The exact Hermitian matrix a float g stands for: its components
+    read as the `Fraction`s they are, then (T + T*) / 2.  An exact g is
+    returned as it is."""
+    if g.mode == "exact":
+        return g
+    t = QMatrix([[Quaternion(*map(Fraction, q.components())) for q in row] for row in g.entries()])
+    return (t + t.H) / 2
+
+
+def reference_cofactors(g, r):
+    """The Quaternion recursion's order-r cofactors and minor sum of the
+    exact Hermitian part of g, equal in both families, and rounded once
+    in float mode.  The recursion runs on the part scaled to integers by
+    the lcm s of its denominators, then Y (r - 1 factors a term) is
+    divided by s**(r - 1) and d by s**r."""
+    h = exact_hermitian_part(g)
+    s = math.lcm(*(Fraction(c).denominator for row in h.entries() for q in row for c in q.components()))
+    (y, d), (y_row, d_row) = (reference_bordered_cofactors(h * s, r, row) for row in (False, True))
+    assert y == y_row and d == d_row
+    y, d = y / s ** (r - 1), Fraction(d, s**r)
+    d = d.numerator if d.denominator == 1 else d
+    return (y, d) if g.mode == "exact" else (y.to_float(), float(d))
+
+
 def assert_kernel_matches_reference(g):
     mode, n = g.mode, g.rows
     for anchor in range(1, n + 1):
         assert_same(rdet(anchor, g), reference_det(g, anchor, True), mode)
         assert_same(cdet(anchor, g), reference_det(g, anchor, False), mode)
     for r in range(1, n + 1):
-        for row in (False, True):
-            (y, d), (y_ref, d_ref) = _bordered_cofactors(g, r, row), reference_bordered_cofactors(g, r, row)
-            assert_same(y, y_ref, mode)
-            if d_ref is None:
-                assert d is None
-            else:
-                assert_same(d, d_ref, mode)
+        if mode == "exact" and not g.is_hermitian():
+            with pytest.raises(NotHermitianError):
+                _bordered_cofactors(g, r)
+            continue
+        (y, d), (y_ref, d_ref) = _bordered_cofactors(g, r), reference_cofactors(g, r)
+        assert_same(y, y_ref, mode)
+        assert_same(d, d_ref, mode)
     if not g.is_hermitian():
         return
     sums = reference_minor_sums(g)
@@ -720,7 +760,7 @@ def assert_kernel_matches_reference(g):
     assert_same(char_poly(g), sums, mode)
     got = outcome(hermitian_inverse, g)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ncdet, "_bordered_cofactors", reference_bordered_cofactors)
+        patch.setattr(ncdet, "_bordered_cofactors", lambda h, r, max_n=None: reference_bordered_cofactors(h, r, True))
         want = outcome(hermitian_inverse, g)
     if isinstance(want, type):
         assert got is want
@@ -769,14 +809,42 @@ def test_tuple_kernel_matches_the_quaternion_recursion(g):
     assert_kernel_matches_reference(g)
 
 
+@st.composite
+def real_grams(draw):
+    """A real-valued float Gram matrix B B* with B n x k, n <= 6, so of
+    rank k <= n, or the same with 1e-8 noise N + N* added."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+
+    def real(values, rows, cols):
+        return QMatrix([[Quaternion(draw(values), mode="float") for _ in range(cols)] for _ in range(rows)])
+
+    b = real(st.floats(-4, 4), n, k)
+    g = b @ b.H
+    if draw(st.booleans()):
+        noise = real(st.floats(-1e-8, 1e-8), n, n)
+        g = g + noise + noise.H
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(real_grams())
+def test_float_cofactors_are_the_exact_ones_of_the_hermitian_part_rounded_once(g):
+    # Float Grams are not bitwise Hermitian; the cofactors of every order
+    # are those of the exact Hermitian part, bit for bit.
+    for r in range(1, g.rows + 1):
+        (y, d), (y_ref, d_ref) = _bordered_cofactors(g, r), reference_cofactors(g, r)
+        assert_same(y, y_ref, "float")
+        assert_same(d, d_ref, "float")
+
+
 def test_subset_tables_make_no_quaternion_products(monkeypatch, rng):
     g, h = random_qmatrix(rng, 5, 5), random_hermitian(rng, 5)
     products = []
     mul = Quaternion.__mul__
     monkeypatch.setattr(Quaternion, "__mul__", lambda x, y: products.append(1) or mul(x, y))
     rdet(2, g), cdet(4, g), char_poly(h), principal_minor_sum(h, 3)
-    for row in (False, True):  # h takes the recurrence, g the subset tables
-        _bordered_cofactors(h, 4, row), _bordered_cofactors(g, 4, row)
+    _bordered_cofactors(h, 4), _bordered_cofactors(h.to_float(), 4)
     assert products == []
 
 
@@ -800,8 +868,9 @@ def test_exact_hermitian_cofactors_match_the_subset_recursion():
     # with components and d canonical as the subset tables made them.
     for g in exact_hermitian_cases(26):
         for r in range(g.rows + 1):
+            y, d = _bordered_cofactors(g, r)
             for row in (False, True):
-                (y, d), (y_ref, d_ref) = _bordered_cofactors(g, r, row), reference_bordered_cofactors(g, r, row)
+                y_ref, d_ref = reference_bordered_cofactors(g, r, row)
                 assert_same(y, y_ref, "exact")
                 assert_same(d, d_ref, "exact")
 
@@ -813,31 +882,30 @@ def test_exact_hermitian_cofactors_enumerate_no_subsets(monkeypatch, rng):
         monkeypatch.setattr(ncdet, name, lambda *args, f=f, name=name: calls.append(name) or f(*args))
     h, g = random_hermitian(rng, 5), random_qmatrix(rng, 5, 5)
     assert h.is_hermitian() and not g.is_hermitian()
-    for row in (False, True):
-        _bordered_cofactors(h, 4, row)
-    hermitian_inverse(QMatrix.identity(5) * 3 + h @ h)
-    mp_inverse(g, "all"), drazin(g, "all")
+    for mode in ("exact", "float"):  # neither mode enumerates subsets
+        to = (lambda m: m) if mode == "exact" else QMatrix.to_float
+        _bordered_cofactors(to(h), 4)
+        hermitian_inverse(to(QMatrix.identity(5) * 3 + h @ h))
+        mp_inverse(to(g), "all"), drazin(to(g), "all"), drazin(to(h), "all")
+    # An exact g that is not Hermitian has no cofactors here.
+    with pytest.raises(NotHermitianError):
+        _bordered_cofactors(g, 4)
     assert calls == []
-    # Float mode and a non-Hermitian exact g keep the subset tables.
-    for m in (h.to_float(), g):
-        _bordered_cofactors(m, 4, False)
-        assert set(calls) == {"_tails", "_subsets"}
-        calls.clear()
 
 
 def test_exact_hermitian_inverse_makes_one_cofactor_pass(monkeypatch, rng):
-    # Both families of an exact Hermitian matrix are one recurrence, so
-    # exact mode makes one pass; float mode compares both families' tables.
+    # Both families of a Hermitian matrix are one recurrence, so each mode
+    # makes one pass: float mode on the exact matrix its input stands for.
     passes = []
     bordered = ncdet._bordered_cofactors
-    monkeypatch.setattr(ncdet, "_bordered_cofactors", lambda *args: passes.append(args[2]) or bordered(*args))
+    monkeypatch.setattr(ncdet, "_bordered_cofactors", lambda *args: passes.append(args[0]) or bordered(*args))
     b = random_qmatrix(rng, 4, 4)
     h = QMatrix.identity(4) * 3 + b @ b.H
     x = hermitian_inverse(h)
-    assert x @ h == QMatrix.identity(4) and len(passes) == 1
+    assert x @ h == QMatrix.identity(4) and passes == [h]
     passes.clear()
-    hermitian_inverse(h.to_float())
-    assert sorted(passes) == [False, True]
+    assert hermitian_inverse(h.to_float()) == x.to_float()
+    assert passes == [h]
 
 
 def test_the_recurrence_refuses_what_a_hermitian_matrix_cannot_give(monkeypatch):
@@ -848,13 +916,12 @@ def test_the_recurrence_refuses_what_a_hermitian_matrix_cannot_give(monkeypatch)
         with pytest.raises(InternalInvariantError, match="non-real diagonal"):
             ncdet._leverrier(g, g.rows)
     # A product one too large on the diagonal moves tr P_2 by n = 3.
-    product = ncdet._product
+    product = ncdet._hermitian_product
 
-    def faulty(a, b, mode):
-        rows, den = product(a, b, mode)._held
-        return QMatrix._made(tuple(tuple((c0 + (i == j), c1, c2, c3) for j, (c0, c1, c2, c3) in enumerate(row))
-                                   for i, row in enumerate(rows)), den, mode)
+    def faulty(a, b, diagonal):
+        rows = product(a, b, diagonal)
+        return [[(c[0] + 1, *c[1:]) if i == j else c for j, c in enumerate(row)] for i, row in enumerate(rows)]
 
-    monkeypatch.setattr(ncdet, "_product", faulty)
+    monkeypatch.setattr(ncdet, "_hermitian_product", faulty)
     with pytest.raises(InternalInvariantError, match="2 does not divide the trace"):
-        _bordered_cofactors(QMatrix.from_literals([["2", "i", "0"], ["-i", "2", "j"], ["0", "-j", "2"]]), 3, False)
+        _bordered_cofactors(QMatrix.from_literals([["2", "i", "0"], ["-i", "2", "j"], ["0", "-j", "2"]]), 3)
