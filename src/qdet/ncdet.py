@@ -39,25 +39,26 @@ a `Quaternion` is made only for an output.  Entries are read in the
 matrix's held form, components over one denominator den: `int`s in exact
 mode, so every exact table entry is a tuple of `int`s, and `float`s over
 den = 1 in float mode.  The tables take the transposed rows (the columns)
-as an argument, made once per call by `_scaled`, not once per table.
+as an argument, made once per determinant, not once per table.
 Every term of an entry has a fixed number of factors (|Y|+1 for a
 signed cycle sum over Y, |X| for the tail of X), so each output is
 divided once, by den to that power, with components canonical (`int`
 where integral).  The sums run in the order of `Quaternion` arithmetic,
 so float results are bit-identical to it.
 
-The same recursion serves the Hermitian offspring.  Its tail table holds,
-for every subset X, the determinant of the principal submatrix on X
-anchored at its first index, which on a Hermitian matrix is the principal
-minor of X: `principal_minor_sum` and `char_poly` read every minor from
-one table.
+The tail table of that recursion holds, for every subset X of the
+indices other than the anchor, the determinant of the principal
+submatrix on X anchored at its least index, and last the determinant
+itself, the full set anchored at the anchor.  `ddet` is rdet_1 on these
+tables, as the paper defines it; the tables serve nothing else.
 
-The bordered minor sums behind the generalized inverses (a principal
-submatrix with its anchor column, or row, replaced by a vector) are
+The sums of principal minors, and the bordered minor sums behind the
+generalized inverses (a principal submatrix with its anchor column, or
+row, replaced by a vector), enumerate no subsets.  The bordered sums are
 linear in that vector, so `_bordered_cofactors` returns a matrix Y with
 which every such sum is a product; `hermitian_inverse` is its full-order
-case.  They enumerate no subsets: they come from two identities for the
-order-r cofactors Y_r and minor sums d_r of a Hermitian g (d_0 = 1):
+case.  All of them come from two identities for the order-r cofactors
+Y_r and minor sums d_r of a Hermitian g (d_0 = 1):
 
 * ddet(tI + g) (tI + g)^-1 = sum over r of Y_r t^(n-r), the paper's
   Hermitian Cramer rule expanded in t, so Y_1 = I and
@@ -72,33 +73,35 @@ Cayley-Hamilton theorem to generalized matrix inversion", SIAM Review 7
 
     Y_1 = I,  P_s = Y_s E,  D_s = Re tr(P_s) / s,  Y_(s+1) = D_s I - P_s,
 
-which gives Y_r = Y / den**(r-1) and d_r = D_r / den**r at r - 2 matrix
-products.  Each Y_s is a polynomial in g with integer coefficients, so
-it commutes with g: the row family and the column family of a Hermitian
-g are the same cofactors, and one pass gives both.
+which gives Y_r = Y / den**(r-1) at r - 2 matrix products, and on the
+way every d_s = D_s / den**s, s = 1..r: `char_poly` reads them all,
+`principal_minor_sum` reads d_s, and `_bordered_cofactors` d_r.  Each
+Y_s is a polynomial in g with integer coefficients, so it commutes with
+g: the row family and the column family of a Hermitian g are the same
+cofactors, and one pass gives both.
 
 Both modes run that one exact pass.  A float g stands for an exact
 matrix: every finite double is a dyadic rational, so its components are
 ints over one power of two.  Rounding leaves a float Gram matrix some
 bits off Hermitian, so the pass runs on the exact Hermitian part of that
-matrix (`_exact_hermitian`), and Y and d are rounded once: float
-cofactors are the correctly rounded cofactors of that Hermitian part.
+matrix (`_exact_hermitian`), and Y and each d_s are rounded once: float
+cofactors and minor sums are the correctly rounded ones of that
+Hermitian part.
 The recurrence is not run in float arithmetic, where it cancels: on
 real-valued Hermitian Gram matrices at n = 6 and 7 a float port's errors
 were up to 200 times those of float subset sums (README, "Routes").
 
 Every evaluator refuses matrices above a size guard (default n = 8)
-rather than silently running for hours: the reference evaluators, the
-determinants and the principal minor sums stay exponential in the order
-of their minors.  For the minor sums, cofactors and inverses the guard
-bounds that order (the rank r a route expands), not the size of the
-matrix; the cofactors and inverses keep that refusal, though they
-enumerate nothing.  It is overridden for one call only, by the `max_n`
-of every evaluator and inverse, passed as an argument down to the check;
-the module holds no guard state.  An override must be an integer of at
-least 1, and not a bool.  Every evaluator checks it before it looks at
-the matrix, as `geninv.inverse` does, so an invalid override is refused
-whatever the input.
+rather than silently running for hours: the reference evaluators and
+the determinants (`rdet`, `cdet`, `ddet`) stay exponential in n.  For
+the minor sums, cofactors and inverses the guard bounds the order of the
+minors (the rank r a route expands), not the size of the matrix; they
+keep that refusal, though they enumerate nothing.  It is overridden for
+one call only, by the `max_n` of every evaluator and inverse, passed as
+an argument down to the check; the module holds no guard state.  An
+override must be an integer of at least 1, and not a bool.  Every
+evaluator checks it before it looks at the matrix, as `geninv.inverse`
+does, so an invalid override is refused whatever the input.
 """
 
 import itertools
@@ -159,43 +162,27 @@ def _mask(indices) -> int:
     return mask
 
 
-# The same (members, max_size) recurs across the minors of one call and
-# across calls; without the memo the enum_large benchmark runs about 11%
-# slower.  The result is an immutable tuple, so sharing it is safe.
+# The same members recur across calls (every determinant of one size and
+# anchor reads the same ones); without the memo the enum_large benchmark
+# runs about 11% slower.  The result is an immutable tuple, so sharing it is safe.
 @lru_cache(maxsize=256)
-def _subsets(members: tuple, max_size: int) -> tuple:
-    """(mask, subset) for every subset of `members` with 1..max_size
-    elements, by size and then in combination order."""
+def _subsets(members: tuple) -> tuple:
+    """(mask, subset) for every nonempty subset of `members`, by size and
+    then in combination order."""
     return tuple(
         (_mask(subset), subset)
-        for size in range(1, max_size + 1)
+        for size in range(1, len(members) + 1)
         for subset in itertools.combinations(members, size)
     )
 
 
-def _scaled(a: QMatrix):
-    """(e, cols, den, start): a's held form, rows e of component tuples
-    over den (ints in exact mode, floats over den 1 in float mode), its
-    columns cols (the rows of e transposed, made once per call and handed
-    to every table), and the start of a table sum.
-
-    An exact sum starts from 0.  A float sum starts from -0.0, the
-    identity of IEEE addition (x + -0.0 is x, also for x = -0.0), so it
-    equals the `Quaternion` sum seeded by its first term, bit for bit;
-    +0.0 would turn a sum of -0.0 terms into +0.0.
-    """
-    e, den = a._held
-    return e, list(zip(*e)), den, (0, 0, 0, 0) if a.mode == EXACT else (-0.0, -0.0, -0.0, -0.0)
-
-
-def _signed_cycle_sums(cols, root, members, max_size, start):
+def _signed_cycle_sums(cols, root, members, start):
     """Signed sums of the cycles through `root` over subsets of `members`,
     of the matrix e with columns `cols`.
 
     Returns a dict mapping the bitmask of each subset Y of `members`
-    (0-based indices) with at most `max_size` elements to
-    (-1)**|Y| * H(Y), where H(Y) is the sum, over every ordering y1..yp of
-    Y, of the chain
+    (0-based indices) to (-1)**|Y| * H(Y), where H(Y) is the sum, over
+    every ordering y1..yp of Y, of the chain
 
         e[root][y1] * e[y1][y2] * ... * e[yp][root],
 
@@ -207,7 +194,7 @@ def _signed_cycle_sums(cols, root, members, max_size, start):
     back = cols[root]  # back[end] is e[end][root]
     # The open paths over a subset, as flat tuples (end, four components).
     sums, paths = {0: back[root]}, {0: ()}
-    for mask, subset in _subsets(members, max_size):
+    for mask, subset in _subsets(members):
         h0, h1, h2, h3 = start
         paths[mask] = ends = []
         for end in subset:
@@ -229,43 +216,25 @@ def _signed_cycle_sums(cols, root, members, max_size, start):
     return sums
 
 
-def _combine(cycle_sums, tails, rest, row):
-    """Sum over the subsets Y of `rest` of S(Y) and the tail of rest - Y,
-    multiplied in the determinant's order (S first for rows, last for
-    columns).  The first term, Y = rest, has the empty tail 1 and seeds
-    the sum."""
-    s0, s1, s2, s3 = cycle_sums[rest]
-    y = rest
-    while y:
-        y = (y - 1) & rest
-        s, t = cycle_sums[y], tails[rest ^ y]
-        (a0, a1, a2, a3), (b0, b1, b2, b3) = (s, t) if row else (t, s)
-        s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-        s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-        s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-        s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-    return (s0, s1, s2, s3)
-
-
-def _tails(cols, universe, max_size, row, start):
-    """The tail table of the cycle-sum recursion, by bitmask: R(X)
-    (row=True) or C(X) for every nonempty subset X of `universe` with at
-    most `max_size` elements, of the matrix with columns `cols`.
+def _tails(cols, root, row, start):
+    """The tail table of the cycle-sum recursion, by bitmask, of the matrix
+    with columns `cols`: R(X) (row=True) or C(X) for every nonempty subset
+    X of the indices other than `root`, and last the entry of the full
+    set, the same sum anchored at `root`: the determinant.
 
     R(X) is the row determinant of the principal submatrix on X anchored
     at its first row, C(X) the column determinant anchored at its first
-    column; on a Hermitian matrix both are the principal minor of X.
-    Each entry is the sum `_combine` makes, run in this loop with the
-    operand order picked once per entry, not once per term.
+    column; on a Hermitian matrix both are the principal minor of X.  The
+    operand order is picked once per entry, not once per term.
     """
-    sums_at = {
-        m: _signed_cycle_sums(cols, m, universe[k + 1 :], max_size - 1, start)
-        for k, m in enumerate(universe)  # `universe` ascends, so these are the x > m
-    }
+    n = len(cols)
+    others = tuple(x for x in range(n) if x != root)
+    sums_at = {m: _signed_cycle_sums(cols, m, others[k + 1 :], start) for k, m in enumerate(others)}
+    sums_at[root] = _signed_cycle_sums(cols, root, others, start)
     tails = {}
     # By increasing size: every subset a tail needs is smaller, so ready.
-    for mask, subset in _subsets(universe, max_size):
-        low = subset[0]
+    for mask, subset in (*_subsets(others), ((1 << n) - 1, (root,))):
+        low = subset[0]  # X's least element (`others` ascends), or `root`
         sums, rest = sums_at[low], mask ^ (1 << low)
         s0, s1, s2, s3 = sums[rest]
         y = rest
@@ -308,42 +277,29 @@ def _cycle_sum_det(a: QMatrix, anchor: int, row: bool) -> Quaternion:
     refuses an overflowing float input first, so a float result that is
     not finite raises NumericalBreakdownError.
     """
-    _, cols, den, start = _scaled(a)
-    root = anchor - 1
-    others = tuple(x for x in range(a.rows) if x != root)
-    tails = _tails(cols, others, len(others), row, start)
-    cycle_sums = _signed_cycle_sums(cols, root, others, len(others), start)
-    value = _combine(cycle_sums, tails, _mask(others), row)
+    e, den = a._held
+    # An exact sum starts from 0.  A float sum starts from -0.0, the
+    # identity of IEEE addition (x + -0.0 is x, also for x = -0.0), so it
+    # equals the `Quaternion` sum seeded by its first term, bit for bit;
+    # +0.0 would turn a sum of -0.0 terms into +0.0.
+    start = (0, 0, 0, 0) if a.mode == EXACT else (-0.0, -0.0, -0.0, -0.0)
+    value = _tails(list(zip(*e)), anchor - 1, row, start)[(1 << a.rows) - 1]
     if a.mode != EXACT and not all(map(math.isfinite, value)):
         raise NumericalBreakdownError(f"float determinant is not finite: {value}")
     return _quaternion(value, den**a.rows, a.mode)
 
 
-def _minor_sum(tails, n, s, den, mode):
-    """Sum of the s x s principal minors of a Hermitian n x n matrix, read
-    from its tail table (`_tails` over range(n), sizes up to s, of the
-    entries scaled by den)."""
-    total = None
-    for idx in itertools.combinations(range(n), s):
-        m0, m1, m2, m3 = tails[_mask(idx)]
-        if mode == EXACT and (m1 or m2 or m3):
-            raise InternalInvariantError("Hermitian determinant produced a non-real value")
-        total = m0 if total is None else total + m0
-    if mode != EXACT and not math.isfinite(total):
-        raise NumericalBreakdownError(f"float principal minor sum is not finite: {total}")
-    return _over(total, den**s) if mode == EXACT else total
-
-
 def _leverrier(g: QMatrix, r: int):
-    """`_bordered_cofactors(g, r)` of an exact Hermitian g and r >= 1:
-    the recurrence of the module docstring.  P_1 = E is free and the last
-    step needs only the diagonal of P_r.  Each P_s is a real polynomial in
-    the Hermitian E, so it is Hermitian, as `_hermitian_product` assumes,
-    with an integral minor sum D_s: a diagonal entry that is not real, or
-    a trace that s does not divide, raises InternalInvariantError.
+    """(Y_r, (d_1, ..., d_r)) of an exact Hermitian g and r >= 1: the
+    recurrence of the module docstring, with every minor sum it meets on
+    its way to Y_r.  P_1 = E is free and the last step needs only the
+    diagonal of P_r.  Each P_s is a real polynomial in the Hermitian E, so
+    it is Hermitian, as `_hermitian_product` assumes, with an integral
+    minor sum D_s: a diagonal entry that is not real, or a trace that s
+    does not divide, raises InternalInvariantError.
     """
     e, den = g._held
-    y = None  # Y_s, as int rows; Y_1 = I is never formed, as P_1 = E
+    y, sums = None, []  # Y_s, as int rows; Y_1 = I is never formed, as P_1 = E
     for s in range(1, r + 1):
         p = e if y is None else _hermitian_product(y, e, s == r)
         diag = [t[i] for i, t in enumerate(p)]
@@ -352,6 +308,7 @@ def _leverrier(g: QMatrix, r: int):
         d, rest = divmod(sum([t[0] for t in diag]), s)
         if rest:
             raise InternalInvariantError(f"Hermitian cofactor recurrence: {s} does not divide the trace {d * s + rest}")
+        sums.append(_over(d, den**s))
         if s < r:  # Y_(s+1) = D_s I - P_s
             y = tuple([
                 tuple([(d - a0, -a1, -a2, -a3) if i == j else (-a0, -a1, -a2, -a3)
@@ -359,7 +316,7 @@ def _leverrier(g: QMatrix, r: int):
                 for i, prow in enumerate(p)
             ])
     cof = QMatrix.identity(g.rows) if y is None else QMatrix._made(y, den ** (r - 1), EXACT)
-    return cof, _over(d, den**r)
+    return cof, tuple(sums)
 
 
 def _hermitian_product(a, b, diagonal):
@@ -384,6 +341,25 @@ def _hermitian_product(a, b, diagonal):
     return out
 
 
+def _finite_components(g: QMatrix) -> list:
+    """The components of a float g, row by row; one that is not finite
+    raises NumericalBreakdownError."""
+    flat = [c for row in g._held[0] for t in row for c in t]
+    if not all(map(math.isfinite, flat)):
+        raise NumericalBreakdownError("float matrix has a component that is not finite")
+    return flat
+
+
+def _require_hermitian(a: QMatrix, refusal: str):
+    """Refuse an a that is not Hermitian with NotHermitianError(refusal).
+    A float component that is not finite is refused first, as a numerical
+    breakdown: the NaN-aware symmetry test would call it not Hermitian."""
+    if a.mode != EXACT:
+        _finite_components(a)
+    if not a.is_hermitian():
+        raise NotHermitianError(refusal)
+
+
 def _exact_hermitian(g: QMatrix) -> QMatrix:
     """The exact Hermitian matrix a square g stands for: an exact g, which
     must be Hermitian, or the Hermitian part (T + T*) / 2 of the exact
@@ -394,10 +370,7 @@ def _exact_hermitian(g: QMatrix) -> QMatrix:
         if not g.is_hermitian():
             raise NotHermitianError("bordered cofactors require a Hermitian matrix")
         return g
-    flat = [c for row in g._held[0] for t in row for c in t]
-    if not all(map(math.isfinite, flat)):
-        raise NumericalBreakdownError("float matrix has a component that is not finite")
-    ratios = [c.as_integer_ratio() for c in flat]
+    ratios = [c.as_integer_ratio() for c in _finite_components(g)]
     den = max([q for _, q in ratios])
     t, n = list(zip(*[iter([p * (den // q) for p, q in ratios])] * 4)), g.rows  # entries, row by row
     part = tuple([  # row i of T plus the conjugate of column i
@@ -413,7 +386,7 @@ def _rounded(x):
     try:
         return x.to_float() if isinstance(x, QMatrix) else float(x)
     except OverflowError:
-        raise NumericalBreakdownError("float cofactor result is beyond the float range") from None
+        raise NumericalBreakdownError("float result is beyond the float range") from None
 
 
 def _bordered_cofactors(g: QMatrix, r: int, max_n: int | None = None):
@@ -426,10 +399,10 @@ def _bordered_cofactors(g: QMatrix, r: int, max_n: int | None = None):
         (c @ Y)[j] = sum over size-r sets alpha containing j of
                      rdet_j(g_alpha with row j replaced by c_alpha),
 
-    and d the sum of the r x r principal minors of g.  Both come from one
-    `_leverrier` pass on `_exact_hermitian(g)`, which refuses an exact g
-    that is not Hermitian; a float g gets the pass's Y and d rounded once
-    (module docstring).  At r = 0 no set holds an anchor and the one empty
+    and d = d_r, the sum of the r x r principal minors of g.  Both come
+    from one `_leverrier` pass on `_exact_hermitian(g)`, which refuses an
+    exact g that is not Hermitian; a float g gets the pass's Y and d
+    rounded once (module docstring).  At r = 0 no set holds an anchor and the one empty
     minor is 1, so Y = 0 and d = 1: a Cramer formula at rank 0 gives the
     zero inverse.  The guard bounds the minor order r.
     """
@@ -437,7 +410,7 @@ def _bordered_cofactors(g: QMatrix, r: int, max_n: int | None = None):
     h = _exact_hermitian(g)
     if r == 0:  # no order-0 set holds an anchor; the one empty minor is 1
         return QMatrix.zeros(g.rows, g.rows, g.mode), 1
-    y, d = _leverrier(h, r)
+    y, (*_, d) = _leverrier(h, r)
     return (y, d) if g.mode == EXACT else (_rounded(y), _rounded(d))
 
 
@@ -507,8 +480,7 @@ def ddet(a: QMatrix, max_n: int | None = None):
     Fraction in exact mode, float in float mode), computed as the row
     determinant anchored at row 1."""
     _override(max_n)
-    if not a.is_hermitian():
-        raise NotHermitianError("ddet requires a Hermitian matrix")
+    _require_hermitian(a, "ddet requires a Hermitian matrix")
     value = rdet(1, a, max_n)
     if a.mode == EXACT and not value.is_real():
         raise InternalInvariantError("Hermitian determinant produced a non-real value")
@@ -516,15 +488,16 @@ def ddet(a: QMatrix, max_n: int | None = None):
 
 
 def principal_minor_sum(a: QMatrix, s: int, max_n: int | None = None):
-    """Sum of the s x s principal minors of a Hermitian matrix."""
+    """Sum of the s x s principal minors of a Hermitian matrix: d_s of one
+    `_leverrier` pass on `_exact_hermitian(a)`, rounded once in float mode
+    (module docstring)."""
     _override(max_n)
-    if not a.is_hermitian():
-        raise NotHermitianError("principal minors require a Hermitian matrix")
+    _require_hermitian(a, "principal minors require a Hermitian matrix")
     if not 1 <= s <= a.rows:
         raise ValueError(f"minor order {s} out of range 1..{a.rows}")
     _refuse_above_guard(s, max_n)
-    _, cols, den, start = _scaled(a)
-    return _minor_sum(_tails(cols, tuple(range(a.rows)), s, True, start), a.rows, s, den, a.mode)
+    _, (*_, d) = _leverrier(_exact_hermitian(a), s)
+    return d if a.mode == EXACT else _rounded(d)
 
 
 def char_poly(a: QMatrix, max_n: int | None = None) -> tuple:
@@ -534,15 +507,13 @@ def char_poly(a: QMatrix, max_n: int | None = None) -> tuple:
         p(t) = t^n - d1 t^(n-1) + d2 t^(n-2) - ... + (-1)^n dn,
 
     where ds is the sum of the s x s principal minors and dn = ddet(a).
-    All of them are read from one tail table over the subsets of a."""
+    All of them come from one `_leverrier` pass on `_exact_hermitian(a)`,
+    each rounded once in float mode (module docstring)."""
     _override(max_n)
-    if not a.is_hermitian():
-        raise NotHermitianError("characteristic polynomial requires a Hermitian matrix")
-    n = a.rows
-    _refuse_above_guard(n, max_n)
-    _, cols, den, start = _scaled(a)
-    tails = _tails(cols, tuple(range(n)), n, True, start)
-    return tuple(_minor_sum(tails, n, s, den, a.mode) for s in range(1, n + 1))
+    _require_hermitian(a, "characteristic polynomial requires a Hermitian matrix")
+    _refuse_above_guard(a.rows, max_n)
+    _, sums = _leverrier(_exact_hermitian(a), a.rows)
+    return sums if a.mode == EXACT else tuple(map(_rounded, sums))
 
 
 def hermitian_inverse(a: QMatrix, max_n: int | None = None) -> QMatrix:
@@ -556,8 +527,7 @@ def hermitian_inverse(a: QMatrix, max_n: int | None = None) -> QMatrix:
     the exact inverse is rounded once.
     """
     _override(max_n)
-    if not a.is_hermitian():
-        raise NotHermitianError("hermitian_inverse requires a Hermitian matrix")
+    _require_hermitian(a, "hermitian_inverse requires a Hermitian matrix")
     if a.mode != EXACT:
         return _rounded(hermitian_inverse(_exact_hermitian(a), max_n))
     n = a.rows

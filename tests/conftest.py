@@ -318,13 +318,6 @@ def reference_det(a: QMatrix, anchor: int, row: bool) -> Quaternion:
     return _ref_combine(cycle_sums, tails, _ref_mask(others), row)
 
 
-def reference_minor_sums(h: QMatrix) -> tuple:
-    """The sums of the s x s principal minors of a Hermitian h, s = 1..n."""
-    n = h.rows
-    tails = _ref_tails(h.entries(), h.mode, range(n), n, True)
-    return tuple(_ref_minor_sum(tails, n, s, h.mode) for s in range(1, n + 1))
-
-
 def reference_bordered_cofactors(g: QMatrix, r: int, row: bool, max_n=None):
     """`ncdet._bordered_cofactors`, without its guard."""
     n = g.rows

@@ -22,7 +22,6 @@ from conftest import (
     random_quaternion,
     reference_bordered_cofactors,
     reference_det,
-    reference_minor_sums,
     replace_col,
     replace_row,
     submatrix,
@@ -357,17 +356,22 @@ def test_hermitian_inverse_matches_cofactor_assembly(rng):
 def test_float_hermitian_inverse_refuses_nan_cofactors():
     # A float matrix is inverted as the exact matrix it stands for, so a
     # cofactor sum beyond the float range makes no NaN: this one is
-    # exactly singular.  A component that is not finite is refused, by
-    # the cofactors and, as not Hermitian, by hermitian_inverse.
+    # exactly singular.  A component that is not finite is refused as a
+    # numerical breakdown, by the cofactors and by every Hermitian entry
+    # point, before the NaN-aware symmetry test could call it not Hermitian.
     with pytest.raises(SingularError):
         hermitian_inverse(QMatrix.from_literals([["1e200", "1e200"], ["1e200", "1e200"]]))
-    for bad in (math.inf, -math.inf, math.nan):
-        a = QMatrix([[Quaternion(1.0, mode="float"), Quaternion(bad, mode="float")],
-                     [Quaternion(bad, mode="float"), Quaternion(1.0, mode="float")]])
+
+    def floats(rows):
+        return QMatrix([[Quaternion(x, mode="float") for x in row] for row in rows])
+
+    bad = [floats([[1.0, x], [x, 1.0]]) for x in (math.inf, -math.inf, math.nan)]
+    for a in bad + [floats([[math.nan, 0.0], [0.0, 1.0]])]:
         with pytest.raises(NumericalBreakdownError):
             _bordered_cofactors(a, 1)
-        with pytest.raises(NotHermitianError):
-            hermitian_inverse(a)
+        for call in (hermitian_inverse, ddet, char_poly, lambda a: principal_minor_sum(a, 1)):
+            with pytest.raises(NumericalBreakdownError, match="not finite"):
+                call(a)
 
 
 def test_hermitian_inverse_examples():
@@ -494,7 +498,7 @@ def test_float_references_keep_the_sign_of_a_zero():
 
 def test_the_reference_calls_no_subset_kernel_helper():
     # The reference is the subset kernel's independent oracle.
-    kernel = {"_tails", "_signed_cycle_sums", "_combine", "_subsets", "_scaled", "_cycle_sum_det"}
+    kernel = {"_tails", "_signed_cycle_sums", "_subsets", "_cycle_sum_det"}
     assert not kernel & set(ncdet._reference.__code__.co_names)
 
 
@@ -745,6 +749,7 @@ def assert_kernel_matches_reference(g):
     for anchor in range(1, n + 1):
         assert_same(rdet(anchor, g), reference_det(g, anchor, True), mode)
         assert_same(cdet(anchor, g), reference_det(g, anchor, False), mode)
+    sums = []  # the minor sums of the exact Hermitian part, rounded once in float mode
     for r in range(1, n + 1):
         if mode == "exact" and not g.is_hermitian():
             with pytest.raises(NotHermitianError):
@@ -753,9 +758,10 @@ def assert_kernel_matches_reference(g):
         (y, d), (y_ref, d_ref) = _bordered_cofactors(g, r), reference_cofactors(g, r)
         assert_same(y, y_ref, mode)
         assert_same(d, d_ref, mode)
+        sums.append(d_ref)
     if not g.is_hermitian():
         return
-    sums = reference_minor_sums(g)
+    sums = tuple(sums)
     assert_same(tuple(principal_minor_sum(g, s) for s in range(1, n + 1)), sums, mode)
     assert_same(char_poly(g), sums, mode)
     got = outcome(hermitian_inverse, g)
@@ -887,10 +893,44 @@ def test_exact_hermitian_cofactors_enumerate_no_subsets(monkeypatch, rng):
         _bordered_cofactors(to(h), 4)
         hermitian_inverse(to(QMatrix.identity(5) * 3 + h @ h))
         mp_inverse(to(g), "all"), drazin(to(g), "all"), drazin(to(h), "all")
+        char_poly(to(h)), principal_minor_sum(to(h), 3)
     # An exact g that is not Hermitian has no cofactors here.
     with pytest.raises(NotHermitianError):
         _bordered_cofactors(g, 4)
     assert calls == []
+    # The determinants stay on the subset tables, ddet as rdet_1.
+    for mode in ("exact", "float"):
+        to = (lambda m: m) if mode == "exact" else QMatrix.to_float
+        for det in (lambda: rdet(2, to(g)), lambda: cdet(4, to(g)), lambda: ddet(to(h))):
+            calls.clear()
+            det()
+            assert {"_tails", "_subsets"} <= set(calls)
+
+
+def test_float_minor_sums_have_one_value():
+    # The minor sums of a float Gram matrix are those of its exact
+    # Hermitian part, rounded once, however they are asked for.
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        b = QMatrix([[Quaternion(*(rng.uniform(-2, 2) for _ in range(4)), mode="float") for _ in range(n)]
+                     for _ in range(n)])
+        g = b @ b.H
+        coeffs = char_poly(g)
+        for r in range(1, n + 1):
+            got = (principal_minor_sum(g, r), coeffs[r - 1], _bordered_cofactors(g, r)[1])
+            assert len({float_bits(d) for d in got}) == 1, (n, r)
+
+
+def test_minor_sums_above_the_default_guard():
+    # An exact 12 x 12 Gram matrix under an override: n = 12 minor sums,
+    # with ddet, the last of them, from the subset tables as the judge.
+    rng = random.Random(12)
+    b = random_qmatrix(rng, 12, 12)
+    h = b @ b.H
+    coeffs = char_poly(h, max_n=12)
+    assert coeffs[-1] == ddet(h, max_n=12)
+    assert tuple(principal_minor_sum(h, s, max_n=12) for s in range(1, 13)) == coeffs
 
 
 def test_exact_hermitian_inverse_makes_one_cofactor_pass(monkeypatch, rng):
