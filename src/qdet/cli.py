@@ -17,9 +17,9 @@ and the operands each kind reads all come from that row, and one
 in its `geninv` family, a new inverse a family there and a row here.
 
 An option appears only where it changes the run.  ``--max-n``, passed to
-the library unchecked, is on `det` and the routed subcommands, the ones
-that make a guarded call; ``--emit`` is on all but `info`, whose lines
-are always ``key = value``.
+the library unchecked, is on `det` alone, the one subcommand that makes a
+guarded call; ``--emit`` is on all but `info`, whose lines are always
+``key = value``.
 
 Exit codes: 0 success, 1 usage or parse error, 2 computation refusal
 (size guard, mode/shape/precondition violations, singular input, a float
@@ -178,11 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     det = subs.add_parser("det", help="row/column determinant")
     _add_common(det)
     det.add_argument("--anchor", help="r:<row> or c:<col> (1-based); omit for ddet of a Hermitian input")
+    det.add_argument("--max-n", type=int, help="enumeration guard override for this run")
 
-    guarded = [det]
+    emitting = [det]
     for name, (routes, _, weighted, help_) in _INVERSES.items():
         sub = subs.add_parser(name, help=help_)
-        guarded.append(sub)
+        emitting.append(sub)
         _add_common(sub, weight=weighted)
         sub.add_argument("--route", default=routes[0], help="|".join(routes) + " | all")
         sub.add_argument("--check", action="store_true", help="verify the defining equations")
@@ -204,9 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(info)
     info.add_argument("--weight", help="optional weight matrix file")
 
-    for sub in guarded:
-        sub.add_argument("--max-n", type=int, help="enumeration guard override for this run")
-    for sub in (*guarded, ver):
+    for sub in (*emitting, ver):
         sub.add_argument("--emit", choices=("human", "kv"), default="human")
     return parser
 
@@ -286,7 +285,7 @@ def _cmd_routed(args):
     and any --lambda lines, then print them: a failure prints nothing."""
     _, checker, weighted, _ = _INVERSES[args.command]
     operands = _operands(args, args.command)
-    x, provenance = geninv.inverse(args.command, args.route, *operands, max_n=args.max_n)
+    x, provenance = geninv.inverse(args.command, args.route, *operands)
     report = checker(*operands, x, provenance=provenance) if args.check else None
     lines = _limit_lines(*operands, x, args) if weighted and args.lam is not None else []
     _emit_matrix(x, args)

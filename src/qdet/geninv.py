@@ -14,13 +14,13 @@ Notation used throughout (for an m x n input A and n x m weight W):
 
 Every determinantal route composes two Cramer kernels, as the paper
 builds its weighted representations from two earlier ones.
-`_mp_cramer(x, r, row, max_n)` is the determinantal Moore-Penrose inverse
+`_mp_cramer(x, r, row)` is the determinantal Moore-Penrose inverse
 x^+ = N / d: the bordered minor sums of the Gram matrix x*x (column
 family, ``cdet``) or x x* (row family, ``rdet``) at rank r.  Such a sum
 is linear in its replaced column (row), so `ncdet._bordered_cofactors`
 returns a matrix Y and the sum d > 0 of the r x r principal minors, and
 N = Y x* (x* Y).
-`_hermitian_cramer(g, r, max_n)` gives Y and d != 0 of a Hermitian g.  The
+`_hermitian_cramer(g, r)` gives Y and d != 0 of a Hermitian g.  The
 routes, each divided once, last, so exact intermediates stay integral:
 
     mp_inverse  cdet, rdet                      N / d,  x = A
@@ -34,17 +34,14 @@ routes, each divided once, last, so exact intermediates stay integral:
 The drazin rows read k = Ind A and use A^D = A^k (A^(2k+1))^+ A^k, which
 holds for any k >= Ind A; with U and V at k it makes ``mp_route_U`` /
 ``mp_route_V`` W^+ U^D and V^D W^+ (N_W, d_W from x = W).  The Hermitian
-routes require the power they expand to be Hermitian.  The enumeration
-guard bounds the minor order r: a route is refused when the rank it
-expands exceeds the guard, whatever the size of the input.  A call's
-``max_n`` is carried by its analysis, and both kernels pass it on to
-`_bordered_cofactors`.
+routes require the power they expand to be Hermitian.
 
 Every g the kernels expand is Hermitian: a Gram matrix or a Hermitian
 power.  So no route enumerates subsets: Y_r and d_r come from the
 Faddeev-LeVerrier recurrence derived in the `ncdet` module docstring, one
 computation for both families, run in float mode on the exact Hermitian
-matrix that g stands for and rounded once.
+matrix that g stands for and rounded once.  Its cost is polynomial in
+the size and the rank, so no route takes the enumeration guard.
 
 The MP composition routes are valid only when the weight's pseudoinverse
 cancels against it on the relevant side: ``mp_route_U`` equals
@@ -78,10 +75,7 @@ public `inverse(kind, route, ...)` serves every call: it rejects an
 unknown kind or route first, builds the analysis once, runs the named
 route (raising its refusal) or, under ``route="all"``, every route whose
 refusal is None, checks that the results agree and returns the result
-with its provenance, ``"cdet"`` or ``"all:cdet,rdet"``.  Under
-``route="all"`` a route whose rank exceeds the guard is left out as a
-refused one is; the call raises the guard's error only when no route
-answered.
+with its provenance, ``"cdet"`` or ``"all:cdet,rdet"``.
 
 In exact mode agreement and all defining equations hold as equalities;
 float mode exists for the numeric oracles and the limit-based estimate.
@@ -91,7 +85,6 @@ from collections import namedtuple
 from functools import cached_property
 
 from .errors import (
-    EnumerationGuardError,
     ModeError,
     NotHermitianError,
     PreconditionError,
@@ -101,7 +94,7 @@ from .errors import (
     invariant_error,
 )
 from .matrix import Powers, QMatrix, _shifted, index_of, inverse_square, max_abs_diff, rank
-from .ncdet import _bordered_cofactors, _override
+from .ncdet import _bordered_cofactors
 
 # mat_pow, cdet and rdet stay bound here, uncalled: benchmarks/layers.py
 # rebinds them in every qdet module that holds them, and its self-test
@@ -134,20 +127,20 @@ def assert_routes_agree(results: dict, mode: str, what: str) -> QMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _mp_cramer(x: QMatrix, r: int, row: bool, max_n: int | None):
+def _mp_cramer(x: QMatrix, r: int, row: bool):
     """(N, d) with x^+ = N / d, from the order-r bordered minors of x*x
     (N = Y x*) or, for the row family, of x x* (N = x* Y)."""
     xs = x.H
-    y, d = _bordered_cofactors(x @ xs if row else xs @ x, r, max_n)
+    y, d = _bordered_cofactors(x @ xs if row else xs @ x, r)
     if d <= 0:
         raise invariant_error(x.mode, f"Gram minor sum is not positive: {d}")
     return (xs @ y if row else y @ xs), d
 
 
-def _hermitian_cramer(g: QMatrix, r: int, max_n: int | None):
+def _hermitian_cramer(g: QMatrix, r: int):
     """(Y, d): the cofactor matrix and order-r minor sum of a Hermitian g,
     one pass for both families."""
-    y, d = _bordered_cofactors(g, r, max_n)
+    y, d = _bordered_cofactors(g, r)
     if d == 0:
         raise invariant_error(g.mode, "Hermitian minor sum vanished")
     return y, d
@@ -194,32 +187,23 @@ def _full_rank(u_side: bool):
     return refusal
 
 
-def _results(family: _Family, operands: tuple, names, strict=False, max_n: int | None = None) -> dict:
+def _results(family: _Family, operands: tuple, names, strict=False) -> dict:
     """{name: result} of the named routes that apply to one analysis of the
-    operands under the guard max_n; with strict, a route that does not
-    apply raises its refusal.  Without strict, a route the guard refuses
-    is left out too, and the first such refusal is raised only when no
-    route answered."""
-    analysis = family.analyse(*operands, max_n)
-    results, guarded = {}, None
+    operands; with strict, a route that does not apply raises its
+    refusal."""
+    analysis = family.analyse(*operands)
+    results = {}
     for name in names:
         refusal, build = family.routes[name]
         error = refusal(analysis, name)
         if error is None:
-            try:
-                results[name] = build(analysis)
-            except EnumerationGuardError as exc:
-                if strict:
-                    raise
-                guarded = guarded or exc
+            results[name] = build(analysis)
         elif strict:
             raise error
-    if guarded and not results:
-        raise guarded
     return results
 
 
-def inverse(kind: str, route: str, *operands, max_n: int | None = None):
+def inverse(kind: str, route: str, *operands):
     """(result, provenance) of the inverse kind, ``"mp"``, ``"drazin"`` or
     ``"wdrazin"``, by one route or, under ``all``, by every route that
     applies, checked to agree; the provenance names the routes run."""
@@ -228,8 +212,7 @@ def inverse(kind: str, route: str, *operands, max_n: int | None = None):
     family, every = _FAMILIES[kind], route == "all"
     if not (every or route in family.routes):
         raise ValueError(f"unknown {family.what} route {route!r}")
-    _override(max_n)  # an invalid override is refused before any analysis
-    results = _results(family, operands, family.routes if every else (route,), not every, max_n)
+    results = _results(family, operands, family.routes if every else (route,), not every)
     provenance = "all:" + ",".join(results) if every else route
     return assert_routes_agree(results, operands[0].mode, family.what), provenance
 
@@ -240,14 +223,14 @@ def inverse(kind: str, route: str, *operands, max_n: int | None = None):
 
 
 def _mp_direct(p, row: bool) -> QMatrix:
-    a, r, max_n = p
-    num, d = _mp_cramer(a, r, row, max_n)
+    a, r = p
+    num, d = _mp_cramer(a, r, row)
     return num / d
 
 
 _MP = _Family(
     "Moore-Penrose",
-    lambda a, max_n: (a, rank(a), max_n),
+    lambda a: (a, rank(a)),
     {
         "cdet": (_no_precondition, lambda p: _mp_direct(p, row=False)),
         "rdet": (_no_precondition, lambda p: _mp_direct(p, row=True)),
@@ -256,14 +239,14 @@ _MP = _Family(
 MP_ROUTES = tuple(_MP.routes)
 
 
-def mp_inverse(a: QMatrix, route: str = "cdet", max_n: int | None = None) -> QMatrix:
+def mp_inverse(a: QMatrix, route: str = "cdet") -> QMatrix:
     """Moore-Penrose inverse of a; satisfies the four Penrose equations.
 
     Routes: ``cdet`` (minors of A*A), ``rdet`` (minors of A A*), or
-    ``all`` to compute both and assert entrywise agreement.  ``max_n``
-    sets the enumeration guard for this call only.
+    ``all`` to compute both and assert entrywise agreement.  Every route
+    is polynomial in the size and rank of a.
     """
-    return inverse("mp", route, a, max_n=max_n)[0]
+    return inverse("mp", route, a)[0]
 
 
 def mp_all_routes(a: QMatrix) -> dict:
@@ -277,16 +260,14 @@ def mp_all_routes(a: QMatrix) -> dict:
 
 class _SquareAnalysis(Powers):
     """The power table of a square matrix plus its index k, computed once,
-    the call's guard max_n, and whether it is Hermitian, the
-    Moore-Penrose kernels of its odd powers and the Hermitian kernel of
-    A^(k+1), each made on first use."""
+    and whether it is Hermitian, the Moore-Penrose kernels of its odd
+    powers and the Hermitian kernel of A^(k+1), each made on first use."""
 
-    def __init__(self, a: QMatrix, max_n: int | None = None):
+    def __init__(self, a: QMatrix):
         if not a.is_square():
             raise ShapeError("Drazin inverse requires a square matrix")
         super().__init__(a)
         self.k = index_of(self)
-        self.max_n = max_n
         self._mp = {}
 
     @cached_property
@@ -297,7 +278,7 @@ class _SquareAnalysis(Powers):
     def hermitian_cramer(self):
         """(Y, d) of the Hermitian A^(k+1) at rank(A^k): the one pass that
         both Hermitian routes read."""
-        return _hermitian_cramer(self[self.k + 1], self.rank(self.k), self.max_n)
+        return _hermitian_cramer(self[self.k + 1], self.rank(self.k))
 
     def mp_cramer(self, e: int, row: bool):
         """(N, d) with N / d = (A^(2e+1))^+, at rank(A^e): for e >= Ind A the
@@ -305,7 +286,7 @@ class _SquareAnalysis(Powers):
         the other family's at e is stored as that one's object, so the
         products made from the two are made once (`Powers.product`)."""
         if (e, row) not in self._mp:
-            made = _mp_cramer(self[2 * e + 1], self.rank(e), row, self.max_n)
+            made = _mp_cramer(self[2 * e + 1], self.rank(e), row)
             other = self._mp.get((e, not row))
             # float == takes -0.0 for 0.0, so only exact passes are shared
             if self.a.mode == EXACT and made == other:
@@ -347,15 +328,15 @@ _DRAZIN = _Family(
 DRAZIN_ROUTES = tuple(_DRAZIN.routes)
 
 
-def drazin(a: QMatrix, route: str = "cdet", max_n: int | None = None) -> QMatrix:
+def drazin(a: QMatrix, route: str = "cdet") -> QMatrix:
     """Drazin inverse of a square matrix.
 
     When a is nonsingular (index 0) every route returns the ordinary
     inverse.  Hermitian routes refuse non-Hermitian input rather than
-    silently substituting a general route.  ``max_n`` sets the
-    enumeration guard for this call only.
+    silently substituting a general route.  Every route is polynomial in
+    the size of a and its index.
     """
-    return inverse("drazin", route, a, max_n=max_n)[0]
+    return inverse("drazin", route, a)[0]
 
 
 def drazin_all_routes(a: QMatrix) -> dict:
@@ -368,18 +349,17 @@ def drazin_all_routes(a: QMatrix) -> dict:
 
 
 class _WeightedProblem:
-    """A, W, the analyses of U = WA and V = AW under the call's guard
-    max_n, k and rank(W), the last made on first read: only the mp_route
-    refusals and builders read it."""
+    """A, W, the analyses of U = WA and V = AW, k and rank(W), the last
+    made on first read: only the mp_route refusals and builders read it."""
 
-    def __init__(self, a: QMatrix, w: QMatrix, max_n: int | None = None):
+    def __init__(self, a: QMatrix, w: QMatrix):
         if w.rows != a.cols or w.cols != a.rows:
             raise ShapeError(
                 f"weight must be {a.cols}x{a.rows} for a {a.rows}x{a.cols} input, got {w.rows}x{w.cols}"
             )
-        self.a, self.w, self.max_n = a, w, max_n
-        self.u = _SquareAnalysis(w @ a, max_n)
-        self.v = _SquareAnalysis(a @ w, max_n)
+        self.a, self.w = a, w
+        self.u = _SquareAnalysis(w @ a)
+        self.v = _SquareAnalysis(a @ w)
         self.k = max(self.u.k, self.v.k)
 
     @cached_property
@@ -397,7 +377,7 @@ def _mp_route(p: _WeightedProblem, u_side: bool) -> QMatrix:
     """W^+ U^D (column family) or V^D W^+ (row family), with U^D, V^D at k."""
     side = p.u if u_side else p.v
     sk = side[p.k]
-    num_w, d_w = _mp_cramer(p.w, p.rank_w, not u_side, p.max_n)
+    num_w, d_w = _mp_cramer(p.w, p.rank_w, not u_side)
     num, d = side.mp_cramer(p.k, row=not u_side)
     num = side.product(side.product(sk, num), sk)
     return (num_w @ num if u_side else num @ num_w) / (d_w * d)
@@ -406,7 +386,7 @@ def _mp_route(p: _WeightedProblem, u_side: bool) -> QMatrix:
 def _weighted_hermitian(p: _WeightedProblem, u_side: bool) -> QMatrix:
     side = p.u if u_side else p.v
     sk = side[p.k]
-    y, d = _hermitian_cramer(side[p.k + 2], side.rank(p.k), p.max_n)
+    y, d = _hermitian_cramer(side[p.k + 2], side.rank(p.k))
     return ((p.a @ sk) @ y if u_side else y @ (sk @ p.a)) / d
 
 
@@ -428,7 +408,7 @@ WDRAZIN_ROUTES = tuple(_WDRAZIN.routes)
 _FAMILIES = {"mp": _MP, "drazin": _DRAZIN, "wdrazin": _WDRAZIN}
 
 
-def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U", max_n: int | None = None) -> QMatrix:
+def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U") -> QMatrix:
     """Weighted Drazin inverse of a with respect to the weight w.
 
     The result X is the unique solution of
@@ -436,10 +416,10 @@ def wdrazin(a: QMatrix, w: QMatrix, route: str = "via_drazin_U", max_n: int | No
         (AW)^(k+1) X W = (AW)^k,   X W A W X = X,   A W X = X W A,
 
     and also satisfies X W = (AW)^D and W X = (WA)^D.  With W = I it
-    reduces to the Drazin inverse.  ``max_n`` sets the enumeration guard
-    for this call only.
+    reduces to the Drazin inverse.  Every route is polynomial in the sizes
+    of a and w and the index k.
     """
-    return inverse("wdrazin", route, a, w, max_n=max_n)[0]
+    return inverse("wdrazin", route, a, w)[0]
 
 
 def wdrazin_all_routes(a: QMatrix, w: QMatrix) -> dict:

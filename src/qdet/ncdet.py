@@ -91,17 +91,16 @@ The recurrence is not run in float arithmetic, where it cancels: on
 real-valued Hermitian Gram matrices at n = 6 and 7 a float port's errors
 were up to 200 times those of float subset sums (README, "Routes").
 
-Every evaluator refuses matrices above a size guard (default n = 8)
-rather than silently running for hours: the reference evaluators and
-the determinants (`rdet`, `cdet`, `ddet`) stay exponential in n.  For
-the minor sums, cofactors and inverses the guard bounds the order of the
-minors (the rank r a route expands), not the size of the matrix; they
-keep that refusal, though they enumerate nothing.  It is overridden for
-one call only, by the `max_n` of every evaluator and inverse, passed as
-an argument down to the check; the module holds no guard state.  An
-override must be an integer of at least 1, and not a bool.  Every
-evaluator checks it before it looks at the matrix, as `geninv.inverse`
-does, so an invalid override is refused whatever the input.
+The evaluators whose cost grows exponentially in n, the determinants
+(`rdet`, `cdet`, `ddet`) and the two n! references, refuse matrices
+above a size guard (default n = 8) rather than silently running for
+hours.  The minor sums, cofactors and inverses enumerate nothing and
+take no guard.  The guard is overridden for one call only, by the
+`max_n` of each guarded evaluator, passed as an argument down to
+`_check`; the module holds no guard state.  An override must be an
+integer of at least 1, and not a bool.  Each guarded evaluator checks it
+before it looks at the matrix, so an invalid override is refused
+whatever the input.
 """
 
 import itertools
@@ -135,21 +134,16 @@ def _override(max_n) -> int:
     return max_n
 
 
-def _refuse_above_guard(n: int, max_n, what="minor order", bounds="the minor order, not the matrix size"):
-    limit = _override(max_n)
-    if n > limit:
-        raise EnumerationGuardError(
-            f"{what} {n} exceeds the enumeration guard {limit}, which bounds {bounds}; "
-            "raise the guard explicitly to proceed"
-        )
-
-
 def _check(a: QMatrix, anchor: int, max_n, bounds="the determinant size (2^n index subsets summed)"):
-    _override(max_n)  # an invalid override is refused before the input is looked at
+    limit = _override(max_n)  # an invalid override is refused before the input is looked at
     if not a.is_square():
         raise ShapeError("row/column determinants require a square matrix")
     n = a.rows
-    _refuse_above_guard(n, max_n, "n =", bounds)
+    if n > limit:
+        raise EnumerationGuardError(
+            f"n = {n} exceeds the enumeration guard {limit}, which bounds {bounds}; "
+            "raise the guard explicitly to proceed"
+        )
     if not 1 <= anchor <= n:
         raise ValueError(f"anchor {anchor} out of range 1..{n}")
     return n
@@ -361,14 +355,12 @@ def _require_hermitian(a: QMatrix, refusal: str):
 
 
 def _exact_hermitian(g: QMatrix) -> QMatrix:
-    """The exact Hermitian matrix a square g stands for: an exact g, which
-    must be Hermitian, or the Hermitian part (T + T*) / 2 of the exact
-    value T of a float g, ints over the largest denominator of its
-    components, a power of two (module docstring).  A float component
-    that is not finite raises NumericalBreakdownError."""
+    """The exact Hermitian matrix a square g stands for: an exact g itself,
+    which the caller has checked to be Hermitian, or the Hermitian part
+    (T + T*) / 2 of the exact value T of a float g, ints over the largest
+    denominator of its components, a power of two (module docstring).  A
+    float component that is not finite raises NumericalBreakdownError."""
     if g.mode == EXACT:
-        if not g.is_hermitian():
-            raise NotHermitianError("bordered cofactors require a Hermitian matrix")
         return g
     ratios = [c.as_integer_ratio() for c in _finite_components(g)]
     den = max([q for _, q in ratios])
@@ -389,7 +381,7 @@ def _rounded(x):
         raise NumericalBreakdownError("float result is beyond the float range") from None
 
 
-def _bordered_cofactors(g: QMatrix, r: int, max_n: int | None = None):
+def _bordered_cofactors(g: QMatrix, r: int):
     """The order-r bordered minor sums of a Hermitian g as one cofactor
     matrix.  Returns (Y, d) with Y an n x n matrix such that, for any
     column b and any row c,
@@ -400,13 +392,14 @@ def _bordered_cofactors(g: QMatrix, r: int, max_n: int | None = None):
                      rdet_j(g_alpha with row j replaced by c_alpha),
 
     and d = d_r, the sum of the r x r principal minors of g.  Both come
-    from one `_leverrier` pass on `_exact_hermitian(g)`, which refuses an
-    exact g that is not Hermitian; a float g gets the pass's Y and d
-    rounded once (module docstring).  At r = 0 no set holds an anchor and the one empty
-    minor is 1, so Y = 0 and d = 1: a Cramer formula at rank 0 gives the
-    zero inverse.  The guard bounds the minor order r.
+    from one `_leverrier` pass on `_exact_hermitian(g)`; an exact g that
+    is not Hermitian is refused, and a float g gets the pass's Y and d
+    rounded once (module docstring).  At r = 0 no set holds an anchor and
+    the one empty minor is 1, so Y = 0 and d = 1: a Cramer formula at
+    rank 0 gives the zero inverse.
     """
-    _refuse_above_guard(r, max_n)
+    if g.mode == EXACT and not g.is_hermitian():
+        raise NotHermitianError("bordered cofactors require a Hermitian matrix")
     h = _exact_hermitian(g)
     if r == 0:  # no order-0 set holds an anchor; the one empty minor is 1
         return QMatrix.zeros(g.rows, g.rows, g.mode), 1
@@ -487,20 +480,18 @@ def ddet(a: QMatrix, max_n: int | None = None):
     return value.a0
 
 
-def principal_minor_sum(a: QMatrix, s: int, max_n: int | None = None):
+def principal_minor_sum(a: QMatrix, s: int):
     """Sum of the s x s principal minors of a Hermitian matrix: d_s of one
     `_leverrier` pass on `_exact_hermitian(a)`, rounded once in float mode
     (module docstring)."""
-    _override(max_n)
     _require_hermitian(a, "principal minors require a Hermitian matrix")
     if not 1 <= s <= a.rows:
         raise ValueError(f"minor order {s} out of range 1..{a.rows}")
-    _refuse_above_guard(s, max_n)
     _, (*_, d) = _leverrier(_exact_hermitian(a), s)
     return d if a.mode == EXACT else _rounded(d)
 
 
-def char_poly(a: QMatrix, max_n: int | None = None) -> tuple:
+def char_poly(a: QMatrix) -> tuple:
     """Coefficients (d1, ..., dn) of the characteristic polynomial of a
     Hermitian matrix, in the alternating-sign convention
 
@@ -509,32 +500,28 @@ def char_poly(a: QMatrix, max_n: int | None = None) -> tuple:
     where ds is the sum of the s x s principal minors and dn = ddet(a).
     All of them come from one `_leverrier` pass on `_exact_hermitian(a)`,
     each rounded once in float mode (module docstring)."""
-    _override(max_n)
     _require_hermitian(a, "characteristic polynomial requires a Hermitian matrix")
-    _refuse_above_guard(a.rows, max_n)
     _, sums = _leverrier(_exact_hermitian(a), a.rows)
     return sums if a.mode == EXACT else tuple(map(_rounded, sums))
 
 
-def hermitian_inverse(a: QMatrix, max_n: int | None = None) -> QMatrix:
+def hermitian_inverse(a: QMatrix) -> QMatrix:
     """Inverse of a nonsingular Hermitian matrix assembled from cofactors.
 
-    The Hermitian Cramer rule at full order: the cofactors Y of
-    `_bordered_cofactors` with r = n give ddet(a) * a^-1, one pass for
-    both families (module docstring), and must satisfy
-    a Y = Y a = ddet(a) I before the one division.  A float a is inverted
-    as the exact Hermitian matrix it stands for (`_exact_hermitian`), and
-    the exact inverse is rounded once.
+    The Hermitian Cramer rule at full order: the order-n cofactors Y of
+    one `_leverrier` pass give ddet(a) * a^-1, one pass for both families
+    (module docstring), and must satisfy h Y = Y h = ddet(a) I before the
+    one division.  A float a is inverted as the exact Hermitian matrix h
+    it stands for (`_exact_hermitian`), and the exact inverse is rounded
+    once; an exact a is h itself.
     """
-    _override(max_n)
     _require_hermitian(a, "hermitian_inverse requires a Hermitian matrix")
-    if a.mode != EXACT:
-        return _rounded(hermitian_inverse(_exact_hermitian(a), max_n))
-    n = a.rows
-    y, det = _bordered_cofactors(a, n, max_n)
+    h, n = _exact_hermitian(a), a.rows
+    y, (*_, det) = _leverrier(h, n)
     if det == 0:
         raise SingularError("Hermitian matrix has zero determinant")
     scaled = QMatrix.identity(n) * det
-    if not (a @ y == scaled and y @ a == scaled):
+    if not (h @ y == scaled and y @ h == scaled):
         raise InternalInvariantError("cofactor inverse failed the product check")
-    return y / det
+    inv = y / det
+    return inv if a.mode == EXACT else _rounded(inv)

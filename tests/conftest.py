@@ -318,8 +318,9 @@ def reference_det(a: QMatrix, anchor: int, row: bool) -> Quaternion:
     return _ref_combine(cycle_sums, tails, _ref_mask(others), row)
 
 
-def reference_bordered_cofactors(g: QMatrix, r: int, row: bool, max_n=None):
-    """`ncdet._bordered_cofactors`, without its guard."""
+def reference_bordered_cofactors(g: QMatrix, r: int, row: bool):
+    """`ncdet._bordered_cofactors` of one family by enumerating the
+    subsets, the recurrence's independent judge."""
     n = g.rows
     e = g.entries()
     tails = _ref_tails(e, g.mode, range(n), r, row)

@@ -209,17 +209,23 @@ def test_default_guard_refuses_nine_by_nine(tmp_path, capsys):
 
 
 def test_guarded_subcommands_honour_the_flag_on_nine_by_nine(tmp_path, capsys):
+    # det alone is guarded; the inverses answer without the flag and do not
+    # offer it.
     eye = write(tmp_path, "eye9.qmat", QMatrix.identity(9))
+    det = ["det", "-i", eye, "--anchor", "r:1"]
+    assert main(det) == 2
+    assert "guard" in capsys.readouterr().err
+    assert main(det + ["--max-n", "9"]) == 0
+    capsys.readouterr()
     for argv in (
-        ["det", "-i", eye, "--anchor", "r:1"],
         ["mp", "-i", eye],
         ["drazin", "-i", eye],
         ["wdrazin", "-i", eye, "--weight", eye],
     ):
-        assert main(argv) == 2, argv
-        assert "guard" in capsys.readouterr().err
-        assert main(argv + ["--max-n", "9"]) == 0, argv
+        assert main(argv) == 0, argv
         capsys.readouterr()
+        assert main(argv + ["--max-n", "9"]) == 1, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
 
 
 def test_the_guard_is_read_from_the_flag_alone(tmp_path, capsys, monkeypatch):
@@ -232,8 +238,8 @@ def test_the_guard_is_read_from_the_flag_alone(tmp_path, capsys, monkeypatch):
 
 
 def test_an_override_below_one_is_refused_on_every_subcommand(tmp_path, capsys):
-    # The guarded subcommands pass it to the library, which refuses it;
-    # info and verify make no guarded call and do not offer --max-n.
+    # det, the one guarded subcommand, passes it to the library, which
+    # refuses it; the others make no guarded call and do not offer --max-n.
     path = write(tmp_path, "h.qmat", HERMITIAN)
     inverse = write(tmp_path, "x.qmat", geninv.mp_inverse(HERMITIAN))
     commands = {
@@ -247,7 +253,7 @@ def test_an_override_below_one_is_refused_on_every_subcommand(tmp_path, capsys):
     for name, argv in commands.items():
         assert main(argv) == 0, name
         assert main(argv + ["--max-n", "0"]) == 1, name
-        expected = "unrecognized arguments" if name in ("info", "verify") else "at least 1"
+        expected = "at least 1" if name == "det" else "unrecognized arguments"
         assert expected in capsys.readouterr().err, name
 
 

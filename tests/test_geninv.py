@@ -30,6 +30,7 @@ from qdet import (
     Quaternion,
     cdet,
     char_poly,
+    ddet,
     check_drazin,
     check_penrose,
     check_wdrazin,
@@ -50,7 +51,6 @@ from qdet import (
     wdrazin_limit_estimate,
 )
 from qdet.errors import (
-    EnumerationGuardError,
     InternalInvariantError,
     ModeError,
     NotHermitianError,
@@ -130,52 +130,55 @@ def test_mp_worked_example_numerator_pieces():
     assert col_sums[2] == Quaternion.zero()
 
 
-def test_mp_refuses_a_rank_above_the_guard():
-    # The guard bounds the order r of the minors a route expands.
-    with pytest.raises(EnumerationGuardError):
-        mp_inverse(QMatrix.identity(9))
-    a = random_rank_deficient(random.Random(7), 5, 4, 3)
-    assert rank(a) == 3
-    for route in ("cdet", "rdet"):
-        with pytest.raises(EnumerationGuardError):
-            mp_inverse(a, route, max_n=2)
-    assert check_penrose(a, mp_inverse(a, "all", max_n=3)).ok
-
-
-def test_inverse_routes_take_a_per_call_guard():
-    # Rank 3 and index 1: every route expands minors of order 3.
+def test_inverse_routes_answer_without_a_guard():
+    # Rank 3 and index 1, with the weight A*, of rank 3: the mp_route
+    # routes (full-rank W) sit out, and the Hermitian ones (A*A, A A*) run.
     a = random_rank_deficient(random.Random(4), 4, 4, 3)
     assert (rank(a), index_of(a)) == (3, 1)
-    w = a.H  # rank 3 too, so the mp_route routes (full-rank W) sit out
-    calls = {
-        "mp_inverse": (lambda max_n: mp_inverse(a, "all", max_n=max_n), check_penrose),
-        "drazin": (lambda max_n: drazin(a, "all", max_n=max_n), check_drazin),
-        "wdrazin": (lambda max_n: wdrazin(a, w, "all", max_n=max_n), lambda a, x: check_wdrazin(a, w, x)),
-    }
-    for name, (call, check) in calls.items():
-        with pytest.raises(EnumerationGuardError):
-            call(2)
-        assert check(a, call(3)).ok, name
-        # The same call without max_n runs at the default guard.
-        assert call(None) == call(3), name
+    assert check_penrose(a, mp_inverse(a, "all")).ok
+    assert check_drazin(a, drazin(a, "all")).ok
+    x, provenance = inverse("wdrazin", "all", a, a.H)
+    assert provenance == "all:via_drazin_U,via_drazin_V,hermitian_U,hermitian_V"
+    assert check_wdrazin(a, a.H, x).ok
 
 
-def test_route_all_leaves_out_a_route_the_guard_refuses():
-    # Rank 3 with a weight of rank 4: the mp_route routes expand W's Gram
-    # matrix at rank 4, the via_drazin routes minors of order 3.
+def test_route_all_runs_every_route_whose_precondition_holds():
+    # Rank 3 with a weight of rank 4: the mp_route routes run beside the
+    # via_drazin ones.
+    tall = random_rank_deficient(random.Random(7), 5, 4, 3)
+    assert rank(tall) == 3 and check_penrose(tall, mp_inverse(tall, "all")).ok
     rng = random.Random(5)
     a = random_qmatrix(rng, 4, 3) @ random_qmatrix(rng, 3, 4)
     w = random_qmatrix(rng, 4, 4)
     assert (rank(a), rank(w)) == (3, 4)
-    x, provenance = inverse("wdrazin", "all", a, w, max_n=3)
-    assert provenance == "all:via_drazin_U,via_drazin_V"
+    x, provenance = inverse("wdrazin", "all", a, w)
+    assert provenance == "all:via_drazin_U,via_drazin_V,mp_route_U,mp_route_V"
     assert check_wdrazin(a, w, x).ok
-    with pytest.raises(EnumerationGuardError, match="minor order 4"):
-        wdrazin(a, w, "mp_route_U", max_n=3)
+
+
+def test_the_families_answer_above_the_old_guard():
+    # Full-rank exact 12 x 12 inputs: every route expands minors of order
+    # 12, beyond the determinants' default guard of 8, and takes no guard.
+    rng = random.Random(30)
+    a, w = random_qmatrix(rng, 12, 12), random_qmatrix(rng, 12, 12)
+    assert rank(a) == rank(w) == 12
+    assert mp_inverse(QMatrix.identity(9)) == QMatrix.identity(9)
+    for kind, operands, check, provenance in (
+        ("mp", (a,), check_penrose, "all:cdet,rdet"),
+        ("drazin", (a,), check_drazin, "all:cdet,rdet,mp_composition"),
+        ("wdrazin", (a, w), check_wdrazin, "all:via_drazin_U,via_drazin_V,mp_route_U,mp_route_V"),
+    ):
+        x, made = inverse(kind, "all", *operands)
+        assert made == provenance and check(*operands, x).ok, kind
+    h = a @ a.H
+    assert char_poly(h)[-1] == ddet(h, max_n=12)
+    assert hermitian_inverse(h) @ h == QMatrix.identity(12)
+    with pytest.raises(TypeError):
+        inverse("wdrazin", "all", a)  # no weight
 
 
 def test_mp_of_large_low_rank_input_stays_within_the_guard():
-    # 12 x 12 is beyond the default guard, but every minor is 2 x 2.
+    # A 12 x 12 input whose minors are all 2 x 2.
     a = random_rank_deficient(random.Random(12), 12, 12, 2)
     assert rank(a) == 2
     start = time.perf_counter()
@@ -186,8 +189,8 @@ def test_mp_of_large_low_rank_input_stays_within_the_guard():
 
 
 def test_exact_mp_of_a_wide_rank_eight_input_enumerates_no_subsets():
-    # Rank 8 is the default guard.  The Gram matrix is exact and Hermitian,
-    # so both routes take the recurrence, not C(12, <= 8) subset tables.
+    # The Gram matrix is exact and Hermitian, so both routes take the
+    # recurrence, not C(12, <= 8) subset tables.
     rng = random.Random(26)
     a = random_qmatrix(rng, 12, 8) @ random_qmatrix(rng, 8, 12)
     assert rank(a) == 8
@@ -578,7 +581,7 @@ def test_the_hermitian_drazin_routes_share_one_cofactor_pass(monkeypatch, mode):
     h = h if mode == "exact" else h.to_float()
     passes = []
     bordered = geninv._bordered_cofactors
-    monkeypatch.setattr(geninv, "_bordered_cofactors", lambda g, r, max_n: passes.append(g) or bordered(g, r, max_n))
+    monkeypatch.setattr(geninv, "_bordered_cofactors", lambda g, r: passes.append(g) or bordered(g, r))
     x, provenance = inverse("drazin", "all", h)
     assert provenance == "all:" + ",".join(DRAZIN_ROUTES)
     assert check_drazin(h, x).ok
@@ -588,7 +591,7 @@ def test_the_hermitian_drazin_routes_share_one_cofactor_pass(monkeypatch, mode):
 def test_each_kernel_pass_runs_once_per_call(monkeypatch):
     passes, ranks = [], []
     bordered, rank_of = geninv._bordered_cofactors, geninv.rank
-    monkeypatch.setattr(geninv, "_bordered_cofactors", lambda g, r, max_n: passes.append(1) or bordered(g, r, max_n))
+    monkeypatch.setattr(geninv, "_bordered_cofactors", lambda g, r: passes.append(1) or bordered(g, r))
     monkeypatch.setattr(geninv, "rank", lambda a: ranks.append(1) or rank_of(a))
     counts = []
     for call in (
@@ -643,7 +646,7 @@ def test_kernels_refuse_a_broken_minor_sum(monkeypatch, mode, error):
     # Gram minor sums must be positive, Hermitian ones nonzero.
     bordered = geninv._bordered_cofactors
     d = [0]
-    monkeypatch.setattr(geninv, "_bordered_cofactors", lambda g, r, max_n: (bordered(g, r, max_n)[0], d[0]))
+    monkeypatch.setattr(geninv, "_bordered_cofactors", lambda g, r: (bordered(g, r)[0], d[0]))
     h = QMatrix.from_literals([["2", "i"], ["-i", "2"]])
     h = h.to_float() if mode == "float" else h
     for route in ("cdet", "rdet"):

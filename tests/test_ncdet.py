@@ -42,7 +42,7 @@ from qdet import (
     rdet_reference,
 )
 import qdet
-from qdet import geninv, matrix, ncdet
+from qdet import ncdet
 from qdet.errors import (
     EnumerationGuardError,
     InternalInvariantError,
@@ -278,15 +278,12 @@ def test_bordered_cofactor_denominator_is_the_minor_sum(rng):
                 _bordered_cofactors(g, n)
 
 
-def test_bordered_cofactors_respect_the_guard():
-    with pytest.raises(EnumerationGuardError) as err:
-        _bordered_cofactors(QMatrix.identity(4), 3, max_n=2)
-    # No n! sum runs here; the message names what the guard bounds.
-    assert str(err.value).startswith(
-        "minor order 3 exceeds the enumeration guard 2, which bounds the minor order, not the matrix size"
-    )
-    cof, d = _bordered_cofactors(QMatrix.identity(4), 2, max_n=2)
-    assert d == 6
+def test_bordered_cofactors_take_no_guard():
+    # The recurrence enumerates nothing, so orders above the determinants'
+    # default guard of 8 answer too.
+    assert _bordered_cofactors(QMatrix.identity(4), 2)[1] == 6
+    cof, d = _bordered_cofactors(QMatrix.identity(9), 9)
+    assert d == 1 and cof == QMatrix.identity(9)
 
 
 def test_bordered_cofactors_of_order_zero():
@@ -539,8 +536,9 @@ def test_guard_set_in_one_thread_is_not_seen_by_another():
     assert seen and all(x == Quaternion.one() for x in seen)
 
 
-# Every public function that takes a per-call guard override, called on a
-# 2x2 Hermitian input whose minors fit under an override of 2.
+# Every public function that takes a per-call guard override, the ones
+# whose cost grows exponentially in n, called on a 2x2 Hermitian input
+# that fits under an override of 2.
 _H = QMatrix.from_literals([["2", "i"], ["-i", "2"]])
 GUARDED_CALLS = {
     "rdet": lambda max_n: rdet(1, _H, max_n=max_n),
@@ -548,13 +546,6 @@ GUARDED_CALLS = {
     "rdet_reference": lambda max_n: rdet_reference(1, _H, max_n=max_n),
     "cdet_reference": lambda max_n: cdet_reference(1, _H, max_n=max_n),
     "ddet": lambda max_n: ddet(_H, max_n=max_n),
-    "principal_minor_sum": lambda max_n: principal_minor_sum(_H, 1, max_n=max_n),
-    "char_poly": lambda max_n: char_poly(_H, max_n=max_n),
-    "hermitian_inverse": lambda max_n: hermitian_inverse(_H, max_n=max_n),
-    "mp_inverse": lambda max_n: qdet.mp_inverse(_H, max_n=max_n),
-    "drazin": lambda max_n: qdet.drazin(_H, max_n=max_n),
-    "wdrazin": lambda max_n: qdet.wdrazin(_H, _H, max_n=max_n),
-    "inverse": lambda max_n: qdet.inverse("drazin", "all", _H, max_n=max_n),
 }
 
 
@@ -602,16 +593,12 @@ def test_an_override_below_one_is_a_value_error(name, max_n):
         (rdet_reference, ShapeError),
         (cdet_reference, ShapeError),
         (lambda _, a, max_n: ddet(a, max_n=max_n), NotHermitianError),
-        (lambda s, a, max_n: principal_minor_sum(a, s, max_n=max_n), NotHermitianError),
-        (lambda _, a, max_n: char_poly(a, max_n=max_n), NotHermitianError),
-        (lambda _, a, max_n: hermitian_inverse(a, max_n=max_n), NotHermitianError),
     ],
-    ids=["rdet", "cdet", "rdet_reference", "cdet_reference", "ddet", "principal_minor_sum", "char_poly",
-         "hermitian_inverse"],
+    ids=["rdet", "cdet", "rdet_reference", "cdet_reference", "ddet"],
 )
 def test_the_determinants_check_an_override_before_the_input(evaluator, error):
     # A 2x3 matrix has no determinant, but the invalid override is named
-    # first, as geninv.inverse names it before any analysis.
+    # first.
     a = QMatrix.from_literals([["1", "i", "0"], ["j", "1", "k"]])
     with pytest.raises(ValueError, match="at least 1"):
         evaluator(1, a, max_n=0)
@@ -621,10 +608,8 @@ def test_the_determinants_check_an_override_before_the_input(evaluator, error):
 
 @pytest.mark.parametrize("max_n", [2.5, True], ids=["float", "bool"])
 @pytest.mark.parametrize("name", sorted(GUARDED_CALLS))
-def test_an_override_that_is_not_an_integer_is_a_type_error(name, max_n, monkeypatch):
-    # Refused as the override is read, before any rank, index or minor.
-    for module in (geninv, matrix):
-        monkeypatch.setattr(module, "rank", lambda a: pytest.fail("ranked before the guard check"))
+def test_an_override_that_is_not_an_integer_is_a_type_error(name, max_n):
+    # Refused as the override is read.
     with pytest.raises(TypeError, match="integer"):
         GUARDED_CALLS[name](max_n)
 
@@ -719,6 +704,13 @@ def outcome(f, *args):
         return type(exc)
 
 
+def reference_leverrier(h, r):
+    """`ncdet._leverrier` by the subset enumeration, for a caller that
+    reads Y_r and d_r only: (Y_r, (d_r,))."""
+    y, d = reference_bordered_cofactors(h, r, True)
+    return y, (d,)
+
+
 def exact_hermitian_part(g):
     """The exact Hermitian matrix a float g stands for: its components
     read as the `Fraction`s they are, then (T + T*) / 2.  An exact g is
@@ -766,7 +758,7 @@ def assert_kernel_matches_reference(g):
     assert_same(char_poly(g), sums, mode)
     got = outcome(hermitian_inverse, g)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ncdet, "_bordered_cofactors", lambda h, r, max_n=None: reference_bordered_cofactors(h, r, True))
+        patch.setattr(ncdet, "_leverrier", reference_leverrier)
         want = outcome(hermitian_inverse, g)
     if isinstance(want, type):
         assert got is want
@@ -923,22 +915,23 @@ def test_float_minor_sums_have_one_value():
 
 
 def test_minor_sums_above_the_default_guard():
-    # An exact 12 x 12 Gram matrix under an override: n = 12 minor sums,
-    # with ddet, the last of them, from the subset tables as the judge.
+    # An exact 12 x 12 Gram matrix: n = 12 minor sums, which take no guard,
+    # with ddet, the last of them, from the subset tables under an override
+    # as the judge.
     rng = random.Random(12)
     b = random_qmatrix(rng, 12, 12)
     h = b @ b.H
-    coeffs = char_poly(h, max_n=12)
+    coeffs = char_poly(h)
     assert coeffs[-1] == ddet(h, max_n=12)
-    assert tuple(principal_minor_sum(h, s, max_n=12) for s in range(1, 13)) == coeffs
+    assert tuple(principal_minor_sum(h, s) for s in range(1, 13)) == coeffs
 
 
 def test_exact_hermitian_inverse_makes_one_cofactor_pass(monkeypatch, rng):
     # Both families of a Hermitian matrix are one recurrence, so each mode
     # makes one pass: float mode on the exact matrix its input stands for.
     passes = []
-    bordered = ncdet._bordered_cofactors
-    monkeypatch.setattr(ncdet, "_bordered_cofactors", lambda *args: passes.append(args[0]) or bordered(*args))
+    leverrier = ncdet._leverrier
+    monkeypatch.setattr(ncdet, "_leverrier", lambda *args: passes.append(args[0]) or leverrier(*args))
     b = random_qmatrix(rng, 4, 4)
     h = QMatrix.identity(4) * 3 + b @ b.H
     x = hermitian_inverse(h)
@@ -946,6 +939,21 @@ def test_exact_hermitian_inverse_makes_one_cofactor_pass(monkeypatch, rng):
     passes.clear()
     assert hermitian_inverse(h.to_float()) == x.to_float()
     assert passes == [h]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_each_hermitian_call_tests_symmetry_once(mode, monkeypatch, rng):
+    # The refusal's test is the only one: the exact Hermitian matrix a call
+    # expands is its input, or the Hermitian part of a float input.
+    b = random_qmatrix(rng, 5, 5)
+    h = QMatrix.identity(5) * 3 + b @ b.H
+    h = h if mode == "exact" else h.to_float()
+    tests, is_hermitian = [], QMatrix.is_hermitian
+    monkeypatch.setattr(QMatrix, "is_hermitian", lambda self: tests.append(self) or is_hermitian(self))
+    for call in (ddet, char_poly, lambda a: principal_minor_sum(a, 3), hermitian_inverse):
+        tests.clear()
+        call(h)
+        assert tests == [h]
 
 
 def test_the_recurrence_refuses_what_a_hermitian_matrix_cannot_give(monkeypatch):
