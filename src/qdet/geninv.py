@@ -55,19 +55,22 @@ Hermitian routes refuse non-Hermitian products.
 
 Each call analyses its problem once: a `_SquareAnalysis` is the
 `matrix.Powers` table of a square matrix, filled by `index_of`, plus its
-index, the `_mp_cramer` pass of each odd power A^(2e+1) at rank(A^e) and
-the `_hermitian_cramer` pass of A^(k+1), made on first use; a
-`_WeightedProblem` holds A, W, the analyses of U and V, k and rank(W),
-made on first read.  Every route of the call reads them, so no kernel
-pass runs twice in a call: ``mp_composition`` reads the pass of
-``cdet``, ``hermitian_rdet`` that of ``hermitian_cdet``, and
-``mp_route_U`` that of ``via_drazin_U`` when Ind U = k.  Nor does a
-product: the routes read A^k N A^k through the analysis's
-`Powers.product`, and an exact pass equal to the other family's at the
-same power is stored as that very object, so ``cdet`` and ``rdet`` make
-A^k N A^k once, as do ``via_drazin_V`` and ``mp_route_V`` when
-Ind V = k, while each still runs its own pass.  Rank 0 needs no branch:
-the kernels' order-0 case (Y = 0, d = 1) gives the zero inverse.
+index and, each made on first use, the `_mp_cramer` pass (N, d) of each
+odd power A^(2e+1) at rank(A^e), the Drazin numerator A^e N A^e of each
+pass and the `_hermitian_cramer` pass of A^(k+1); a `_WeightedProblem`
+holds A, W, the analyses of U and V, k and rank(W), made on first read.
+Every route of the call reads them, so no kernel pass runs twice in a
+call: ``mp_composition`` reads the pass of ``cdet``, ``hermitian_rdet``
+that of ``hermitian_cdet``, and ``mp_route_U`` that of ``via_drazin_U``
+when Ind U = k.  Nor does a product: every route that reads A^k N A^k
+(the Drazin ``cdet`` and ``rdet``, through them the ``via_drazin``
+pair, and the ``mp_route`` pair) reads it from the analysis, where an
+exact pass equal to the other family's at the same power reads that
+family's numerator.  So ``cdet`` and ``rdet`` make A^k N A^k once, as do
+``via_drazin_V`` and ``mp_route_V`` when Ind V = k, while each still
+runs its own pass.
+Rank 0 needs no branch: the kernels' order-0 case (Y = 0, d = 1) gives
+the zero inverse.
 Routes are data: each family has one table mapping a route name to its
 refusal, which returns the typed error or None, and its builder, which
 reads the call's analysis; the route tuples are the tables' keys.  The
@@ -269,6 +272,7 @@ class _SquareAnalysis(Powers):
         super().__init__(a)
         self.k = index_of(self)
         self._mp = {}
+        self._drazin = {}
 
     @cached_property
     def hermitian(self) -> bool:
@@ -282,23 +286,29 @@ class _SquareAnalysis(Powers):
 
     def mp_cramer(self, e: int, row: bool):
         """(N, d) with N / d = (A^(2e+1))^+, at rank(A^e): for e >= Ind A the
-        two ranks agree and A^e N A^e / d = A^D.  An exact pass equal to
-        the other family's at e is stored as that one's object, so the
-        products made from the two are made once (`Powers.product`)."""
+        two ranks agree and A^e N A^e / d = A^D."""
         if (e, row) not in self._mp:
-            made = _mp_cramer(self[2 * e + 1], self.rank(e), row)
-            other = self._mp.get((e, not row))
-            # float == takes -0.0 for 0.0, so only exact passes are shared
-            if self.a.mode == EXACT and made == other:
-                made = other
-            self._mp[e, row] = made
+            self._mp[e, row] = _mp_cramer(self[2 * e + 1], self.rank(e), row)
         return self._mp[e, row]
+
+    def drazin_cramer(self, e: int, row: bool):
+        """(A^e N A^e, d) from `mp_cramer` (e, row).  An exact pass equal to
+        the other family's at e reads that family's A^e N A^e."""
+        if (e, row) not in self._drazin:
+            num, d = self.mp_cramer(e, row)
+            other = self._drazin.get((e, not row))
+            # float == takes -0.0 for 0.0, so only exact passes are shared
+            if other is not None and self.a.mode == EXACT and self.mp_cramer(e, not row) == (num, d):
+                self._drazin[e, row] = other
+            else:
+                ae = self[e]
+                self._drazin[e, row] = ae @ num @ ae, d
+        return self._drazin[e, row]
 
 
 def _drazin_mp(s: _SquareAnalysis, row: bool) -> QMatrix:
-    ak = s[s.k]
-    num, d = s.mp_cramer(s.k, row)
-    return s.product(s.product(ak, num), ak) / d
+    num, d = s.drazin_cramer(s.k, row)
+    return num / d
 
 
 def _drazin_composition(s: _SquareAnalysis) -> QMatrix:
@@ -376,10 +386,8 @@ def _via_drazin(p: _WeightedProblem, u_side: bool) -> QMatrix:
 def _mp_route(p: _WeightedProblem, u_side: bool) -> QMatrix:
     """W^+ U^D (column family) or V^D W^+ (row family), with U^D, V^D at k."""
     side = p.u if u_side else p.v
-    sk = side[p.k]
     num_w, d_w = _mp_cramer(p.w, p.rank_w, not u_side)
-    num, d = side.mp_cramer(p.k, row=not u_side)
-    num = side.product(side.product(sk, num), sk)
+    num, d = side.drazin_cramer(p.k, row=not u_side)
     return (num_w @ num if u_side else num @ num_w) / (d_w * d)
 
 

@@ -26,10 +26,9 @@ elimination is fraction-free (see `_eliminate`), float elimination uses
 quaternionic left-division with a pivot tolerance, valid over a division
 ring.  A product with an identity factor makes no product: it is the
 other factor (`_times_identity`).  A `Powers` table holds, for one
-call, the powers of one square matrix, their ranks and the call's
-products, each made once, A^0 only when read; `mat_pow`, `index_of`,
-the Drazin routes and the checkers read powers and repeated products
-from such a table instead of rebuilding them.
+call, the powers of one square matrix and their ranks, each made once,
+A^0 only when read; `mat_pow`, `index_of`, the Drazin routes and the
+checkers read powers from such a table instead of rebuilding them.
 
 The complex adjoint embedding maps each entry a + bi + cj + dk to the
 2x2 complex block
@@ -288,14 +287,12 @@ class QMatrix:
 
 
 class Powers:
-    """The powers of one square matrix A, their ranks and the call's
-    products, for one call.
+    """The powers of one square matrix A and their ranks, for one call.
 
     ``p[e]`` is A^e: the identity, made only when read, A itself, then
     A^(e-1) @ A, each made at most once; ``p.rank(e)`` is rank(A^e),
-    computed at most once, with rank(A^0) = n.  ``p.product(x, y)`` is
-    x @ y, made once per pair of operand objects.  A table lives as long
-    as the call that builds it, so no result is cached across calls.
+    computed at most once, with rank(A^0) = n.  A table lives as long as
+    the call that builds it, so no result is cached across calls.
     """
 
     def __init__(self, a: QMatrix):
@@ -304,7 +301,6 @@ class Powers:
         self.a = a
         self._powers = [None, a]
         self._ranks = {0: a.rows}
-        self._products = {}
 
     def __getitem__(self, e: int) -> QMatrix:
         if not isinstance(e, int) or e < 0:
@@ -320,16 +316,6 @@ class Powers:
         if e not in self._ranks:
             self._ranks[e] = rank(self[e])
         return self._ranks[e]
-
-    def product(self, x: QMatrix, y: QMatrix) -> QMatrix:
-        """x @ y, made at most once for the table's life.  It is keyed by
-        the operands' ids, not their values (hashing a held form costs
-        about a tenth of a small product), and the entry keeps both
-        operands alive, so their ids are not reused meanwhile."""
-        key = (id(x), id(y))
-        if key not in self._products:
-            self._products[key] = (x, y, x @ y)
-        return self._products[key][2]
 
 
 def mat_pow(a: QMatrix, p: int) -> QMatrix:

@@ -335,23 +335,16 @@ def _hermitian_product(a, b, diagonal):
     return out
 
 
-def _finite_components(g: QMatrix) -> list:
-    """The components of a float g, row by row; one that is not finite
-    raises NumericalBreakdownError."""
-    flat = [c for row in g._held[0] for t in row for c in t]
-    if not all(map(math.isfinite, flat)):
-        raise NumericalBreakdownError("float matrix has a component that is not finite")
-    return flat
-
-
-def _require_hermitian(a: QMatrix, refusal: str):
-    """Refuse an a that is not Hermitian with NotHermitianError(refusal).
-    A float component that is not finite is refused first, as a numerical
-    breakdown: the NaN-aware symmetry test would call it not Hermitian."""
-    if a.mode != EXACT:
-        _finite_components(a)
+def _require_hermitian(a: QMatrix, refusal: str) -> QMatrix:
+    """The exact Hermitian matrix a stands for (`_exact_hermitian`), once a
+    is found Hermitian; one that is not is refused with
+    NotHermitianError(refusal).  A float component that is not finite is
+    refused first, as a numerical breakdown: the NaN-aware symmetry test
+    would call it not Hermitian."""
+    h = _exact_hermitian(a)
     if not a.is_hermitian():
         raise NotHermitianError(refusal)
+    return h
 
 
 def _exact_hermitian(g: QMatrix) -> QMatrix:
@@ -362,7 +355,10 @@ def _exact_hermitian(g: QMatrix) -> QMatrix:
     float component that is not finite raises NumericalBreakdownError."""
     if g.mode == EXACT:
         return g
-    ratios = [c.as_integer_ratio() for c in _finite_components(g)]
+    flat = [c for row in g._held[0] for t in row for c in t]
+    if not all(map(math.isfinite, flat)):
+        raise NumericalBreakdownError("float matrix has a component that is not finite")
+    ratios = [c.as_integer_ratio() for c in flat]
     den = max([q for _, q in ratios])
     t, n = list(zip(*[iter([p * (den // q) for p, q in ratios])] * 4)), g.rows  # entries, row by row
     part = tuple([  # row i of T plus the conjugate of column i
@@ -484,10 +480,10 @@ def principal_minor_sum(a: QMatrix, s: int):
     """Sum of the s x s principal minors of a Hermitian matrix: d_s of one
     `_leverrier` pass on `_exact_hermitian(a)`, rounded once in float mode
     (module docstring)."""
-    _require_hermitian(a, "principal minors require a Hermitian matrix")
+    h = _require_hermitian(a, "principal minors require a Hermitian matrix")
     if not 1 <= s <= a.rows:
         raise ValueError(f"minor order {s} out of range 1..{a.rows}")
-    _, (*_, d) = _leverrier(_exact_hermitian(a), s)
+    _, (*_, d) = _leverrier(h, s)
     return d if a.mode == EXACT else _rounded(d)
 
 
@@ -500,8 +496,8 @@ def char_poly(a: QMatrix) -> tuple:
     where ds is the sum of the s x s principal minors and dn = ddet(a).
     All of them come from one `_leverrier` pass on `_exact_hermitian(a)`,
     each rounded once in float mode (module docstring)."""
-    _require_hermitian(a, "characteristic polynomial requires a Hermitian matrix")
-    _, sums = _leverrier(_exact_hermitian(a), a.rows)
+    h = _require_hermitian(a, "characteristic polynomial requires a Hermitian matrix")
+    _, sums = _leverrier(h, a.rows)
     return sums if a.mode == EXACT else tuple(map(_rounded, sums))
 
 
@@ -515,8 +511,7 @@ def hermitian_inverse(a: QMatrix) -> QMatrix:
     it stands for (`_exact_hermitian`), and the exact inverse is rounded
     once; an exact a is h itself.
     """
-    _require_hermitian(a, "hermitian_inverse requires a Hermitian matrix")
-    h, n = _exact_hermitian(a), a.rows
+    h, n = _require_hermitian(a, "hermitian_inverse requires a Hermitian matrix"), a.rows
     y, (*_, det) = _leverrier(h, n)
     if det == 0:
         raise SingularError("Hermitian matrix has zero determinant")

@@ -11,7 +11,9 @@ W X = (WA)^D are reported by checking that X W (resp. W X) satisfies the
 Drazin defining equations of AW (resp. WA); by uniqueness of the Drazin
 inverse this is equivalent to the matrix equality without computing any
 inverse here.  Each check reads the powers of A (of AW and WA) from one
-`Powers` table; a NaN residual fails every tolerance.
+`Powers` table and makes each product it reuses once: A^(k+1) X, which
+is A X at k = 0, and (AW)^(k+1) X W, which the Drazin checks of AW reuse
+when Ind AW = k.  A NaN residual fails every tolerance.
 """
 
 import math
@@ -106,14 +108,15 @@ def check_penrose(a: QMatrix, x: QMatrix, provenance: str = "") -> VerifyReport:
     return VerifyReport("penrose", a.mode, provenance, checks, tuple(notes))
 
 
-def _drazin_checks(p: Powers, k: int, x: QMatrix, notes):
-    """The Drazin equations of x for the matrix of the power table p, of index k."""
+def _drazin_checks(p: Powers, k: int, x: QMatrix, akx: QMatrix, notes):
+    """The Drazin equations of x for the matrix of the power table p, of
+    index k, given akx = A^(k+1) X."""
     a = p.a
-    ax = p.product(a, x)  # A^(k+1) X at k = 0
+    ax = akx if k == 0 else a @ x
     checks = (
         _equation("XAX = X", x @ ax, x, notes),
         _equation("AX = XA", ax, x @ a, notes),
-        _equation(f"A^(k+1) X = A^k  [k={k}]", p.product(p[k + 1], x), p[k], notes),
+        _equation(f"A^(k+1) X = A^k  [k={k}]", akx, p[k], notes),
     )
     return checks
 
@@ -124,7 +127,8 @@ def check_drazin(a: QMatrix, x: QMatrix, provenance: str = "") -> VerifyReport:
         raise ShapeError("Drazin check needs square matrices of equal size")
     notes: list = []
     p = Powers(a)
-    checks = _drazin_checks(p, index_of(p), x, notes)
+    k = index_of(p)
+    checks = _drazin_checks(p, k, x, p[k + 1] @ x, notes)
     return VerifyReport("drazin", a.mode, provenance, checks, tuple(notes))
 
 
@@ -148,12 +152,15 @@ def check_wdrazin(a: QMatrix, w: QMatrix, x: QMatrix, provenance: str = "") -> V
     k = max(ku, kv)
     xw = x @ w
     wx = w @ x
+    vxw = v[k + 1] @ xw
     checks = [
-        _equation(f"(AW)^(k+1) X W = (AW)^k  [k={k}]", v.product(v[k + 1], xw), v[k], notes),
+        _equation(f"(AW)^(k+1) X W = (AW)^k  [k={k}]", vxw, v[k], notes),
         _equation("XWAWX = X", xw @ (a @ wx), x, notes),
         _equation("AWX = XWA", v.a @ x, x @ u.a, notes),
-        _combined("XW satisfies the Drazin equations of AW", _drazin_checks(v, kv, xw, notes)),
-        _combined("WX satisfies the Drazin equations of WA", _drazin_checks(u, ku, wx, notes)),
+        _combined("XW satisfies the Drazin equations of AW",
+                  _drazin_checks(v, kv, xw, vxw if kv == k else v[kv + 1] @ xw, notes)),
+        _combined("WX satisfies the Drazin equations of WA",
+                  _drazin_checks(u, ku, wx, u[ku + 1] @ wx, notes)),
     ]
     return VerifyReport("wdrazin", a.mode, provenance, tuple(checks), tuple(notes))
 

@@ -190,6 +190,7 @@ def test_index_of_leaves_its_powers_and_ranks_in_the_table(monkeypatch):
 def test_operator_aliases_are_gone():
     assert not any(hasattr(QMatrix, name) for name in ("rank", "index_of", "__pow__", "conj_transpose"))
     assert not hasattr(Quaternion, "parse")
+    assert not hasattr(Powers, "product")  # products are shared by the code that reuses them
     for name in ("CycleForm", "cycle_forms", "set_enumeration_guard", "enumeration_guard", "_scoped_guard"):
         assert not hasattr(qdet, name) and not hasattr(ncdet, name), name
     assert list(inspect.signature(QMatrix.is_hermitian).parameters) == ["self"]
@@ -209,15 +210,16 @@ special_floats = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0,
 
 @st.composite
 def diff_operands(draw, rows, cols):
-    """A float matrix with NaN, +-inf and +-0.0 components, or an exact one
-    held over a denominator above 1."""
+    """A float matrix whose components may be NaN, +-inf or +-0.0, or an
+    exact one held over a denominator above 1."""
     if draw(st.booleans()):
         comps = st.one_of(special_floats, st.floats())
         return QMatrix([[Quaternion(*draw(st.tuples(comps, comps, comps, comps)), mode="float")
                          for _ in range(cols)] for _ in range(rows)])
     comps = st.fractions(min_value=-50, max_value=50, max_denominator=12)
     entries = [[Quaternion(*draw(st.tuples(comps, comps, comps, comps))) for _ in range(cols)] for _ in range(rows)]
-    entries[0][0] += Fraction(1, draw(st.integers(2, 9)))
+    # 13 is prime to every drawn denominator, so no draw cancels this term
+    entries[0][0] += Fraction(1, 13)
     return QMatrix(entries)
 
 
@@ -315,7 +317,7 @@ def kernel_component(rnd):
 @st.composite
 def kernel_matrices(draw, rows, cols):
     """An exact rows x cols matrix: dense, or a product of thin factors
-    (rank deficient), with some rows and columns zeroed."""
+    (rank deficient), with up to two rows and up to two columns zeroed."""
     rnd = draw(st.randoms(use_true_random=False))
 
     def dense(m, n):
@@ -452,12 +454,8 @@ def test_a_power_table_makes_each_product_once_and_the_identity_when_read(monkey
     monkeypatch.setattr(QMatrix, "__matmul__", lambda x, y: products.append(1) or matmul(x, y))
     p = Powers(golden.U)
     assert p.rank(0) == golden.U.rows and index_of(p) == golden.IND_U and made == []
-    assert p[0] is p[0] and p[0] == identity(golden.U.rows) and made == [golden.U.rows]
-    x = golden.U.H
     products.clear()
-    assert p.product(p[1], x) is p.product(p.a, x) and len(products) == 1
-    assert p.product(x, p.a) is not p.product(p.a, x) and len(products) == 2
-    assert p.product(p.a, x) == matmul(golden.U, x)
+    assert p[0] is p[0] and p[0] == identity(golden.U.rows) and made == [golden.U.rows] and products == []
 
 
 def test_an_empty_diagonal_is_a_shape_error():

@@ -810,7 +810,7 @@ def test_tuple_kernel_matches_the_quaternion_recursion(g):
 @st.composite
 def real_grams(draw):
     """A real-valued float Gram matrix B B* with B n x k, n <= 6, so of
-    rank k <= n, or the same with 1e-8 noise N + N* added."""
+    rank at most k <= n, or the same with 1e-8 noise N + N* added."""
     n = draw(st.integers(1, 6))
     k = draw(st.integers(1, n))
 
@@ -954,6 +954,20 @@ def test_each_hermitian_call_tests_symmetry_once(mode, monkeypatch, rng):
         tests.clear()
         call(h)
         assert tests == [h]
+
+
+def test_each_float_hermitian_call_scans_its_components_once(monkeypatch, rng):
+    # The lift to the exact Hermitian part scans the four components of
+    # each entry for one that is not finite, and the refusal returns that
+    # lift, so no call scans its input twice.
+    b = random_qmatrix(rng, 5, 5)
+    h = (QMatrix.identity(5) * 3 + b @ b.H).to_float()
+    scanned, isfinite = [], math.isfinite
+    monkeypatch.setattr(math, "isfinite", lambda c: scanned.append(c) or isfinite(c))
+    for call in (char_poly, lambda a: principal_minor_sum(a, 3), hermitian_inverse):
+        scanned.clear()
+        call(h)
+        assert len(scanned) == 4 * 5 * 5
 
 
 def test_the_recurrence_refuses_what_a_hermitian_matrix_cannot_give(monkeypatch):
