@@ -20,8 +20,9 @@ family, ``cdet``) or x x* (row family, ``rdet``) at rank r.  Such a sum
 is linear in its replaced column (row), so `ncdet._bordered_cofactors`
 returns a matrix Y and the sum d > 0 of the r x r principal minors, and
 N = Y x* (x* Y).
-`_hermitian_cramer(g, r)` gives Y and d != 0 of a Hermitian g.  The
-routes, each divided once, last, so exact intermediates stay integral:
+`_SquareAnalysis.hermitian_cramer(e)` gives Y and d != 0 of a Hermitian
+power g = A^e at rank(A^k).  The routes, each divided once, last, so
+exact intermediates stay integral:
 
     mp_inverse  cdet, rdet                      N / d,  x = A
     drazin      cdet, rdet                      A^k N A^k / d,  x = A^(2k+1)
@@ -57,8 +58,9 @@ Each call analyses its problem once: a `_SquareAnalysis` is the
 `matrix.Powers` table of a square matrix, filled by `index_of`, plus its
 index and, each made on first use, the `_mp_cramer` pass (N, d) of each
 odd power A^(2e+1) at rank(A^e), the Drazin numerator A^e N A^e of each
-pass and the `_hermitian_cramer` pass of A^(k+1); a `_WeightedProblem`
-holds A, W, the analyses of U and V, k and rank(W), made on first read.
+pass and the `hermitian_cramer` pass (Y, d) of each Hermitian power
+A^e, e >= k; a `_WeightedProblem` holds A, W, the analyses of U and V, k
+and rank(W), made on first read.
 Every route of the call reads them, so no kernel pass runs twice in a
 call: ``mp_composition`` reads the pass of ``cdet``, ``hermitian_rdet``
 that of ``hermitian_cdet``, and ``mp_route_U`` that of ``via_drazin_U``
@@ -84,6 +86,7 @@ In exact mode agreement and all defining equations hold as equalities;
 float mode exists for the numeric oracles and the limit-based estimate.
 """
 
+import math
 from collections import namedtuple
 from functools import cached_property
 
@@ -126,7 +129,7 @@ def assert_routes_agree(results: dict, mode: str, what: str) -> QMatrix:
 
 
 # ---------------------------------------------------------------------------
-# The two Cramer kernels
+# The Moore-Penrose Cramer kernel
 # ---------------------------------------------------------------------------
 
 
@@ -138,15 +141,6 @@ def _mp_cramer(x: QMatrix, r: int, row: bool):
     if d <= 0:
         raise invariant_error(x.mode, f"Gram minor sum is not positive: {d}")
     return (xs @ y if row else y @ xs), d
-
-
-def _hermitian_cramer(g: QMatrix, r: int):
-    """(Y, d): the cofactor matrix and order-r minor sum of a Hermitian g,
-    one pass for both families."""
-    y, d = _bordered_cofactors(g, r)
-    if d == 0:
-        raise invariant_error(g.mode, "Hermitian minor sum vanished")
-    return y, d
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +258,8 @@ def mp_all_routes(a: QMatrix) -> dict:
 class _SquareAnalysis(Powers):
     """The power table of a square matrix plus its index k, computed once,
     and whether it is Hermitian, the Moore-Penrose kernels of its odd
-    powers and the Hermitian kernel of A^(k+1), each made on first use."""
+    powers and the Hermitian kernels of its powers, each made on first
+    use."""
 
     def __init__(self, a: QMatrix):
         if not a.is_square():
@@ -273,16 +268,22 @@ class _SquareAnalysis(Powers):
         self.k = index_of(self)
         self._mp = {}
         self._drazin = {}
+        self._hermitian = {}
 
     @cached_property
     def hermitian(self) -> bool:
         return self.a.is_hermitian()
 
-    @cached_property
-    def hermitian_cramer(self):
-        """(Y, d) of the Hermitian A^(k+1) at rank(A^k): the one pass that
-        both Hermitian routes read."""
-        return _hermitian_cramer(self[self.k + 1], self.rank(self.k))
+    def hermitian_cramer(self, e: int):
+        """(Y, d) with d != 0: the cofactor matrix and minor sum of the
+        Hermitian A^e at rank(A^k), which is rank(A^e) for every e >= k,
+        one pass for both families."""
+        if e not in self._hermitian:
+            y, d = _bordered_cofactors(self[e], self.rank(self.k))
+            if d == 0:
+                raise invariant_error(self.a.mode, "Hermitian minor sum vanished")
+            self._hermitian[e] = y, d
+        return self._hermitian[e]
 
     def mp_cramer(self, e: int, row: bool):
         """(N, d) with N / d = (A^(2e+1))^+, at rank(A^e): for e >= Ind A the
@@ -319,7 +320,7 @@ def _drazin_composition(s: _SquareAnalysis) -> QMatrix:
 
 def _drazin_hermitian(s: _SquareAnalysis, row: bool) -> QMatrix:
     ak = s[s.k]
-    y, d = s.hermitian_cramer
+    y, d = s.hermitian_cramer(s.k + 1)
     return (ak @ y if row else y @ ak) / d
 
 
@@ -394,7 +395,7 @@ def _mp_route(p: _WeightedProblem, u_side: bool) -> QMatrix:
 def _weighted_hermitian(p: _WeightedProblem, u_side: bool) -> QMatrix:
     side = p.u if u_side else p.v
     sk = side[p.k]
-    y, d = _hermitian_cramer(side[p.k + 2], side.rank(p.k))
+    y, d = side.hermitian_cramer(p.k + 2)
     return ((p.a @ sk) @ y if u_side else y @ (sk @ p.a)) / d
 
 
@@ -446,7 +447,7 @@ class WdrazinLimitEstimates(namedtuple("WdrazinLimitEstimates", "via_aw via_wa")
 
 def wdrazin_limit_estimate(a: QMatrix, w: QMatrix, lam: float) -> WdrazinLimitEstimates:
     """Evaluate the two resolvent-style limit representations at a finite
-    positive shift lam (float mode only).
+    positive shift lam (float mode only); any other lam is a ValueError.
 
     As lam -> 0 both estimates converge to the weighted Drazin inverse;
     callers probing convergence evaluate a decreasing sequence of shifts.
@@ -456,8 +457,8 @@ def wdrazin_limit_estimate(a: QMatrix, w: QMatrix, lam: float) -> WdrazinLimitEs
     if a.mode != FLOAT or w.mode != FLOAT:
         raise ModeError("limit estimates are float-mode only; convert inputs first")
     lam = float(lam)
-    if not lam > 0:
-        raise ValueError("shift must be positive")
+    if not 0 < lam < math.inf:  # NaN fails both
+        raise ValueError(f"shift must be positive and finite, got {lam}")
     p = _WeightedProblem(a, w)
     try:
         via_aw = inverse_square(_shifted(p.v[p.k + 2], lam)) @ (p.v[p.k] @ a)

@@ -24,11 +24,13 @@ summation order of `Quaternion` arithmetic, so float results are
 bit-identical to it.  Rank is row rank by forward elimination; exact
 elimination is fraction-free (see `_eliminate`), float elimination uses
 quaternionic left-division with a pivot tolerance, valid over a division
-ring.  A product with an identity factor makes no product: it is the
-other factor (`_times_identity`).  A `Powers` table holds, for one
-call, the powers of one square matrix and their ranks, each made once,
-A^0 only when read; `mat_pow`, `index_of`, the Drazin routes and the
-checkers read powers from such a table instead of rebuilding them.
+ring.  An exact product with an identity factor makes no product: it
+is the other factor.  A float one is a product like any other, as its
+bits are not the other factor's (a sum from 0.0 turns -0.0 into 0.0,
+and 0 * inf is NaN).  A `Powers` table holds, for one call, the powers
+of one square matrix and their ranks, each made once, A^0 only when
+read; `mat_pow`, `index_of`, the Drazin routes and the checkers read
+powers from such a table instead of rebuilding them.
 
 The complex adjoint embedding maps each entry a + bi + cj + dk to the
 2x2 complex block
@@ -194,13 +196,12 @@ class QMatrix:
         self._check_mode(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        if _is_identity(self):  # an identity factor is free
-            free = _times_identity(other)
-        elif _is_identity(other):
-            free = _times_identity(self)
-        else:
-            free = None
-        return _product(self._held, other._held, self.mode) if free is None else free
+        if self.mode == EXACT:  # an exact identity factor is free
+            if _is_identity(self):
+                return other
+            if _is_identity(other):
+                return self
+        return _product(self._held, other._held, self.mode)
 
     def __mul__(self, scalar):
         # Real scalar only; reals are central so the side does not matter.
@@ -393,9 +394,8 @@ _ONE, _ZERO = (1, 0, 0, 0), (0, 0, 0, 0)
 
 
 def _is_identity(m):
-    """Whether m is an identity: square, den 1, each diagonal entry 1 and
-    every other entry 0, compared with ==, so a float -0.0 counts as 0.
-    Most matrices fail the first entry."""
+    """Whether an exact m is an identity: square, den 1, each diagonal
+    entry 1 and every other entry 0.  Most matrices fail the first entry."""
     rows, den = m._held
     if rows[0][0] != _ONE or den != 1 or m.rows != m.cols:
         return False
@@ -404,21 +404,6 @@ def _is_identity(m):
         if row != zero[:i] + (_ONE,) + zero[i + 1:]:
             return False
     return True
-
-
-def _times_identity(m):
-    """m times an identity, on either side, without a product, or None
-    when it needs one.  Exact mode gives m itself.  Float mode gives m
-    with each component c as 0.0 + c: in each Hamilton sum every term
-    but c's is a signed zero and the sum starts from 0.0, so `_product`
-    computes this bit for bit, unless a component is not finite (0 * inf
-    is NaN), which gives None."""
-    if m.mode == EXACT:
-        return m
-    rows = m._held[0]
-    if not all(map(math.isfinite, [c for row in rows for t in row for c in t])):
-        return None
-    return QMatrix._made(tuple([tuple([(0.0 + a, 0.0 + b, 0.0 + c, 0.0 + d) for a, b, c, d in row]) for row in rows]), 1, FLOAT)
 
 
 def _primitive(row):
@@ -626,8 +611,7 @@ def inverse_square(a: QMatrix) -> QMatrix:
 def _shifted(m: QMatrix, lam: float) -> QMatrix:
     """lam I + m for a square float m, made directly, bit for bit
     ``QMatrix.identity(n, FLOAT) * lam + m``: 0.0 * lam is 0.0 for a
-    finite lam > 0, and that sum adds x * 1 + y * 1, which is x + y.  (An
-    infinite lam gives a non-finite diagonal either way.)"""
+    finite lam > 0, and that sum adds x * 1 + y * 1, which is x + y."""
     return QMatrix._made(tuple([
         tuple([(lam + v0, 0.0 + v1, 0.0 + v2, 0.0 + v3) if i == j else (0.0 + v0, 0.0 + v1, 0.0 + v2, 0.0 + v3)
                for j, (v0, v1, v2, v3) in enumerate(row)])

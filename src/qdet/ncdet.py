@@ -98,9 +98,10 @@ hours.  The minor sums, cofactors and inverses enumerate nothing and
 take no guard.  The guard is overridden for one call only, by the
 `max_n` of each guarded evaluator, passed as an argument down to
 `_check`; the module holds no guard state.  An override must be an
-integer of at least 1, and not a bool.  Each guarded evaluator checks it
-before it looks at the matrix, so an invalid override is refused
-whatever the input.
+integer of at least 1, and not a bool; an anchor must be an integer, and
+not a bool.  Each guarded evaluator checks both types before it looks at
+the matrix, so an invalid override, or an anchor that is not an integer,
+is refused whatever the input.
 """
 
 import itertools
@@ -122,20 +123,31 @@ from .scalar import EXACT, Quaternion
 DEFAULT_ENUMERATION_GUARD = 8
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; a bool, or anything `operator.index` refuses, is a
+    TypeError that names `what`."""
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, not a bool: {value}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _override(max_n) -> int:
     """The guard that max_n sets: the default for None, else max_n checked
     as an override."""
     if max_n is None:
         return DEFAULT_ENUMERATION_GUARD
-    if isinstance(max_n, bool):
-        raise TypeError(f"guard override max_n must be an integer, not a bool: {max_n}")
-    if operator.index(max_n) < 1:  # a TypeError for anything that is not an integer
+    max_n = _integer(max_n, "guard override max_n")
+    if max_n < 1:
         raise ValueError(f"guard override max_n must be at least 1, got {max_n}")
     return max_n
 
 
 def _check(a: QMatrix, anchor: int, max_n, bounds="the determinant size (2^n index subsets summed)"):
-    limit = _override(max_n)  # an invalid override is refused before the input is looked at
+    # An invalid override or anchor is refused before the input is looked at.
+    limit, anchor = _override(max_n), _integer(anchor, "determinant anchor")
     if not a.is_square():
         raise ShapeError("row/column determinants require a square matrix")
     n = a.rows
@@ -394,9 +406,8 @@ def _bordered_cofactors(g: QMatrix, r: int):
     the one empty minor is 1, so Y = 0 and d = 1: a Cramer formula at
     rank 0 gives the zero inverse.
     """
-    if g.mode == EXACT and not g.is_hermitian():
-        raise NotHermitianError("bordered cofactors require a Hermitian matrix")
-    h = _exact_hermitian(g)
+    refusal = "bordered cofactors require a Hermitian matrix"
+    h = _require_hermitian(g, refusal) if g.mode == EXACT else _exact_hermitian(g)
     if r == 0:  # no order-0 set holds an anchor; the one empty minor is 1
         return QMatrix.zeros(g.rows, g.rows, g.mode), 1
     y, (*_, d) = _leverrier(h, r)
@@ -506,17 +517,18 @@ def hermitian_inverse(a: QMatrix) -> QMatrix:
 
     The Hermitian Cramer rule at full order: the order-n cofactors Y of
     one `_leverrier` pass give ddet(a) * a^-1, one pass for both families
-    (module docstring), and must satisfy h Y = Y h = ddet(a) I before the
-    one division.  A float a is inverted as the exact Hermitian matrix h
-    it stands for (`_exact_hermitian`), and the exact inverse is rounded
-    once; an exact a is h itself.
+    (module docstring), and must satisfy h Y = ddet(a) I before the one
+    division.  Y h = ddet(a) I follows: Y / ddet(a) is then a right
+    inverse of the square h, and over a division ring a one-sided inverse
+    of a square matrix is two-sided.  A float a is inverted as the exact
+    Hermitian matrix h it stands for (`_exact_hermitian`), and the exact
+    inverse is rounded once; an exact a is h itself.
     """
     h, n = _require_hermitian(a, "hermitian_inverse requires a Hermitian matrix"), a.rows
     y, (*_, det) = _leverrier(h, n)
     if det == 0:
         raise SingularError("Hermitian matrix has zero determinant")
-    scaled = QMatrix.identity(n) * det
-    if not (h @ y == scaled and y @ h == scaled):
+    if h @ y != QMatrix.identity(n) * det:
         raise InternalInvariantError("cofactor inverse failed the product check")
     inv = y / det
     return inv if a.mode == EXACT else _rounded(inv)

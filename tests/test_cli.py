@@ -386,7 +386,7 @@ def test_wdrazin_limit_beyond_float_range_is_refused(entry, tmp_path, capsys):
     assert out.err.startswith("qdet: refused:") and "Traceback" not in out.err
 
 
-@pytest.mark.parametrize("shift", ["-1", "0", "nan"])
+@pytest.mark.parametrize("shift", ["-1", "0", "nan", "inf"])
 def test_wdrazin_rejects_an_invalid_shift_before_printing(shift, tmp_path, capsys):
     a = write(tmp_path, "a.qmat", golden.A_IN)
     w = write(tmp_path, "w.qmat", golden.W_IN)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import re
 import time
@@ -588,6 +589,23 @@ def test_the_hermitian_drazin_routes_share_one_cofactor_pass(monkeypatch, mode):
     assert len(passes) == 3 and sum(g == h @ h for g in passes) == 1
 
 
+def test_the_analysis_makes_each_hermitian_pass_once(monkeypatch):
+    # One pass per power A^e, at rank(A^k), whichever route reads it.
+    b = QMatrix.from_literals([["1", "i"], ["j", "2"], ["1+k", "0"]])
+    h = b @ b.H  # Hermitian, rank 2, index 1
+    passes = []
+    bordered = geninv._bordered_cofactors
+    monkeypatch.setattr(geninv, "_bordered_cofactors", lambda g, r: passes.append((g, r)) or bordered(g, r))
+    s = geninv._SquareAnalysis(h)
+    pass_2 = s.hermitian_cramer(2)
+    assert s.hermitian_cramer(2) is pass_2 and passes == [(h @ h, 2)]
+    p = geninv._WeightedProblem(h, QMatrix.identity(3))
+    passes.clear()
+    for _ in range(2):
+        geninv._weighted_hermitian(p, u_side=True)
+    assert passes == [(h @ h @ h, 2)] and p.u.hermitian_cramer(3) is p.u.hermitian_cramer(p.k + 2)
+
+
 def test_each_kernel_pass_runs_once_per_call(monkeypatch):
     passes, ranks = [], []
     bordered, rank_of = geninv._bordered_cofactors, geninv.rank
@@ -734,8 +752,9 @@ def test_shifted_cdet_coefficient_expansion(rng):
 def test_limit_estimate_requires_float_mode():
     with pytest.raises(ModeError):
         wdrazin_limit_estimate(golden.A_IN, golden.W_IN, 1e-6)
-    with pytest.raises(ValueError):
-        wdrazin_limit_estimate(golden.A_IN.to_float(), golden.W_IN.to_float(), 0.0)
+    for lam in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="shift must be positive"):
+            wdrazin_limit_estimate(golden.A_IN.to_float(), golden.W_IN.to_float(), lam)
 
 
 def test_limit_estimate_converges_on_worked_example():

@@ -410,7 +410,7 @@ def test_kernel_matches_the_quaternion_references(data):
 
 
 
-# -- an identity factor is free --
+# -- an exact identity factor is free; a float one is a product --
 
 # Signed zeros, thirds, a subnormal and values near the float limit.
 IDENTITY_OPERANDS = (0.0, -0.0, 1 / 3, -2.5, 5e-324, -1e-310, 1e308, -1e308)
@@ -445,6 +445,18 @@ def test_a_non_finite_operand_of_an_identity_takes_the_full_product():
         for product, expected in ((i @ x, reference_matmul(i, x)), (x @ i, reference_matmul(x, i))):
             assert _bits(product) == _bits(expected)  # 0 * inf is NaN: NaNs in the same places
             assert any(math.isnan(c) for t in product._held[0][0] for c in t[1:])
+
+
+def test_only_an_exact_identity_factor_skips_the_product(monkeypatch, rng):
+    made, product = [], matrix._product
+    monkeypatch.setattr(matrix, "_product", lambda a, b, mode: made.append(mode) or product(a, b, mode))
+    b = random_qmatrix(rng, 4, 4)
+    f, i = b.to_float(), QMatrix.identity(4, "float")
+    for left, right in ((i, f), (f, i)):
+        made.clear()
+        assert left @ right == f and made == ["float"]
+    made.clear()
+    assert QMatrix.identity(4) @ b is b and b @ QMatrix.identity(4) is b and made == []
 
 
 def test_a_power_table_makes_each_product_once_and_the_identity_when_read(monkeypatch):

@@ -622,6 +622,11 @@ def test_anchor_validation(rng):
         cdet(3, a)
     with pytest.raises(ShapeError):
         rdet(1, random_qmatrix(rng, 2, 3))
+    # An anchor that is not an integer is named, not met as a table index.
+    for evaluator in (rdet, cdet, rdet_reference, cdet_reference):
+        for anchor in (1.0, 1.5, True):
+            with pytest.raises(TypeError, match="determinant anchor must be an integer"):
+                evaluator(anchor, a)
 
 
 # -- float mode --------------------------------------------------------------
@@ -939,6 +944,19 @@ def test_exact_hermitian_inverse_makes_one_cofactor_pass(monkeypatch, rng):
     passes.clear()
     assert hermitian_inverse(h.to_float()) == x.to_float()
     assert passes == [h]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_hermitian_inverse_checks_one_product(mode, monkeypatch, rng):
+    # h Y = ddet I makes Y / ddet a right inverse of the square h, so a
+    # two-sided one: Y h is not formed.
+    products, matmul = [], QMatrix.__matmul__
+    monkeypatch.setattr(QMatrix, "__matmul__", lambda x, y: products.append((x, y)) or matmul(x, y))
+    b = random_qmatrix(rng, 4, 4)
+    h = QMatrix.identity(4) * 3 + b @ b.H
+    products.clear()
+    hermitian_inverse(h if mode == "exact" else h.to_float())
+    assert len(products) == 1 and products[0][0] == h
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
