@@ -4,7 +4,9 @@ Matrix files (``.qmat``) are plain text: a header line ``m n``, then m
 lines of n whitespace-separated quaternion literals; lines starting with
 ``%`` are comments.  The scalar mode is inferred per file: any decimal
 literal makes it a float file, any ``p/q`` fraction makes it exact, and
-mixing the two is an error.  Matrices are printed back in the same
+mixing the two is an error.  The files of one run must read in one mode,
+or the run is refused before anything is computed; ``--mode float``
+reads them all as float.  Matrices are printed back in the same
 grammar, so outputs are re-ingestible; with ``--check`` the appended
 report lines are ``%``-prefixed to keep the output a valid matrix file.
 
@@ -252,16 +254,31 @@ def _cmd_det(args):
     return EXIT_OK
 
 
-def _operands(args, kind):
-    """(A,) or, for a weighted kind, (A, W): a weight goes with a weighted
-    kind and with no other."""
+def _loaded(args, *options):
+    """The matrices in the files that the file options `options` name, each
+    read under --mode.  Files that read in different scalar modes are
+    refused, naming both, before anything is computed."""
+    paths = [getattr(args, option) for option in options]
+    mats = [_load(path, args.mode) for path in paths]
+    for option, path, m in zip(options, paths, mats):
+        if m.mode != mats[0].mode:
+            raise ModeError(
+                f"--{options[0]} {paths[0]} is {mats[0].mode} but --{option} {path} is {m.mode}; "
+                "pass --mode float to read both in float mode"
+            )
+    return mats
+
+
+def _operands(args, kind, *extra):
+    """[A] or, for a weighted kind, [A, W], then the matrices of the file
+    options `extra`: a weight goes with a weighted kind and with no
+    other."""
     weighted, weight = _INVERSES[kind][2], getattr(args, "weight", None)
     if weighted and weight is None:
         raise _UsageError(f"--weight is required for --kind {kind}")
     if weight is not None and not weighted:
         raise _UsageError(f"--weight does not apply to --kind {kind}")
-    a = _load(args.input, args.mode)
-    return (a, _load(weight, args.mode)) if weighted else (a,)
+    return _loaded(args, "input", *(("weight",) if weighted else ()), *extra)
 
 
 def _limit_lines(a, w, x, args):
@@ -298,8 +315,7 @@ def _cmd_routed(args):
 
 def _cmd_verify(args):
     _, checker, _, _ = _INVERSES[args.kind]
-    operands = _operands(args, args.kind)
-    x = _load(args.candidate, args.mode)
+    *operands, x = _operands(args, args.kind, "candidate")
     report = checker(*operands, x, provenance="candidate")
     _emit_report(report, args)
     return EXIT_OK if report.ok else EXIT_VERIFY
@@ -322,11 +338,13 @@ def _describe(name, a, lines):
 
 
 def _cmd_info(args):
-    a, lines = _load(args.input, args.mode), []
+    a, *weight = _loaded(args, "input", *(("weight",) if args.weight else ()))
+    lines = []
     _describe("A", a, lines)
-    if args.weight:
-        w = _load(args.weight, args.mode)
-        wa, aw = w @ a, a @ w  # both exist iff w has the transposed shape of a
+    if weight:
+        (w,) = weight
+        geninv.require_weight_shape(a, w)
+        wa, aw = w @ a, a @ w
         _describe("W", w, lines)
         k = max(_describe("WA", wa, lines), _describe("AW", aw, lines))
         lines.append(f"k = {k}")

@@ -93,6 +93,7 @@ from functools import cached_property
 from .errors import (
     ModeError,
     NotHermitianError,
+    NumericalBreakdownError,
     PreconditionError,
     RouteDisagreementError,
     ShapeError,
@@ -359,15 +360,19 @@ def drazin_all_routes(a: QMatrix) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def require_weight_shape(a: QMatrix, w: QMatrix):
+    """Refuse a weight W without the transposed shape of A, the shape that
+    makes both WA and AW square."""
+    if w.rows != a.cols or w.cols != a.rows:
+        raise ShapeError(f"weight must be {a.cols}x{a.rows} for a {a.rows}x{a.cols} input, got {w.rows}x{w.cols}")
+
+
 class _WeightedProblem:
     """A, W, the analyses of U = WA and V = AW, k and rank(W), the last
     made on first read: only the mp_route refusals and builders read it."""
 
     def __init__(self, a: QMatrix, w: QMatrix):
-        if w.rows != a.cols or w.cols != a.rows:
-            raise ShapeError(
-                f"weight must be {a.cols}x{a.rows} for a {a.rows}x{a.cols} input, got {w.rows}x{w.cols}"
-            )
+        require_weight_shape(a, w)
         self.a, self.w = a, w
         self.u = _SquareAnalysis(w @ a)
         self.v = _SquareAnalysis(a @ w)
@@ -451,8 +456,10 @@ def wdrazin_limit_estimate(a: QMatrix, w: QMatrix, lam: float) -> WdrazinLimitEs
 
     As lam -> 0 both estimates converge to the weighted Drazin inverse;
     callers probing convergence evaluate a decreasing sequence of shifts.
-    Raises `SingularError` if a shifted matrix is singular at this lam
-    (pick another shift).
+    Raises `SingularError` if a shifted matrix is singular at this lam,
+    and `NumericalBreakdownError` if its float elimination breaks down
+    (a lam above about 1e154 overflows the pivot scale); either message
+    names the shift (pick another one).
     """
     if a.mode != FLOAT or w.mode != FLOAT:
         raise ModeError("limit estimates are float-mode only; convert inputs first")
@@ -465,4 +472,6 @@ def wdrazin_limit_estimate(a: QMatrix, w: QMatrix, lam: float) -> WdrazinLimitEs
         via_wa = (a @ p.u[p.k]) @ inverse_square(_shifted(p.u[p.k + 2], lam))
     except SingularError as exc:
         raise SingularError(f"shifted matrix singular at lam={lam}") from exc
+    except NumericalBreakdownError as exc:
+        raise NumericalBreakdownError(f"shifted matrix at lam={lam} broke down: {exc}") from exc
     return WdrazinLimitEstimates(via_aw, via_wa)

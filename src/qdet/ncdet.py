@@ -49,8 +49,10 @@ so float results are bit-identical to it.
 The tail table of that recursion holds, for every subset X of the
 indices other than the anchor, the determinant of the principal
 submatrix on X anchored at its least index, and last the determinant
-itself, the full set anchored at the anchor.  `ddet` is rdet_1 on these
-tables, as the paper defines it; the tables serve nothing else.
+itself, the full set anchored at the anchor.  One loop fills it for
+both families: the column family swaps the two operands of every
+product, so its chains multiply in mirrored order.  `ddet` is rdet_1 on
+these tables, as the paper defines it; the tables serve nothing else.
 
 The sums of principal minors, and the bordered minor sums behind the
 generalized inverses (a principal submatrix with its anchor column, or
@@ -230,8 +232,9 @@ def _tails(cols, root, row, start):
 
     R(X) is the row determinant of the principal submatrix on X anchored
     at its first row, C(X) the column determinant anchored at its first
-    column; on a Hermitian matrix both are the principal minor of X.  The
-    operand order is picked once per entry, not once per term.
+    column; on a Hermitian matrix both are the principal minor of X.  One
+    loop serves both families: C(X) swaps the two operands of each
+    product, S_m(Y) and the tail, so the factors run in mirrored order.
     """
     n = len(cols)
     others = tuple(x for x in range(n) if x != root)
@@ -244,22 +247,16 @@ def _tails(cols, root, row, start):
         sums, rest = sums_at[low], mask ^ (1 << low)
         s0, s1, s2, s3 = sums[rest]
         y = rest
-        if row:
-            while y:
-                y = (y - 1) & rest
-                (a0, a1, a2, a3), (b0, b1, b2, b3) = sums[y], tails[rest ^ y]
-                s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-                s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-                s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-                s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-        else:
-            while y:
-                y = (y - 1) & rest
-                (b0, b1, b2, b3), (a0, a1, a2, a3) = sums[y], tails[rest ^ y]
-                s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-                s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-                s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-                s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+        while y:
+            y = (y - 1) & rest
+            a, b = sums[y], tails[rest ^ y]
+            if not row:
+                a, b = b, a
+            (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b
+            s0 += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+            s1 += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+            s2 += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+            s3 += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
         tails[mask] = (s0, s1, s2, s3)
     return tails
 

@@ -396,6 +396,43 @@ def test_wdrazin_rejects_an_invalid_shift_before_printing(shift, tmp_path, capsy
     assert "shift must be positive" in out.err
 
 
+def test_wdrazin_names_a_shift_that_breaks_down(tmp_path, capsys):
+    # At lambda = 1e200 the shifted matrix has no float pivot scale: a
+    # refusal that names the shift, printed alone.
+    a = write(tmp_path, "h.qmat", HERMITIAN)
+    w = write(tmp_path, "eye.qmat", QMatrix.identity(2))
+    assert main(["wdrazin", "-i", a, "--weight", w, "--lambda=1e200"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("qdet: refused: shifted matrix at lam=1e+200 ")
+
+
+MIXED_MODE_RUNS = {
+    "wdrazin_weight": (["wdrazin"], "weight"),
+    "info_weight": (["info"], "weight"),
+    "verify_candidate": (["verify", "--kind", "mp"], "candidate"),
+}
+
+
+@pytest.mark.parametrize("input_float", [False, True], ids=["exact_input", "float_input"])
+@pytest.mark.parametrize("run", MIXED_MODE_RUNS, ids=str)
+def test_operand_files_in_different_modes_are_refused_first(run, input_float, tmp_path, capsys, monkeypatch):
+    # An exact file with a float one is refused before any product or
+    # elimination, naming both files, their modes and --mode.
+    for name in ("_product", "_eliminate"):
+        monkeypatch.setattr(matrix, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    command, option = MIXED_MODE_RUNS[run]
+    modes = ("float", "exact") if input_float else ("exact", "float")
+    paths = [write(tmp_path, f"{mode}.qmat", HERMITIAN.to_float() if mode == "float" else HERMITIAN) for mode in modes]
+    assert main([*command, "--input", paths[0], f"--{option}", paths[1]]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        f"qdet: refused: --input {paths[0]} is {modes[0]} but --{option} {paths[1]} is {modes[1]}; "
+        "pass --mode float to read both in float mode\n"
+    )
+
+
 def test_wdrazin_refused_route(tmp_path, capsys):
     a = write(tmp_path, "a.qmat", golden.A_IN)
     w = write(tmp_path, "w.qmat", golden.W_IN)
@@ -550,12 +587,13 @@ def test_info_ranks_a_square_weight_once(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("shape", [(4, 3), (3, 3), (4, 4)], ids=lambda s: "%dx%d" % s)
 def test_info_with_a_misshaped_weight_is_refused(shape, tmp_path, capsys):
-    # A is 4x3, so W must be 3x4; a 4x4 W fails on A @ W, not on W @ A.
+    # A is 4x3, so W must be 3x4: any other shape gets wdrazin's refusal.
     a = write(tmp_path, "a.qmat", golden.A_IN)
     w = write(tmp_path, "w.qmat", QMatrix.zeros(*shape))
     assert main(["info", "-i", a, "--weight", w]) == 2
     out = capsys.readouterr()
-    assert out.out == "" and out.err.startswith("qdet: refused: ")
+    assert out.out == ""
+    assert out.err == "qdet: refused: weight must be 3x4 for a 4x3 input, got %dx%d\n" % shape
 
 
 def test_mode_flag(tmp_path, capsys):

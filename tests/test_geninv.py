@@ -788,6 +788,14 @@ def test_limit_estimate_refuses_a_singular_shift():
         wdrazin_limit_estimate(a, QMatrix.identity(2).to_float(), 1.0)
 
 
+def test_limit_estimate_names_a_shift_that_breaks_the_pivot_scale():
+    # At lam = 1e200 the shifted matrix's squared norms overflow, so its
+    # float elimination has no pivot scale; the refusal names the shift.
+    a = QMatrix.from_literals([["2", "i"], ["-i", "2"]]).to_float()
+    with pytest.raises(NumericalBreakdownError, match=r"shifted matrix at lam=1e\+200 .*no float pivot scale"):
+        wdrazin_limit_estimate(a, QMatrix.identity(2).to_float(), 1e200)
+
+
 # -- float bit identity above the matrix layer --------------------------------
 
 
